@@ -32,22 +32,37 @@ def dominated_mask(points: np.ndarray) -> np.ndarray:
 
     Row ``i`` is marked when some row ``j`` is no worse in every objective
     and strictly better in at least one.  Duplicated rows never dominate
-    each other, so all copies of a non-dominated point stay unmarked.  The
-    pairwise comparison is fully vectorized: O(n² · m) numpy work instead
-    of Python loops, which is what makes per-solve candidate pruning in the
-    allocator affordable.
+    each other, so all copies of a non-dominated point stay unmarked.
+    Values are compared directly, so two rows sharing a ±inf in a column
+    tie there; a row containing NaN neither dominates nor is dominated.
+
+    Output-sensitive front extraction: after a lexicographic sort, the
+    first remaining row cannot be dominated (a dominator sorts strictly
+    before the row it dominates), so it is taken as a front point, every
+    remaining row it dominates is marked in one vectorized comparison,
+    and it, its duplicates and the marked rows are dropped.  That costs
+    O(n · |front| · m) time and O(n · m) memory, instead of the
+    O(n² · m) of a pairwise check; allocator tables have a few dozen
+    front points among hundreds of rows.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array")
-    if len(pts) == 0:
-        return np.zeros(0, dtype=bool)
-    # le[j, i]: row j is <= row i in every objective;
-    # lt[j, i]: row j is <  row i in at least one objective.
-    diff = pts[:, None, :] - pts[None, :, :]
-    le = (diff <= 0).all(axis=2)
-    lt = (diff < 0).any(axis=2)
-    return (le & lt).any(axis=0)
+    mask = np.zeros(len(pts), dtype=bool)
+    if pts.size == 0:
+        return mask
+    idx = np.lexsort(pts.T[::-1])
+    rest = pts[idx]
+    while len(rest):
+        head = rest[0]
+        covered = (head <= rest).all(axis=1)
+        mask[idx[covered & (head < rest).any(axis=1)]] = True
+        # ``covered`` holds the head and its duplicates unless the head
+        # has a NaN; drop the head explicitly so the loop always advances.
+        covered[0] = True
+        keep = ~covered
+        idx, rest = idx[keep], rest[keep]
+    return mask
 
 
 def pareto_front_indices(points: np.ndarray) -> list[int]:
