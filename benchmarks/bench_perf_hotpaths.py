@@ -1,4 +1,4 @@
-"""Hot-path performance benchmark: vectorized vs reference solver & sim.
+"""Hot-path performance benchmark: the allocator solver and the sim tick.
 
 Times the two paths the ROADMAP's "as fast as the hardware allows" goal
 depends on:
@@ -6,9 +6,11 @@ depends on:
 * **Allocator** — an 8-application × 64-operating-point MMKP solve
   (subgradient selection + greedy repair + placement), reference scalar
   loops vs the batched tensor path, plus the memoized-epoch fast path.
-* **Simulation** — a multi-application 1000-tick world under CFS,
-  reference per-core scalar integration vs array-shaped power/energy
-  integration with placement reuse.
+* **Simulation** — a multi-application 1000-tick world under CFS on the
+  engine's one power path (array-shaped power/energy integration with
+  placement reuse), against the recorded time of the retired scalar
+  per-core integration.  The same world on the event engine must give
+  ``==`` per-type energy.
 
 Writes ``BENCH_hotpaths.json`` at the repo root (the perf trajectory
 artifact) and prints a summary.  ``--smoke`` (or ``HARP_BENCH_SMOKE=1``)
@@ -40,12 +42,19 @@ from repro.core.operating_point import OperatingPoint
 from repro.core.resource_vector import ErvLayout, ExtendedResourceVector
 from repro.platform.topology import raptor_lake_i9_13900k
 from repro.sim.engine import World
+from repro.sim.event import make_world
 from repro.sim.schedulers.cfs import CfsScheduler
 
 RESULT_PATH = _REPO_ROOT / "BENCH_hotpaths.json"
 SMOKE_RESULT_PATH = _REPO_ROOT / "benchmarks" / "results" / "BENCH_hotpaths_smoke.json"
 
 SIM_APPS = ["ep.C", "mg.C", "ft.C", "cg.C", "is.C", "lu.C"]
+
+#: Seconds the retired scalar per-core power integration took for the
+#: 1000-tick simulation profile (``reference_s`` in BENCH_hotpaths.json
+#: when that path still existed).  The full run gates its speedup on it.
+SCALAR_REFERENCE_S = 6.18
+SCALAR_REFERENCE_TICKS = 1000
 
 
 def _random_requests(
@@ -128,9 +137,9 @@ def bench_allocator(n_apps: int = 8, n_points: int = 64, n_instances: int = 20) 
     }
 
 
-def _build_world(vectorized: bool) -> World:
-    world = World(
-        raptor_lake_i9_13900k(), CfsScheduler(), seed=0, vectorized=vectorized
+def _build_world(engine: str) -> World:
+    world = make_world(
+        raptor_lake_i9_13900k(), CfsScheduler(), engine=engine, seed=0
     )
     for name in SIM_APPS:
         world.spawn(npb_model(name))
@@ -138,24 +147,24 @@ def _build_world(vectorized: bool) -> World:
 
 
 def bench_sim(ticks: int = 1000) -> dict:
-    timings = {}
-    energies = {}
-    for vectorized in (False, True):
-        _build_world(vectorized).step()  # warm-up (numpy dispatch, caches)
-        world = _build_world(vectorized)
-        start = time.perf_counter()
-        for _ in range(ticks):
-            world.step()
-        timings[vectorized] = time.perf_counter() - start
-        energies[vectorized] = sum(world.energy_by_type_j.values())
-    drift = abs(energies[True] - energies[False]) / energies[False]
+    _build_world("tick").step()  # warm-up (numpy dispatch, caches)
+    world = _build_world("tick")
+    start = time.perf_counter()
+    for _ in range(ticks):
+        world.step()
+    elapsed = time.perf_counter() - start
+    event = _build_world("event")
+    event.run_for(ticks * event.tick_s)
+    reference_s = SCALAR_REFERENCE_S * ticks / SCALAR_REFERENCE_TICKS
     return {
         "ticks": ticks,
         "apps": SIM_APPS,
-        "reference_s": timings[False],
-        "vectorized_s": timings[True],
-        "speedup": timings[False] / timings[True],
-        "energy_drift_rel": drift,
+        "reference_s": reference_s,
+        "measured_s": elapsed,
+        "speedup": reference_s / elapsed,
+        "event_ticks": event.tick_index,
+        "energy_by_type_j": dict(world.energy_by_type_j),
+        "event_energy_by_type_j": dict(event.energy_by_type_j),
     }
 
 
@@ -184,7 +193,10 @@ def run(smoke: bool = False) -> dict:
         assert sim["speedup"] >= 3.0, (
             f"sim speedup {sim['speedup']:.1f}x below the 3x target"
         )
-    assert sim["energy_drift_rel"] < 1e-9, "vectorized sim diverged from reference"
+    assert sim["event_ticks"] == sim["ticks"], "event engine ran a different horizon"
+    assert sim["event_energy_by_type_j"] == sim["energy_by_type_j"], (
+        "tick and event engines diverged on per-type energy"
+    )
     return report
 
 

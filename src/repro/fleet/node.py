@@ -99,7 +99,6 @@ class NodeManager:
         seed: int = 0,
         manager_config: ManagerConfig | None = None,
         capacity_slots: int | None = None,
-        vectorized: bool = True,
     ):
         self.node_id = node_id
         self.link = link
@@ -111,7 +110,6 @@ class NodeManager:
             engine=engine,
             governor=make_governor("powersave", platform),
             seed=seed,
-            vectorized=vectorized,
         )
         self.manager = HarpManager(
             self.world, config=manager_config or ManagerConfig()

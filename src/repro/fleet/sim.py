@@ -42,7 +42,6 @@ class FleetSim:
         manager_config: ManagerConfig | None = None,
         node_p_cores: int = 2,
         node_e_cores: int = 4,
-        vectorized: bool = True,
     ):
         if n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
@@ -69,7 +68,6 @@ class FleetSim:
                 engine=engine,
                 seed=seed + _NODE_SEED_STRIDE * (node_id + 1),
                 manager_config=manager_config,
-                vectorized=vectorized,
             )
             self.nodes[node_id].register()
         # Fleet-level telemetry keeps fleet time (each node world's

@@ -1,10 +1,10 @@
 """HL004 — parity-coverage: every reference/vectorized switch is tested.
 
-PR 1 kept the scalar reference implementations of the allocator and the
-sim engine alive precisely so the vectorized hot paths stay checkable
-point-for-point.  That guarantee only holds while some test actually
-exercises the switchable entry point; a new switch without a test is a
-parity claim nobody verifies.
+The allocator keeps its scalar reference implementation alive precisely
+so the vectorized hot path stays checkable point-for-point, and the
+tick/event engine switch carries a bit-parity claim.  Those guarantees
+only hold while some test actually exercises the switchable entry
+point; a new switch without a test is a parity claim nobody verifies.
 
 A *parity switch* is (a) a public function or a class whose ``__init__``
 takes a ``vectorized`` parameter, a ``mode`` parameter defaulting to

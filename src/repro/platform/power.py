@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from repro.platform.topology import Core, CoreType, Platform
 
 # Fraction of active power that does not scale with frequency (leakage and
-# always-on structures).  Public alias for the engine's vectorized power
-# integration, which applies the same formula over arrays of cores.
+# always-on structures).  Public: the engine's power kernel applies the
+# same formula over arrays of cores.
 STATIC_FRACTION = 0.22
-_STATIC_FRACTION = STATIC_FRACTION
 
 
 @dataclass
@@ -51,7 +50,7 @@ class CorePowerModel:
             return ct.idle_power_w
         freq = ct.max_freq_mhz if freq_mhz is None else freq_mhz
         ratio = freq / ct.max_freq_mhz
-        scale = _STATIC_FRACTION + (1.0 - _STATIC_FRACTION) * ratio**3
+        scale = STATIC_FRACTION + (1.0 - STATIC_FRACTION) * ratio**3
         active = ct.active_power_w * scale
         if busy_threads > 1:
             active += ct.smt_power_w * (busy_threads - 1) * scale
@@ -78,7 +77,7 @@ class CorePowerModel:
             return ct.idle_power_w
         freq = ct.max_freq_mhz if freq_mhz is None else freq_mhz
         ratio = freq / ct.max_freq_mhz
-        scale = _STATIC_FRACTION + (1.0 - _STATIC_FRACTION) * ratio**3
+        scale = STATIC_FRACTION + (1.0 - STATIC_FRACTION) * ratio**3
         power = ct.idle_power_w + ct.active_power_w * scale * fractions[0]
         for frac in fractions[1:]:
             power += ct.smt_power_w * scale * frac

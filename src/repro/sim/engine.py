@@ -15,13 +15,13 @@ time per core type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from repro.obs import OBS
 from repro.platform.dvfs import Governor, PerformanceGovernor
-from repro.platform.power import STATIC_FRACTION, CorePowerModel, PlatformPowerModel
+from repro.platform.power import STATIC_FRACTION
 from repro.platform.sensors import EnergySensor
 from repro.platform.topology import Platform
 from repro.sim.perf import PerfCounters
@@ -87,13 +87,7 @@ class World:
         seed: int | None = None,
         sensor_noise: float = 0.01,
         perf_noise: float = 0.02,
-        vectorized: bool = True,
     ):
-        """``vectorized`` selects the batched per-tick hot path: power and
-        energy integration as arrays over all cores, plus reuse of the
-        scheduler placement while the runnable set and affinities are
-        unchanged.  ``vectorized=False`` keeps the original scalar
-        reference implementation for correctness comparisons."""
         if tick_s <= 0:
             raise ValueError("tick_s must be > 0")
         self.platform = platform
@@ -102,7 +96,6 @@ class World:
         self.tick_s = tick_s
         self.time_s = 0.0
         self.tick_index = 0
-        self.power_model = PlatformPowerModel(platform)
         self.package_sensor = EnergySensor(
             "package", noise_std=sensor_noise, seed=seed
         )
@@ -142,22 +135,15 @@ class World:
         # difference between O(live threads) and O(recently-active
         # threads) per tick at fleet scale.
         self._decaying: dict[ThreadId, SimThread] = {}
-        self._core_power_models = {
-            ct.name: CorePowerModel(ct) for ct in platform.core_types
-        }
         self._hw_by_id = {t.thread_id: t for t in platform.hw_threads}
         self._hw_ids = [t.thread_id for t in platform.hw_threads]
         self._n_hw_threads = platform.n_hw_threads
         self._core_by_id = {c.core_id: c for c in platform.cores}
-        self._idle_floor_w = platform.uncore_power_w + sum(
-            c.core_type.idle_power_w for c in platform.cores
-        )
-        self.vectorized = vectorized
         self._placement_sig: tuple | None = None
         self._placement_cache: dict[ThreadId, int] = {}
-        # Static per-core arrays for the vectorized power integration; hw
-        # threads are grouped by core so per-core reductions are reduceat
-        # segments.
+        # Static per-core arrays for the power kernel (:meth:`_power_tick`);
+        # hw threads are grouped by core so per-core reductions are
+        # reduceat segments.
         cores = platform.cores
         type_index = {ct.name: i for i, ct in enumerate(platform.core_types)}
         self._type_names = [ct.name for ct in platform.core_types]
@@ -370,67 +356,13 @@ class World:
         dt = self.tick_s
         self.runnable_pairs()  # refresh the per-tick demand snapshot
         placement = self._placement_for()
-
-        threads_on_hw: dict[int, list[ThreadId]] = {}
-        for tid, hw_id in placement.items():
-            threads_on_hw.setdefault(hw_id, []).append(tid)
-
-        # Demand-weighted time-sharing: a thread that only wants a sliver
-        # of CPU (e.g. the RM daemon) leaves the rest of the slice to its
-        # queue mates, like a real proportional-share scheduler.  Only
-        # placed threads can receive a share, so the dict covers exactly
-        # those; the values come from the runnable snapshot above.
-        proc_demand = self._proc_demand
-        demand: dict[ThreadId, float] = {}
-        for tid in placement:
-            demand[tid] = proc_demand[tid.pid]
-        shares: dict[ThreadId, float] = {}
-        for hw_id, tids in threads_on_hw.items():
-            total = sum(demand[tid] for tid in tids)
-            if total <= 1.0:
-                for tid in tids:
-                    shares[tid] = demand[tid] if demand[tid] > 0 else 0.0
-            else:
-                for tid in tids:
-                    shares[tid] = demand[tid] / total
-
-        busy_hw_per_core: dict[int, int] = {}
-        for hw_id in threads_on_hw:
-            core_id = self._hw_by_id[hw_id].core_id
-            busy_hw_per_core[core_id] = busy_hw_per_core.get(core_id, 0) + 1
-
         freqs = self.governor.select_all(self._core_util)
 
-        # Build slots per process and evaluate the application models.
-        # Only processes with at least one placed thread can make
-        # progress (a slotless process fell through to ``continue``
-        # before), so the loop visits exactly those, in the ascending-pid
-        # order the full scan used to visit them in.
         busy_fraction: dict[int, float] = {}
         app_busy_on_core: dict[int, dict[int, float]] = {}
-        stats = TickStats(time_s=self.time_s)
         decaying = self._decaying
         just_finished: list[SimProcess] = []
-        placed_pids = {tid.pid for tid in placement}
-        for pid in sorted(placed_pids):
-            process = self.processes[pid]
-            slots = []
-            slot_threads: list[SimThread] = []
-            for thread in process.active_threads:
-                hw_id = placement.get(thread.tid)
-                if hw_id is None:
-                    continue
-                hw = self._hw_by_id[hw_id]
-                share = shares[thread.tid]
-                siblings = busy_hw_per_core[hw.core_id]
-                freq = freqs.get(hw.core_id)
-                speed = hw.core_type.thread_speed(siblings, freq) * share
-                slots.append(
-                    ThreadSlot(hw_id, hw.core_id, hw.core_type.name, speed, share)
-                )
-                slot_threads.append(thread)
-            if not slots:
-                continue
+        for process, slots, slot_threads in self._placed_slots(placement, freqs):
             perf = process.model.perf(slots, process)
             frac = 1.0
             remaining = process.remaining_work()
@@ -495,25 +427,15 @@ class World:
                 for tid in drained:
                     del decaying[tid]
 
-        # Power integration.  Package-level superlinearity: VRM losses and
-        # current-dependent leakage make per-core active power rise
-        # slightly with total load, so package power is not a purely
-        # linear function of the allocation.
-        load_ratio = (
-            sum(busy_fraction.values()) / self._n_hw_threads
-            if busy_fraction
-            else 0.0
+        package_power, self._core_util, stat_busy, stat_energy, acc_ops = (
+            self._power_tick(busy_fraction, app_busy_on_core, freqs)
         )
-        superlinear = 0.92 + 0.16 * load_ratio
-        if self.vectorized:
-            package_power = self._integrate_power_vectorized(
-                busy_fraction, app_busy_on_core, freqs, stats, dt, superlinear
-            )
-        else:
-            package_power = self._integrate_power_reference(
-                busy_fraction, app_busy_on_core, freqs, stats, dt, superlinear
-            )
-        stats.package_power_w = package_power
+        for is_attr, container, key, inc in acc_ops:
+            if is_attr:
+                setattr(container, key, getattr(container, key) + inc)
+            else:
+                container[key] += inc
+        stats = TickStats(self.time_s, package_power, stat_busy, stat_energy)
         self.package_sensor.accumulate(package_power, dt)
         self.last_stats = stats
 
@@ -590,117 +512,117 @@ class World:
     def _placement_for(self) -> dict[ThreadId, int]:
         """This tick's placement, reusing the last one when nothing changed.
 
-        In vectorized mode, schedulers exposing a placement signature (a
-        pure function of runnable threads and affinity masks) are only
-        invoked when that signature changes — i.e. when the thread set or
-        the HARP allocation actually moved.  Cached placements were
-        validated when first computed.
+        Schedulers exposing a placement signature (a pure function of
+        runnable threads and affinity masks) are only invoked when that
+        signature changes — i.e. when the thread set or the HARP
+        allocation actually moved.  Cached placements were validated when
+        first computed.
         """
         if not self._running:
             return {}
-        if self.vectorized:
-            sig = self.scheduler.placement_signature(self)
-            if sig is not None and sig == self._placement_sig:
-                if OBS.enabled:
-                    self._obs_hot()[3].inc()
-                return self._placement_cache
-            placement = self.scheduler.place(self)
-            self._validate_placement(placement)
-            if sig is not None:
-                self._placement_sig = sig
-                self._placement_cache = placement
+        sig = self.scheduler.placement_signature(self)
+        if sig is not None and sig == self._placement_sig:
             if OBS.enabled:
-                self._obs_hot()[4].inc()
-            return placement
+                self._obs_hot()[3].inc()
+            return self._placement_cache
         placement = self.scheduler.place(self)
         self._validate_placement(placement)
+        if sig is not None:
+            self._placement_sig = sig
+            self._placement_cache = placement
+        if OBS.enabled:
+            self._obs_hot()[4].inc()
         return placement
 
-    def _integrate_power_reference(
-        self,
-        busy_fraction: dict[int, float],
-        app_busy_on_core: dict[int, dict[int, float]],
-        freqs: dict[int, float],
-        stats: TickStats,
-        dt: float,
-        superlinear: float,
-    ) -> float:
-        """Original scalar per-core power/energy integration."""
-        package_power = self.platform.uncore_power_w
-        core_util: dict[int, float] = {}
-        for core in self.platform.cores:
-            fractions = [
-                min(1.0, busy_fraction.get(t.thread_id, 0.0))
-                for t in core.hw_threads
-            ]
-            model = self._core_power_models[core.core_type.name]
-            power = model.power_fractional(fractions, freqs.get(core.core_id))
-            # Instruction-mix effect: scale the active (above-idle) power
-            # by the weighted power intensity of the applications running
-            # on this core.
-            mix = app_busy_on_core.get(core.core_id)
-            intensity = 1.0
-            if mix:
-                total_busy = sum(mix.values())
-                if total_busy > 0:
-                    intensity = sum(
-                        used * self.processes[pid].model.power_intensity
-                        for pid, used in mix.items()
-                    ) / total_busy
-            idle = core.core_type.idle_power_w
-            power = idle + (power - idle) * intensity * superlinear
-            package_power += power
-            core_util[core.core_id] = sum(fractions) / len(fractions)
-            busy_sum = sum(fractions)
-            type_name = core.core_type.name
-            stats.busy_time_by_type[type_name] = (
-                stats.busy_time_by_type.get(type_name, 0.0) + busy_sum * dt
-            )
-            self.busy_time_by_type_s[type_name] += busy_sum * dt
-            energy = power * dt
-            stats.energy_by_type_j[type_name] = (
-                stats.energy_by_type_j.get(type_name, 0.0) + energy
-            )
-            self.energy_by_type_j[type_name] += energy
-            # Ground-truth dynamic-energy attribution for validation:
-            # weighted by each application's actual power intensity, which
-            # the γ-based attribution of Eq. 3 cannot observe.
-            dynamic = power - core.core_type.idle_power_w
-            contributions = app_busy_on_core.get(core.core_id)
-            if dynamic > 0 and contributions:
-                weights = {
-                    pid: used * self.processes[pid].model.power_intensity
-                    for pid, used in contributions.items()
-                }
-                total_weight = sum(weights.values())
-                if total_weight > 0:
-                    for pid, weight in weights.items():
-                        self.processes[pid].energy_true_j += (
-                            dynamic * dt * weight / total_weight
-                        )
-        self._core_util = core_util
-        return package_power
+    def _placed_slots(
+        self, placement: dict[ThreadId, int], freqs: dict[int, float]
+    ) -> Iterator[tuple[SimProcess, list[ThreadSlot], list[SimThread]]]:
+        """Each placed process with its thread slots, in ascending pid order.
 
-    def _integrate_power_vectorized(
-        self,
-        busy_fraction: dict[int, float],
-        app_busy_on_core: dict[int, dict[int, float]],
-        freqs: dict[int, float],
-        stats: TickStats,
-        dt: float,
-        superlinear: float,
-    ) -> float:
-        """Array-shaped power/energy integration over all cores at once.
+        Demand-weighted time-sharing: a thread that only wants a sliver of
+        CPU (e.g. the RM daemon) leaves the rest of the slice to its queue
+        mates, like a real proportional-share scheduler.  Only placed
+        threads can receive a share; the demands come from the tick's
+        runnable snapshot.  A slot's speed is the core type's per-thread
+        speed at the core's frequency and busy-sibling count, scaled by
+        the share.  Processes without a placed active thread are skipped.
 
-        Implements the same formulas as the scalar reference (see
-        :meth:`_integrate_power_reference` and
-        :meth:`CorePowerModel.power_fractional`): per-core busy fractions
-        reduce to segment max/sum, the cubic DVFS scale and the SMT
-        increment apply elementwise, and per-type accumulators come from
-        one ``bincount`` each.  Only the sparse instruction-mix and
-        energy-attribution corrections stay dict-driven — they touch just
-        the cores that actually ran application work this tick.
+        Lazy on purpose: the caller may stop early (the busy leap's
+        stateful-model screen) or mutate a process before the next one's
+        slots are built.
         """
+        threads_on_hw: dict[int, list[ThreadId]] = {}
+        for tid, hw_id in placement.items():
+            threads_on_hw.setdefault(hw_id, []).append(tid)
+        proc_demand = self._proc_demand
+        shares: dict[ThreadId, float] = {}
+        busy_hw_per_core: dict[int, int] = {}
+        for hw_id, tids in threads_on_hw.items():
+            total = sum(proc_demand[tid.pid] for tid in tids)
+            for tid in tids:
+                d = proc_demand[tid.pid]
+                if total <= 1.0:
+                    shares[tid] = d if d > 0 else 0.0
+                else:
+                    shares[tid] = d / total
+            core_id = self._hw_by_id[hw_id].core_id
+            busy_hw_per_core[core_id] = busy_hw_per_core.get(core_id, 0) + 1
+
+        for pid in sorted({tid.pid for tid in placement}):
+            process = self.processes[pid]
+            slots: list[ThreadSlot] = []
+            slot_threads: list[SimThread] = []
+            for thread in process.active_threads:
+                hw_id = placement.get(thread.tid)
+                if hw_id is None:
+                    continue
+                hw = self._hw_by_id[hw_id]
+                share = shares[thread.tid]
+                siblings = busy_hw_per_core[hw.core_id]
+                freq = freqs.get(hw.core_id)
+                speed = hw.core_type.thread_speed(siblings, freq) * share
+                slots.append(
+                    ThreadSlot(hw_id, hw.core_id, hw.core_type.name, speed, share)
+                )
+                slot_threads.append(thread)
+            if slots:
+                yield process, slots, slot_threads
+
+    def _power_tick(
+        self,
+        busy_fraction: dict[int, float],
+        app_busy_on_core: dict[int, dict[int, float]],
+        freqs: dict[int, float],
+    ) -> tuple[float, dict[int, float], dict[str, float], dict[str, float], list]:
+        """One tick of package power and energy, without mutating anything.
+
+        The one power kernel of the simulator: :meth:`step` applies the
+        returned accumulator ops once, the event engine's busy leap
+        replays them once per leapt tick, and its idle leap derives its
+        constants from a call with nothing busy.  Returns
+        ``(package_power, core_util, stat_busy, stat_energy, acc_ops)``;
+        each accumulator op is ``(is_attr, container, key, increment)``,
+        one float add to ``container[key]`` (or the attribute), in the
+        order the adds must happen for bit-identical accumulators.
+
+        The formulas are those of :meth:`CorePowerModel.power_fractional`
+        over arrays of cores: per-core busy fractions reduce to segment
+        max/sum, and the cubic DVFS scale and the SMT increment apply
+        elementwise.  Per-type sums come from one ``bincount`` each.  The
+        sparse instruction-mix and energy-attribution corrections stay
+        dict-driven; they touch only the cores that ran application work.
+        Package-level superlinearity: VRM losses and current-dependent
+        leakage make per-core active power rise slightly with total load,
+        so package power is not a purely linear function of the
+        allocation.
+        """
+        dt = self.tick_s
+        load_ratio = (
+            sum(busy_fraction.values()) / self._n_hw_threads
+            if busy_fraction
+            else 0.0
+        )
+        superlinear = 0.92 + 0.16 * load_ratio
         busy = np.zeros(len(self._hw_grouped))
         if busy_fraction:
             for pos, hw_id in enumerate(self._hw_grouped):
@@ -717,161 +639,8 @@ class World:
             + self._core_active_w * scale * fmax
             + self._core_smt_w * scale * (fsum - fmax)
         )
-        intensity = np.ones(len(self._core_ids))
-        for core_id, mix in app_busy_on_core.items():
-            total_busy = sum(mix.values())
-            if total_busy > 0:
-                intensity[self._core_row[core_id]] = sum(
-                    used * self.processes[pid].model.power_intensity
-                    for pid, used in mix.items()
-                ) / total_busy
-        power = (
-            self._core_idle_w
-            + (power - self._core_idle_w) * intensity * superlinear
-        )
-        package_power = self.platform.uncore_power_w + float(power.sum())
-        self._core_util = dict(
-            zip(self._core_ids, (fsum / self._core_nthreads).tolist())
-        )
-        n_types = len(self._type_names)
-        busy_by_type = np.bincount(
-            self._core_type_idx, weights=fsum, minlength=n_types
-        )
-        energy_by_type = np.bincount(
-            self._core_type_idx, weights=power, minlength=n_types
-        )
-        for name, b, e in zip(self._type_names, busy_by_type, energy_by_type):
-            stats.busy_time_by_type[name] = (
-                stats.busy_time_by_type.get(name, 0.0) + b * dt
-            )
-            self.busy_time_by_type_s[name] += b * dt
-            stats.energy_by_type_j[name] = (
-                stats.energy_by_type_j.get(name, 0.0) + e * dt
-            )
-            self.energy_by_type_j[name] += e * dt
-        # Ground-truth dynamic-energy attribution for validation: weighted
-        # by each application's actual power intensity, which the γ-based
-        # attribution of Eq. 3 cannot observe.
-        for core_id, contributions in app_busy_on_core.items():
-            dynamic = float(
-                power[self._core_row[core_id]]
-                - self._core_idle_w[self._core_row[core_id]]
-            )
-            if dynamic <= 0 or not contributions:
-                continue
-            weights = {
-                pid: used * self.processes[pid].model.power_intensity
-                for pid, used in contributions.items()
-            }
-            total_weight = sum(weights.values())
-            if total_weight > 0:
-                for pid, weight in weights.items():
-                    self.processes[pid].energy_true_j += (
-                        dynamic * dt * weight / total_weight
-                    )
-        return package_power
-
-    # -- stable-stretch power preview ---------------------------------------------
-    #
-    # The two ``_power_preview_*`` methods are side-effect-free mirrors of
-    # the ``_integrate_power_*`` methods above: the event engine's
-    # busy-stretch fast-forward evaluates one tick's power analytically,
-    # then replays the returned per-tick increments n times.  Every
-    # arithmetic expression here MUST stay in lockstep with its integrate
-    # twin — same operations, same fold order — or bit parity breaks; the
-    # property suite in tests/test_eventsim.py enforces this.  Each
-    # returned accumulator op is ``(is_attr, container, key, increment)``:
-    # one per-tick float add to ``container[key]`` (or the attribute), in
-    # the exact order the tick engine performs them.
-
-    def _power_preview_reference(
-        self,
-        busy_fraction: dict[int, float],
-        app_busy_on_core: dict[int, dict[int, float]],
-        freqs: dict[int, float],
-        dt: float,
-        superlinear: float,
-    ) -> tuple[float, dict[int, float], dict[str, float], dict[str, float], list]:
-        """One tick of :meth:`_integrate_power_reference`, without mutating."""
-        acc_ops: list[tuple] = []
-        package_power = self.platform.uncore_power_w
-        core_util: dict[int, float] = {}
-        stat_busy: dict[str, float] = {}
-        stat_energy: dict[str, float] = {}
-        for core in self.platform.cores:
-            fractions = [
-                min(1.0, busy_fraction.get(t.thread_id, 0.0))
-                for t in core.hw_threads
-            ]
-            model = self._core_power_models[core.core_type.name]
-            power = model.power_fractional(fractions, freqs.get(core.core_id))
-            mix = app_busy_on_core.get(core.core_id)
-            intensity = 1.0
-            if mix:
-                total_busy = sum(mix.values())
-                if total_busy > 0:
-                    intensity = sum(
-                        used * self.processes[pid].model.power_intensity
-                        for pid, used in mix.items()
-                    ) / total_busy
-            idle = core.core_type.idle_power_w
-            power = idle + (power - idle) * intensity * superlinear
-            package_power += power
-            core_util[core.core_id] = sum(fractions) / len(fractions)
-            busy_sum = sum(fractions)
-            type_name = core.core_type.name
-            stat_busy[type_name] = stat_busy.get(type_name, 0.0) + busy_sum * dt
-            acc_ops.append(
-                (False, self.busy_time_by_type_s, type_name, busy_sum * dt)
-            )
-            energy = power * dt
-            stat_energy[type_name] = stat_energy.get(type_name, 0.0) + energy
-            acc_ops.append((False, self.energy_by_type_j, type_name, energy))
-            dynamic = power - core.core_type.idle_power_w
-            contributions = app_busy_on_core.get(core.core_id)
-            if dynamic > 0 and contributions:
-                weights = {
-                    pid: used * self.processes[pid].model.power_intensity
-                    for pid, used in contributions.items()
-                }
-                total_weight = sum(weights.values())
-                if total_weight > 0:
-                    for pid, weight in weights.items():
-                        acc_ops.append(
-                            (
-                                True,
-                                self.processes[pid],
-                                "energy_true_j",
-                                dynamic * dt * weight / total_weight,
-                            )
-                        )
-        return package_power, core_util, stat_busy, stat_energy, acc_ops
-
-    def _power_preview_vectorized(
-        self,
-        busy_fraction: dict[int, float],
-        app_busy_on_core: dict[int, dict[int, float]],
-        freqs: dict[int, float],
-        dt: float,
-        superlinear: float,
-    ) -> tuple[float, dict[int, float], dict[str, float], dict[str, float], list]:
-        """One tick of :meth:`_integrate_power_vectorized`, without mutating."""
-        busy = np.zeros(len(self._hw_grouped))
-        if busy_fraction:
-            for pos, hw_id in enumerate(self._hw_grouped):
-                frac = busy_fraction.get(hw_id)
-                if frac is not None:
-                    busy[pos] = frac if frac < 1.0 else 1.0
-        fsum = np.add.reduceat(busy, self._group_starts)
-        fmax = np.maximum.reduceat(busy, self._group_starts)
-        freq = np.array([freqs[cid] for cid in self._core_ids], dtype=float)
-        ratio = freq / self._core_max_freq
-        scale = STATIC_FRACTION + (1.0 - STATIC_FRACTION) * ratio**3
-        power = (
-            self._core_idle_w
-            + self._core_active_w * scale * fmax
-            + self._core_smt_w * scale * (fsum - fmax)
-        )
+        # Instruction-mix effect: scale the active (above-idle) power by
+        # the weighted power intensity of the applications on each core.
         intensity = np.ones(len(self._core_ids))
         for core_id, mix in app_busy_on_core.items():
             total_busy = sum(mix.values())
@@ -903,11 +672,12 @@ class World:
             acc_ops.append((False, self.busy_time_by_type_s, name, b * dt))
             stat_energy[name] = stat_energy.get(name, 0.0) + e * dt
             acc_ops.append((False, self.energy_by_type_j, name, e * dt))
+        # Ground-truth dynamic-energy attribution for validation: weighted
+        # by each application's actual power intensity, which the γ-based
+        # attribution of Eq. 3 cannot observe.
         for core_id, contributions in app_busy_on_core.items():
-            dynamic = float(
-                power[self._core_row[core_id]]
-                - self._core_idle_w[self._core_row[core_id]]
-            )
+            row = self._core_row[core_id]
+            dynamic = float(power[row] - self._core_idle_w[row])
             if dynamic <= 0 or not contributions:
                 continue
             weights = {

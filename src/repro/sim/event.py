@@ -15,9 +15,10 @@ On tick-equivalent scenarios the event engine reproduces the tick engine
 additions), same sensor energy (noise draws are batched through
 ``default_rng``, which consumes the bitstream identically to scalar
 draws), same PELT trajectories (per-tick decay multiplies are replayed),
-same per-type energy accumulators (same accumulation order per engine
-mode), and identical process completion order.  The parity suite in
-``tests/test_eventsim.py`` asserts this across all four schedulers.
+same per-type energy accumulators (the leaps replay the power kernel's
+accumulator adds in the tick's order), and identical process completion
+order.  The parity suite in ``tests/test_eventsim.py`` asserts this
+across all four schedulers.
 
 Listeners attach to ``world.on_event`` (fired at every advance boundary —
 every tick while stepping, once per leap) and MUST route timed work
@@ -41,7 +42,7 @@ import numpy as np
 from repro.obs import OBS
 from repro.platform.dvfs import Governor
 from repro.platform.topology import Platform
-from repro.sim.engine import TickStats, ThreadSlot, World
+from repro.sim.engine import TickStats, World
 from repro.sim.process import (
     _PELT_HALFLIFE_S,
     _decay_for,
@@ -88,32 +89,16 @@ class EventWorld(World):
         self._seq = itertools.count()
         self._wakeup_ticks: set[int] = set()
         self._busy_backoff_until = 0
-        # Idle-tick package power per integration mode.  These replicate
-        # the exact accumulation order of the corresponding per-tick
-        # integration path, so leaps stay bit-identical:
-        #   vectorized: uncore + numpy pairwise sum over the core array
-        #   reference:  uncore, then += idle_w per core in core order
-        self._idle_pkg_vec = self.platform.uncore_power_w + float(
-            self._core_idle_w.sum()
+        # One idle tick of the power kernel: package power and per-type
+        # energy increments, exactly what step() adds with nothing busy.
+        # Zero busy fractions zero the DVFS term, so any frequencies do.
+        idle_freqs = {
+            c.core_id: c.core_type.max_freq_mhz for c in self.platform.cores
+        }
+        self._idle_pkg_w, _, _, idle_energy, _ = self._power_tick(
+            {}, {}, idle_freqs
         )
-        pkg = self.platform.uncore_power_w
-        for core in self.platform.cores:
-            pkg += core.core_type.idle_power_w
-        self._idle_pkg_ref = pkg
-        # Per-tick per-type idle energy increments, again per mode.
-        idle_by_type = np.bincount(
-            self._core_type_idx,
-            weights=self._core_idle_w,
-            minlength=len(self._type_names),
-        )
-        self._idle_tick_energy_vec = [
-            (name, float(e) * self.tick_s)
-            for name, e in zip(self._type_names, idle_by_type)
-        ]
-        self._idle_tick_energy_ref = [
-            (core.core_type.name, core.core_type.idle_power_w * self.tick_s)
-            for core in self.platform.cores
-        ]
+        self._idle_tick_energy = list(idle_energy.items())
 
     # -- event heap --------------------------------------------------------------
 
@@ -256,7 +241,7 @@ class EventWorld(World):
         thread and no ``on_tick`` listener.  Everything a tick would have
         mutated is replayed bit-identically: the cumulative clock, the
         package sensor (batched noise draws), per-type energy
-        accumulators in each mode's accumulation order, PELT decay of
+        accumulators in the power kernel's order, PELT decay of
         blocked threads, core-utilization state, the placement-signature
         cache, and the obs tick/placement counters.
         """
@@ -269,7 +254,7 @@ class EventWorld(World):
         # runnable set hashes to an empty signature); with no processes it
         # short-circuits before touching the cache.
         hits = misses = 0
-        if self._running and self.vectorized:
+        if self._running:
             sig = self.scheduler.placement_signature(self)
             if sig is None:
                 misses = n
@@ -310,13 +295,9 @@ class EventWorld(World):
         # Idle power: constant across the leap and freq-independent (zero
         # busy fractions short-circuit the DVFS scale), so the package
         # sensor integrates n equal deltas and the per-type accumulators
-        # replay the per-tick adds in each mode's order.
-        if self.vectorized:
-            package_power = self._idle_pkg_vec
-            tick_energy = self._idle_tick_energy_vec
-        else:
-            package_power = self._idle_pkg_ref
-            tick_energy = self._idle_tick_energy_ref
+        # replay the per-tick adds.
+        package_power = self._idle_pkg_w
+        tick_energy = self._idle_tick_energy
         acc = self.energy_by_type_j
         for _ in range(n):
             for name, energy in tick_energy:
@@ -380,7 +361,7 @@ class EventWorld(World):
         bit-identically: per-tick float adds to every touched accumulator
         (work, CPU time, perf counters, per-type energy, ground-truth
         attribution) grouped into elementwise array adds, PELT
-        accumulate/decay as vectorized per-tick updates, batched sensor
+        accumulate/decay as elementwise per-tick updates, batched sensor
         noise draws, the cumulative clock, and the placement-cache and
         obs bookkeeping.
         """
@@ -401,7 +382,7 @@ class EventWorld(World):
         # The stretch placement.  Cache bookkeeping (signature update, obs
         # hit/miss counters) is deferred until the leap commits, so a
         # bailed probe leaves the world exactly as step() expects it.
-        pattern_hit = self.vectorized and sig == self._placement_sig
+        pattern_hit = sig == self._placement_sig
         if pattern_hit:
             placement = self._placement_cache
         else:
@@ -410,28 +391,8 @@ class EventWorld(World):
         if not placement:
             return False
 
-        # -- the pattern: one tick of step()'s work, mirrored expression
-        # for expression (same fold orders), with no mutation ----------------
-        threads_on_hw: dict[int, list] = {}
-        for tid, hw_id in placement.items():
-            threads_on_hw.setdefault(hw_id, []).append(tid)
-        proc_demand = self._proc_demand
-        demand: dict = {}
-        for tid in placement:
-            demand[tid] = proc_demand[tid.pid]
-        shares: dict = {}
-        for hw_id, tids in threads_on_hw.items():
-            total = sum(demand[tid] for tid in tids)
-            if total <= 1.0:
-                for tid in tids:
-                    shares[tid] = demand[tid] if demand[tid] > 0 else 0.0
-            else:
-                for tid in tids:
-                    shares[tid] = demand[tid] / total
-        busy_hw_per_core: dict[int, int] = {}
-        for hw_id in threads_on_hw:
-            core_id = self._hw_by_id[hw_id].core_id
-            busy_hw_per_core[core_id] = busy_hw_per_core.get(core_id, 0) + 1
+        # -- the pattern: one tick of step()'s work, through the same slot
+        # and power helpers, with no mutation --------------------------------
         freqs = self.governor.select_all(self._core_util)
 
         # Per-tick accumulator increments, in step()'s execution order.
@@ -445,26 +406,8 @@ class EventWorld(World):
         app_busy_on_core: dict[int, dict[int, float]] = {}
         # (process, work_before, work_budget, rate_dt) overrun guards.
         guards: list[tuple] = []
-        placed_pids = {tid.pid for tid in placement}
-        for pid in sorted(placed_pids):
-            process = self.processes[pid]
-            slots = []
-            slot_threads: list[SimThread] = []
-            for thread in process.active_threads:
-                hw_id = placement.get(thread.tid)
-                if hw_id is None:
-                    continue
-                hw = self._hw_by_id[hw_id]
-                share = shares[thread.tid]
-                siblings = busy_hw_per_core[hw.core_id]
-                freq = freqs.get(hw.core_id)
-                speed = hw.core_type.thread_speed(siblings, freq) * share
-                slots.append(
-                    ThreadSlot(hw_id, hw.core_id, hw.core_type.name, speed, share)
-                )
-                slot_threads.append(thread)
-            if not slots:
-                continue
+        for process, slots, slot_threads in self._placed_slots(placement, freqs):
+            pid = process.pid
             # A stateful model (horizon 0) must be screened *before* its
             # perf() is called — the call itself would mutate it.
             horizon = process.model.steady_work_horizon(process)
@@ -504,21 +447,9 @@ class EventWorld(World):
             ops.append((False, self.perf._instructions, pid, perf.ips * dt))
             ops.append((False, self.perf._cpu_time, pid, cpu_time))
 
-        load_ratio = (
-            sum(busy_fraction.values()) / self._n_hw_threads
-            if busy_fraction
-            else 0.0
+        package_power, core_util, stat_busy, stat_energy, acc_ops = (
+            self._power_tick(busy_fraction, app_busy_on_core, freqs)
         )
-        superlinear = 0.92 + 0.16 * load_ratio
-        if self.vectorized:
-            preview = self._power_preview_vectorized(
-                busy_fraction, app_busy_on_core, freqs, dt, superlinear
-            )
-        else:
-            preview = self._power_preview_reference(
-                busy_fraction, app_busy_on_core, freqs, dt, superlinear
-            )
-        package_power, core_util, stat_busy, stat_energy, acc_ops = preview
         # Frequency stability: the stretch utilization must reproduce the
         # stretch frequencies, else tick 2 would run at different clocks.
         # Exact dict equality is intended — any moved frequency breaks
@@ -619,7 +550,7 @@ class EventWorld(World):
         self.time_s = t + dt
         self.tick_index += n
         self._core_util = core_util
-        if self.vectorized and not pattern_hit:
+        if not pattern_hit:
             self._placement_sig = sig
             self._placement_cache = placement
 
@@ -627,13 +558,12 @@ class EventWorld(World):
             handles = self._obs_hot()
             handles[1].inc(n)
             handles[2].observe(OBS.walltime() - t0_wall)
-            if self.vectorized:
-                if pattern_hit:
-                    handles[3].inc(n)
-                else:
-                    handles[4].inc()
-                    if n > 1:
-                        handles[3].inc(n - 1)
+            if pattern_hit:
+                handles[3].inc(n)
+            else:
+                handles[4].inc()
+                if n > 1:
+                    handles[3].inc(n - 1)
             OBS.counter("sim.busy_leaps").inc()
             OBS.counter("sim.busy_leap_ticks").inc(n)
         return True
@@ -648,7 +578,6 @@ def make_world(
     seed: int | None = None,
     sensor_noise: float = 0.01,
     perf_noise: float = 0.02,
-    vectorized: bool = True,
 ) -> World:
     """Build a world on the selected engine.
 
@@ -671,5 +600,4 @@ def make_world(
         seed=seed,
         sensor_noise=sensor_noise,
         perf_noise=perf_noise,
-        vectorized=vectorized,
     )

@@ -27,11 +27,10 @@ class Scheduler(ABC):
     def placement_signature(self, world: "World") -> tuple | None:
         """Hashable key of everything ``place`` depends on, or ``None``.
 
-        When a scheduler returns a signature, the engine's vectorized mode
-        reuses the previous tick's placement as long as the signature is
-        unchanged — placements are only recomputed when the runnable
-        thread set or an affinity mask (i.e. the HARP allocation) actually
-        changes.  Schedulers whose decisions also depend on continuously
+        When a scheduler returns a signature, the engine reuses the
+        previous tick's placement as long as the signature is unchanged —
+        placements are only recomputed when the runnable thread set or an
+        affinity mask (i.e. the HARP allocation) actually changes.  Schedulers whose decisions also depend on continuously
         varying state (PELT utilization, run-queue history) must return
         ``None`` to opt out of caching.
         """

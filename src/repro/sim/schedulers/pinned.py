@@ -18,10 +18,10 @@ class PinnedScheduler(CfsScheduler):
     """CFS balancing within per-process affinity masks.
 
     Inherits CFS's placement signature (and its quantum-free
-    ``next_preemption_tick``), so the engine's vectorized mode only
-    recomputes the placement — and the event engine only ends a busy
-    stretch — when the runnable thread set or an installed affinity mask
-    (a HARP allocation) changes.
+    ``next_preemption_tick``), so the engine only recomputes the
+    placement — and the event engine only ends a busy stretch — when the
+    runnable thread set or an installed affinity mask (a HARP allocation)
+    changes.
     """
 
     name = "pinned"

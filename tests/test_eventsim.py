@@ -6,8 +6,7 @@ scenarios: identical sensor energy, identical per-type accumulators,
 identical PELT trajectories, identical completion order, identical
 clock.  This module holds that claim to ``==`` (no tolerances) across a
 seeded 200-instance property suite covering all four schedulers, both
-platforms, both integration modes, managed (HARP) runs, fault-plan
-replay, and obs-on/off runs.
+platforms, managed (HARP) runs, fault-plan replay, and obs-on/off runs.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ def _fingerprint(world: World, exit_order: list[int]) -> dict:
     }
 
 
-def _build_world(seed: int, engine: str, vectorized: bool = True) -> tuple:
+def _build_world(seed: int, engine: str) -> tuple:
     sched_name = ("cfs", "eas", "itd", "pinned")[seed % 4]
     platform = make_platform("intel" if seed % 2 == 0 else "odroid")
     world = make_world(
@@ -77,7 +76,6 @@ def _build_world(seed: int, engine: str, vectorized: bool = True) -> tuple:
         SCHEDULERS[sched_name](),
         engine=engine,
         seed=seed,
-        vectorized=vectorized,
     )
     exit_order: list[int] = []
     world.on_process_exit.append(lambda p: exit_order.append(p.pid))
@@ -94,8 +92,8 @@ def _spawn_mix(world: World, seed: int) -> None:
         world.spawn(model, nthreads=int(rng.integers(1, 5)))
 
 
-def _run_instance(seed: int, engine: str, vectorized: bool = True) -> dict:
-    world, exit_order = _build_world(seed, engine, vectorized)
+def _run_instance(seed: int, engine: str) -> dict:
+    world, exit_order = _build_world(seed, engine)
     _spawn_mix(world, seed)
     world.run_for(0.8 + (seed % 5) * 0.3)
     return _fingerprint(world, exit_order)
@@ -108,12 +106,6 @@ class TestParityPropertySuite:
     def test_bit_parity(self, seed: int) -> None:
         tick = _run_instance(seed, engine="tick")
         event = _run_instance(seed, engine="event")
-        assert tick == event
-
-    @pytest.mark.parametrize("seed", [1, 6, 11, 16])
-    def test_bit_parity_reference_mode(self, seed: int) -> None:
-        tick = _run_instance(seed, engine="tick", vectorized=False)
-        event = _run_instance(seed, engine="event", vectorized=False)
         assert tick == event
 
     def test_make_world_dispatch(self) -> None:
@@ -326,9 +318,7 @@ class TestPlacementCacheInvalidation:
 
     def test_silent_kill_drops_cache_entry(self) -> None:
         platform = make_platform("intel")
-        world = make_world(
-            platform, CfsScheduler(), engine="tick", seed=0, vectorized=True
-        )
+        world = make_world(platform, CfsScheduler(), engine="tick", seed=0)
         model = replace(resolve_model("ep.C"))
         model.total_work = 50.0
         victim = world.spawn(model, nthreads=2)

@@ -114,9 +114,12 @@ class TestOptimalityGap:
         approx_choice = []
         for req in requests:
             chosen = result.selections[req.pid].point
+            # Match on power too: two points may share ERV and utility and
+            # differ only in power, and the gap is a power comparison.
             approx_choice.append(
                 next(i for i, p in enumerate(req.points) if p.erv == chosen.erv
-                     and p.utility == chosen.utility)
+                     and p.utility == chosen.utility
+                     and p.power == chosen.power)
             )
         gap = optimality_gap(requests, _CAPACITY, approx_choice)
         if gap is not None:

@@ -218,7 +218,7 @@ class TestParityCoverage:
         """The repo's own parity switches must keep their tests."""
         files = [
             SourceFile.load(REPO / "src" / "repro" / "core" / "allocator.py"),
-            SourceFile.load(REPO / "src" / "repro" / "sim" / "engine.py"),
+            SourceFile.load(REPO / "src" / "repro" / "sim" / "event.py"),
         ] + [
             SourceFile.load(p, role=ROLE_TEST)
             for p in sorted((REPO / "tests").glob("test_*.py"))
@@ -229,11 +229,11 @@ class TestParityCoverage:
         """Guard against the rule silently matching nothing."""
         files = [
             SourceFile.load(REPO / "src" / "repro" / "core" / "allocator.py"),
-            SourceFile.load(REPO / "src" / "repro" / "sim" / "engine.py"),
+            SourceFile.load(REPO / "src" / "repro" / "sim" / "event.py"),
         ]
         diags = run(Project(files), rules=select_rules(["HL004"]))
         subjects = {d.message.split("'")[1] for d in diags}
-        assert {"LagrangianAllocator", "GreedyAllocator", "World"} <= subjects
+        assert {"LagrangianAllocator", "GreedyAllocator", "make_world"} <= subjects
 
 
 # -- HL005 ipc-conformance ------------------------------------------------------

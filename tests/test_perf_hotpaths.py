@@ -1,12 +1,12 @@
 """Hot-path equivalence and behavior tests.
 
-The vectorized allocator and simulation paths must be interchangeable
-with the scalar reference paths: same selections, same placement, same
-energy accounting.  These tests pin that equivalence with seeded random
-instances (mandatory points, hysteresis, reserved cores included) and
-exercise the hot-path plumbing — ERV caching, the layout projection,
-the repair-step budget, solve memoization and its invalidation, and the
-engine's placement cache.
+The vectorized allocator must be interchangeable with its scalar
+reference path (same selections, same placement), and the engine's
+array-shaped power kernel must match a scalar per-core sum.  These tests
+pin that equivalence with seeded random instances (mandatory points,
+hysteresis, reserved cores included) and exercise the hot-path plumbing
+— ERV caching, the layout projection, the repair-step budget, solve
+memoization and its invalidation, and the engine's placement cache.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from repro.apps import npb_model
 from repro.core.allocator import AllocationRequest, LagrangianAllocator
 from repro.core.operating_point import OperatingPoint
 from repro.core.resource_vector import ErvLayout, ExtendedResourceVector
-from repro.platform.topology import raptor_lake_i9_13900k
+from repro.platform.power import CorePowerModel
+from repro.platform.topology import odroid_xu3e, raptor_lake_i9_13900k
 from repro.sim.engine import World
 from repro.sim.schedulers.cfs import CfsScheduler
 
@@ -219,31 +220,110 @@ def test_memoization_invalidated_by_in_place_mutation(intel, intel_layout):
     assert alloc.stats.solves == 3 and alloc.stats.cache_hits == 1
 
 
-def _sim_world(vectorized: bool) -> World:
-    world = World(
-        raptor_lake_i9_13900k(), CfsScheduler(), seed=0, vectorized=vectorized
-    )
+def _sim_world() -> World:
+    world = World(raptor_lake_i9_13900k(), CfsScheduler(), seed=0)
     for name in ("ep.C", "cg.C", "is.C"):
         world.spawn(npb_model(name))
     return world
 
 
-def test_engine_vectorized_matches_reference():
-    ref, vec = _sim_world(False), _sim_world(True)
-    for _ in range(300):
-        ref.step()
-        vec.step()
-    for name, e_ref in ref.energy_by_type_j.items():
-        e_vec = vec.energy_by_type_j[name]
-        assert e_vec == pytest.approx(e_ref, rel=1e-9)
-    for pid, proc in ref.processes.items():
-        assert vec.processes[pid].energy_true_j == pytest.approx(
-            proc.energy_true_j, rel=1e-9
+def _scalar_power_oracle(world, busy_fraction, app_busy_on_core, freqs):
+    """One tick of package power, per-type energy and ground-truth energy
+    attribution, summed core by core with :class:`CorePowerModel`."""
+    dt = world.tick_s
+    platform = world.platform
+    superlinear = 0.92 + 0.16 * sum(busy_fraction.values()) / platform.n_hw_threads
+    package = platform.uncore_power_w
+    energy = {ct.name: 0.0 for ct in platform.core_types}
+    true_j: dict[int, float] = {}
+    for core in platform.cores:
+        ct = core.core_type
+        fractions = [
+            min(1.0, busy_fraction.get(t.thread_id, 0.0)) for t in core.hw_threads
+        ]
+        power = CorePowerModel(ct).power_fractional(fractions, freqs[core.core_id])
+        mix = app_busy_on_core.get(core.core_id, {})
+        weights = {
+            pid: used * world.processes[pid].model.power_intensity
+            for pid, used in mix.items()
+        }
+        intensity = sum(weights.values()) / sum(mix.values()) if mix else 1.0
+        power = ct.idle_power_w + (power - ct.idle_power_w) * intensity * superlinear
+        package += power
+        energy[ct.name] += power * dt
+        dynamic = power - ct.idle_power_w
+        if dynamic > 0:
+            for pid, weight in weights.items():
+                true_j[pid] = true_j.get(pid, 0.0) + (
+                    dynamic * dt * weight / sum(weights.values())
+                )
+    return package, energy, true_j
+
+
+@pytest.mark.parametrize(
+    "make_platform",
+    [raptor_lake_i9_13900k, odroid_xu3e],
+    ids=["intel", "odroid"],
+)
+def test_power_tick_matches_scalar_oracle(make_platform):
+    """The engine's one power kernel against an independent per-core sum.
+
+    Seeded random ticks: per-hw-thread busy fractions (SMT siblings
+    included, a few above 1 to exercise the clamp), per-core frequencies
+    across each core type's DVFS range, and per-core mixes of apps with
+    different power intensities.
+    """
+    world = World(make_platform(), CfsScheduler(), seed=0)
+    pids = []
+    for name, intensity in (("ep.C", 0.7), ("cg.C", 1.0), ("is.C", 1.4)):
+        model = npb_model(name)
+        model.power_intensity = intensity
+        pids.append(world.spawn(model).pid)
+    rng = np.random.default_rng(7)
+    platform = world.platform
+    for _ in range(50):
+        busy_fraction: dict[int, float] = {}
+        app_busy_on_core: dict[int, dict[int, float]] = {}
+        for core in platform.cores:
+            for hw in core.hw_threads:
+                if rng.random() < 0.3:
+                    continue  # idle hw thread
+                frac = float(rng.uniform(0.0, 1.05))
+                busy_fraction[hw.thread_id] = frac
+                split = float(rng.uniform(0.0, 1.0))
+                owners = rng.choice(pids, size=2, replace=False).tolist()
+                mix = app_busy_on_core.setdefault(core.core_id, {})
+                for pid, part in zip(owners, (split, 1.0 - split)):
+                    mix[pid] = mix.get(pid, 0.0) + frac * part
+        freqs = {
+            c.core_id: float(
+                rng.uniform(c.core_type.min_freq_mhz, c.core_type.max_freq_mhz)
+            )
+            for c in platform.cores
+        }
+        package, _, _, stat_energy, acc_ops = world._power_tick(
+            busy_fraction, app_busy_on_core, freqs
         )
+        acc_energy: dict[str, float] = {}
+        acc_true: dict[int, float] = {}
+        for is_attr, container, key, inc in acc_ops:
+            if is_attr:
+                assert key == "energy_true_j"
+                acc_true[container.pid] = acc_true.get(container.pid, 0.0) + inc
+            elif container is world.energy_by_type_j:
+                acc_energy[key] = acc_energy.get(key, 0.0) + inc
+        want_package, want_energy, want_true = _scalar_power_oracle(
+            world, busy_fraction, app_busy_on_core, freqs
+        )
+        assert package == pytest.approx(want_package, rel=1e-12)
+        assert stat_energy == pytest.approx(want_energy, rel=1e-12)
+        assert acc_energy == pytest.approx(want_energy, rel=1e-12)
+        assert acc_true == pytest.approx(want_true, rel=1e-12)
+        assert acc_true  # the tick attributed dynamic energy
 
 
 def test_engine_placement_cache_recomputes_on_affinity_change():
-    world = _sim_world(True)
+    world = _sim_world()
     world.step()
     world.step()
     sig_before = world._placement_sig
