@@ -1,19 +1,16 @@
-"""Control-plane scaling benchmark: warm/delta solving and selector IPC.
+"""Control-plane scaling benchmark: warm-started solving and selector IPC.
 
 Sweeps the application count across n_apps ∈ {8, 32, 128, 512} on
 synthetically scaled platforms (capacity grows with the fleet, matching
-the ROADMAP's hundreds-of-sessions target) and measures the three epoch
-regimes of the incremental solver:
+the ROADMAP's hundreds-of-sessions target) and measures the two epoch
+regimes of the solver under single-app churn:
 
 * **cold** — every epoch is a from-scratch subgradient solve with no
-  cross-epoch state at all (``warm_start=False, delta=False``, and the
-  candidate-row / placement caches cleared before each epoch — the seed
-  behavior, where nothing survived between ``allocate()`` calls);
+  cross-epoch state at all (``reset_warm_state()`` and ``clear_caches()``
+  before each epoch — the seed behavior, where nothing survived between
+  ``allocate()`` calls);
 * **warm** — multipliers persist across epochs, the warm schedule runs
-  fewer iterations with a stability early-exit (``delta=False`` so every
-  epoch is a full warm solve);
-* **delta** — single-app churn re-scores only the changed application's
-  candidate rows against the cached multipliers.
+  fewer iterations with a stability early-exit.
 
 Plus IPC push throughput at 128 connected clients with live background
 request traffic: thread-per-connection with per-message pushes (seed)
@@ -148,25 +145,18 @@ def bench_solver(n_apps: int, n_points: int = 10, epochs: int = 12) -> dict:
     base = _fleet(layout, rng, n_apps, n_points)
     sequence = _churn_sequence(layout, rng, base, epochs, n_points)
 
-    configs = {
-        "cold": dict(warm_start=False, delta=False),
-        "warm": dict(warm_start=True, delta=False),
-        "delta": dict(warm_start=True, delta=True),
-    }
     timings: dict[str, float] = {}
     iters: dict[str, float] = {}
     stats: dict[str, dict] = {}
-    for name, kwargs in configs.items():
-        alloc = LagrangianAllocator(
-            platform, layout, cache_size=0, **kwargs
-        )
+    for name in ("cold", "warm"):
+        alloc = LagrangianAllocator(platform, layout, cache_size=0)
         alloc.allocate([AllocationRequest(**{  # numpy dispatch warm-up
             "pid": 0, "points": base[0].points, "max_utility": 20.0,
         })])
         alloc.reset_warm_state()
         alloc.clear_caches()
         alloc.stats.reset()
-        alloc.allocate(base)  # epoch 0 establishes warm/delta state
+        alloc.allocate(base)  # epoch 0 establishes warm state
         elapsed = 0.0
         for requests in sequence:
             if name == "cold":
@@ -183,22 +173,15 @@ def bench_solver(n_apps: int, n_points: int = 10, epochs: int = 12) -> dict:
         iters[name] = alloc.stats.subgradient_iters / (epochs + 1)
         stats[name] = {
             "warm_starts": alloc.stats.warm_starts,
-            "delta_solves": alloc.stats.delta_solves,
-            "delta_fallbacks": alloc.stats.delta_fallbacks,
             "subgradient_iters_per_epoch": iters[name],
         }
-    assert stats["delta"]["delta_solves"] > 0, (
-        f"delta path never engaged at n_apps={n_apps}"
-    )
     return {
         "n_apps": n_apps,
         "n_points": n_points,
         "epochs": epochs,
         "cold_epoch_ms": timings["cold"] * 1e3,
         "warm_epoch_ms": timings["warm"] * 1e3,
-        "delta_epoch_ms": timings["delta"] * 1e3,
         "warm_speedup": timings["cold"] / timings["warm"],
-        "delta_speedup": timings["cold"] / timings["delta"],
         "configs": stats,
     }
 
@@ -444,10 +427,6 @@ def run(smoke: bool = False) -> dict:
                 assert entry["warm_speedup"] >= 3.0, (
                     f"warm speedup {entry['warm_speedup']:.1f}x below the 3x "
                     f"target at n_apps={entry['n_apps']}"
-                )
-                assert entry["delta_speedup"] >= 10.0, (
-                    f"delta speedup {entry['delta_speedup']:.1f}x below the "
-                    f"10x target at n_apps={entry['n_apps']}"
                 )
         assert ipc["speedup"] >= 2.0, (
             f"selector IPC speedup {ipc['speedup']:.1f}x below the 2x target"

@@ -21,36 +21,31 @@ sharing cores (the paper's §4.2.2 limitation); co-allocated applications
 are flagged so the manager suspends performance monitoring for them
 (§5.1).
 
-The solver exists in two modes.  ``"vectorized"`` (the default) pads the
-per-application cost vectors and resource matrices into dense tensors
-built once per solve and runs the subgradient iteration and greedy repair
-as batched numpy operations; ``"reference"`` runs the original scalar
-loops over the same (shared) problem matrices, so the two paths are
-comparable point-for-point and the vectorized path is checkable by
-construction.  Independently of the mode, dominated operating points
-(worse cost *and* no smaller resource demand on every type) are pruned
-before the solve, and whole solves are memoized on a fingerprint of the
-inputs so manager epochs with unchanged tables skip the solver entirely.
+The solver pads the per-application cost vectors and resource matrices
+into dense tensors built once per solve and runs the subgradient
+iteration and greedy repair as batched numpy operations.  Dominated
+operating points (worse cost *and* no smaller resource demand on every
+type) are pruned before the solve, and whole solves are memoized on a
+fingerprint of the inputs so manager epochs with unchanged tables skip
+the solver entirely.  A scalar-loop oracle of phases 1 and 2 lives in
+the test suite (``tests/alloc_oracle.py``) and pins the batched code
+selection-for-selection.
 
 Consecutive manager epochs are nearly identical problems, and the control
-plane exploits that incrementally (docs/performance.md, "Scaling the
-control plane"):
+plane exploits that (docs/performance.md, "Scaling the control plane"):
 
 * **Warm-started solves** — the Lagrange multiplier vector λ of the last
-  full solve is persisted and reused as the starting iterate of the next
+  solve is persisted and reused as the starting iterate of the next
   one; warm solves run a shorter subgradient schedule
   (``warm_iterations``) and stop early once the iterate is feasible and
-  stable.  The primal-recovery step is unchanged (repair of the last
-  iterate *and* of the unconstrained greedy choice, then keep the
-  cheapest feasible candidate), so a warm solve's cost is never worse
-  than the repaired greedy solution — the documented Lagrangian bound.
-* **Delta solves** — when only a few applications' operating-point sets
-  changed since the previous epoch (a registration, a points update),
-  only those applications' candidate rows are re-scored against the
-  cached multipliers; every unchanged application keeps its previous
-  selection *and placement*.  The shortcut is taken only when the
-  resulting demand stays within capacity — any violation falls back to a
-  full (warm-started) solve, so delta epochs are always feasible.
+  stable.  Primal recovery repairs the last iterate *and* a greedy
+  choice seeded from the previous epoch, then keeps the cheapest
+  feasible candidate; a seeded solve that strays too far above the
+  Lagrangian lower bound also tries the from-scratch greedy, so a warm
+  solve costs at most ``_SEED_DRIFT_TOL`` times the repaired greedy
+  solution — the documented bound.
+  :meth:`LagrangianAllocator.reset_warm_state` forces the next solve
+  cold.
 * **Row and placement caches** — per-application cost/resource arrays
   (including Pareto pruning) are memoized by request value, and
   :meth:`LagrangianAllocator.place_selections` memoizes the deterministic
@@ -140,6 +135,7 @@ class AllocatorStats:
     repair_give_ups: int = 0
     # Incremental-solving counters (docs/performance.md).
     warm_starts: int = 0
+    # Always 0: there is no delta path any more, but perfbench reads both.
     delta_solves: int = 0
     delta_fallbacks: int = 0
     subgradient_iters: int = 0
@@ -156,12 +152,13 @@ class _Problem:
 
     ``C`` is (apps, max_points) with +inf cost padding, ``R`` is
     (apps, max_points, types) with zero padding; ``valid`` masks the real
-    entries.  ``orig_index[i][j]`` maps a (possibly pruned) local point
-    index back into ``requests[i].points``.
+    entries.  ``costs[i]`` is application ``i``'s unpadded cost vector and
+    ``orig_index[i][j]`` maps a (possibly pruned) local point index back
+    into ``requests[i].points``.
     """
 
-    __slots__ = ("costs", "resources", "orig_index", "C", "R", "valid",
-                 "mandatory", "rows")
+    __slots__ = ("costs", "orig_index", "C", "R", "valid", "mandatory",
+                 "rows")
 
     def __init__(
         self,
@@ -172,7 +169,6 @@ class _Problem:
         n_types: int,
     ):
         self.costs = costs
-        self.resources = resources
         self.orig_index = orig_index
         n = len(requests)
         width = max(len(c) for c in costs)
@@ -191,25 +187,19 @@ class LagrangianAllocator:
     """Subgradient MMKP solver with greedy repair and placement.
 
     Args:
-        mode: ``"vectorized"`` (batched numpy hot path, default) or
-            ``"reference"`` (the original scalar loops).
-        prune: drop Pareto-dominated operating points before solving.
+        iterations: subgradient budget of a cold solve.
+        step0: initial subgradient step, in cost-per-core units.
         cache_size: number of memoized solves to retain (0 disables).
-        warm_start: reuse the previous epoch's Lagrange multipliers as
-            the starting iterate of the next solve.
-        warm_iterations: subgradient budget for warm-started solves
-            (cold solves keep the full ``iterations`` schedule).
-        delta: when only a few applications changed since the previous
-            epoch, re-score just their candidate rows against the cached
-            multipliers instead of re-solving (falls back to a full solve
-            on any capacity violation).
-        delta_max_frac: largest fraction of applications that may have
-            changed for the delta path to be attempted.
+        warm_iterations: subgradient budget for solves warm-started from
+            the previous solve's multipliers.
     """
 
     #: Consecutive feasible, unchanged iterates after which a warm-started
     #: subgradient loop stops early.
     _WARM_STABLE_ITERS = 3
+    #: Largest accepted ratio of a greedy-seeded warm solve's cost to the
+    #: Lagrangian lower bound before the from-scratch greedy is also tried.
+    _SEED_DRIFT_TOL = 1.10
 
     def __init__(
         self,
@@ -217,27 +207,15 @@ class LagrangianAllocator:
         layout: ErvLayout,
         iterations: int = 60,
         step0: float = 1.0,
-        mode: str = "vectorized",
-        prune: bool = True,
         cache_size: int = 128,
-        warm_start: bool = True,
         warm_iterations: int = 20,
-        delta: bool = True,
-        delta_max_frac: float = 0.25,
     ):
-        if mode not in ("vectorized", "reference"):
-            raise ValueError(f"unknown allocator mode {mode!r}")
         self.platform = platform
         self.layout = layout
         self.iterations = iterations
         self.step0 = step0
-        self.mode = mode
-        self.prune = prune
         self.cache_size = cache_size
-        self.warm_start = warm_start
         self.warm_iterations = warm_iterations
-        self.delta = delta
-        self.delta_max_frac = delta_max_frac
         self.stats = AllocatorStats()
         self._cache: OrderedDict[tuple, tuple] = OrderedDict()
         # Per-request candidate rows (cost vector, resource matrix, kept
@@ -250,11 +228,8 @@ class LagrangianAllocator:
         # signature on every solver failure).
         self._placement_cache: OrderedDict[tuple, tuple] = OrderedDict()
         self._placement_cache_size = 128
-        # Warm/delta state from the previous full or delta solve.
+        # Warm state from the previous solve.
         self._warm_lambda: np.ndarray | None = None
-        self._last_apps: dict[int, dict] | None = None
-        self._last_env: tuple | None = None
-        self._last_demand: np.ndarray | None = None
         # Previous epoch's repaired-greedy candidate: pid -> (key, local
         # row index), used to seed primal recovery on warm solves.
         self._last_greedy: dict[int, tuple] | None = None
@@ -271,9 +246,6 @@ class LagrangianAllocator:
     def reset_warm_state(self) -> None:
         """Forget multipliers and per-app state (the next solve is cold)."""
         self._warm_lambda = None
-        self._last_apps = None
-        self._last_env = None
-        self._last_demand = None
         self._last_greedy = None
         self._greedy_env = None
 
@@ -330,16 +302,10 @@ class LagrangianAllocator:
         self.stats.cache_misses += 1
         self.stats.solves += 1
 
-        with OBS.span(
-            "allocator.solve", track="rm", apps=len(requests), mode=self.mode
-        ):
-            result = self._try_delta_solve(
+        with OBS.span("allocator.solve", track="rm", apps=len(requests)):
+            result = self._solve(
                 requests, req_keys, capacity, env, reserved or {}
             )
-            if result is None:
-                result = self._full_solve(
-                    requests, req_keys, capacity, env, reserved or {}
-                )
         selections = result.selections
         if self.cache_size:
             self._cache_put(key, self._cache_entry_from_result(requests, result))
@@ -355,7 +321,7 @@ class LagrangianAllocator:
                 )
         return result
 
-    def _full_solve(
+    def _solve(
         self,
         requests: list[AllocationRequest],
         req_keys: list[tuple],
@@ -367,8 +333,7 @@ class LagrangianAllocator:
         lam0 = None
         greedy_seed = None
         if (
-            self.warm_start
-            and self._warm_lambda is not None
+            self._warm_lambda is not None
             and len(self._warm_lambda) == len(capacity)
         ):
             lam0 = self._warm_lambda
@@ -376,10 +341,14 @@ class LagrangianAllocator:
             if OBS.enabled:
                 OBS.counter("alloc.warm_start_hits").inc()
             greedy_seed = self._greedy_seed_for(requests, req_keys, problem, env)
+        capacity_arr = np.asarray(capacity, dtype=float)
         local, lam_final, iters, greedy = self._select(
-            requests, problem, np.asarray(capacity, dtype=float), lam0,
-            greedy_seed,
+            requests, problem, capacity_arr, lam0, greedy_seed
         )
+        if greedy_seed is not None:
+            local = self._bound_seed_drift(
+                requests, problem, capacity_arr, local, lam_final
+            )
         self.stats.subgradient_iters += iters
         if OBS.enabled:
             OBS.counter("allocator.subgradient_iterations").inc(iters)
@@ -401,8 +370,40 @@ class LagrangianAllocator:
                 for req, rk, g in zip(requests, req_keys, greedy)
             }
             self._greedy_env = env
-        self._remember_solution(requests, req_keys, problem, local, result, env)
         return result
+
+    def _bound_seed_drift(
+        self,
+        requests: list[AllocationRequest],
+        problem: _Problem,
+        capacity: np.ndarray,
+        local: list[int],
+        lam: np.ndarray,
+    ) -> list[int]:
+        """Bound how far a greedy-seeded warm solve drifts from scratch.
+
+        Repair only downgrades, so a primal-recovery candidate seeded from
+        earlier epochs can ratchet below what a from-scratch repair finds.
+        The dual value L(λ) = Σ_i min_j (c_ij + λ·r_ij) − λ·capacity is a
+        lower bound on the optimum.  A feasible solve costing at most
+        ``_SEED_DRIFT_TOL`` × L(λ) is kept; otherwise the from-scratch
+        repaired greedy is computed too and the better candidate wins.
+        Either way a warm solve costs at most ``_SEED_DRIFT_TOL`` times
+        the from-scratch repaired-greedy bound.
+        """
+        key = self._candidate_key(problem, local, capacity)
+        penalized = problem.C + problem.R @ lam
+        pick = np.argmin(penalized, axis=1)
+        pick[problem.mandatory] = 0
+        dual = float(penalized[problem.rows, pick].sum() - lam @ capacity)
+        if not key[0] and key[1] <= self._SEED_DRIFT_TOL * dual:
+            return local
+        fresh = np.argmin(problem.C, axis=1)
+        fresh[problem.mandatory] = 0
+        fresh = self._repair(requests, problem, fresh, capacity)
+        if self._candidate_key(problem, fresh, capacity) < key:
+            return [int(c) for c in fresh]
+        return local
 
     def _greedy_seed_for(
         self,
@@ -444,197 +445,6 @@ class LagrangianAllocator:
             else:
                 seed.append(int(np.argmin(problem.costs[i])))
         return seed if hits else None
-
-    def _remember_solution(
-        self,
-        requests: list[AllocationRequest],
-        req_keys: list[tuple],
-        problem: _Problem,
-        local: list[int],
-        result: AllocationResult,
-        env: tuple,
-    ) -> None:
-        """Persist per-application state for the next delta/warm epoch."""
-        self._last_env = env
-        self._last_demand = sum(
-            problem.resources[i][c] for i, c in enumerate(local)
-        ) + np.zeros(problem.R.shape[2])
-        self._last_apps = {
-            req.pid: {
-                "key": rk,
-                "costs": problem.costs[i],
-                "resources": problem.resources[i],
-                "orig_index": problem.orig_index[i],
-                "choice": int(local[i]),
-                "hw": result.selections[req.pid].hw_threads,
-                "co": result.selections[req.pid].co_allocated,
-            }
-            for i, (req, rk) in enumerate(zip(requests, req_keys))
-        }
-
-    # -- the delta path (docs/performance.md, "Scaling the control plane") -------------
-
-    def _try_delta_solve(
-        self,
-        requests: list[AllocationRequest],
-        req_keys: list[tuple],
-        capacity: list[int],
-        env: tuple,
-        reserved: dict[str, int],
-    ) -> AllocationResult | None:
-        """Re-score only the changed applications against the cached λ.
-
-        Eligible when the previous epoch was feasible, capacity and
-        reservations are unchanged, no application left (freed capacity
-        should be redistributed by a full solve), and at most
-        ``delta_max_frac`` of the applications changed or joined.  The
-        shortcut is accepted only when the combined demand stays within
-        capacity and the changed applications place disjointly into the
-        cores the unchanged ones do not occupy; otherwise ``None`` is
-        returned and the caller runs a full (warm-started) solve.
-        """
-        if not (self.delta and self.warm_start):
-            return None
-        last = self._last_apps
-        if last is None or self._warm_lambda is None:
-            return None
-        if self._last_env != env or len(self._warm_lambda) != len(capacity):
-            return None
-        if any(entry["co"] for entry in last.values()):
-            return None
-        pids = {req.pid for req in requests}
-        if len(pids) != len(requests) or set(last) - pids:
-            return None
-        changed = [
-            i
-            for i, (req, rk) in enumerate(zip(requests, req_keys))
-            if req.pid not in last or last[req.pid]["key"] != rk
-        ]
-        if not changed:
-            return None  # identical problem: the memo cache handles it
-        if len(changed) > max(1, int(self.delta_max_frac * len(requests))):
-            return None
-
-        last_demand = self._last_demand
-        if last_demand is None or len(last_demand) != len(capacity):
-            return None
-        lam = self._warm_lambda
-        capacity_arr = np.asarray(capacity, dtype=float)
-        # Demand is maintained incrementally: subtract each changed
-        # application's old row, add its re-scored one.  O(k), not O(n).
-        demand = last_demand.copy()
-        changed_entries: dict[int, dict] = {}
-        for i in changed:
-            req, rk = requests[i], req_keys[i]
-            cost_vec, res_mat, orig_index = self._request_rows(req, rk)
-            if req.mandatory:
-                local = 0
-            else:
-                local = int(np.argmin(cost_vec + res_mat @ lam))
-            old = last.get(req.pid)
-            if old is not None:
-                demand -= old["resources"][old["choice"]]
-            demand += res_mat[local]
-            changed_entries[req.pid] = {
-                "key": rk,
-                "costs": cost_vec,
-                "resources": res_mat,
-                "orig_index": orig_index,
-                "choice": local,
-                "hw": frozenset(),
-                "co": False,
-            }
-        if np.any(demand - capacity_arr > 1e-9):
-            self.stats.delta_fallbacks += 1
-            if OBS.enabled:
-                OBS.counter("alloc.delta_fallbacks", reason="capacity").inc()
-            return None
-        # Unchanged applications share their cached entry verbatim (the
-        # dict is never mutated once its epoch is over, so aliasing the
-        # previous map is safe and skips n dict copies per epoch).
-        entries: dict[int, dict] = {
-            req.pid: changed_entries.get(req.pid) or last[req.pid]
-            for req in requests
-        }
-
-        changed_pids = {requests[i].pid for i in changed}
-        selections: dict[int, Selection] = {}
-        keep_hw: dict[int, frozenset[int]] = {}
-        for req in requests:
-            entry = entries[req.pid]
-            idx = int(entry["orig_index"][entry["choice"]])
-            selections[req.pid] = Selection(pid=req.pid, point=req.points[idx])
-            if req.pid not in changed_pids:
-                keep_hw[req.pid] = entry["hw"]
-        if not self._place_delta(selections, keep_hw, reserved):
-            self.stats.delta_fallbacks += 1
-            if OBS.enabled:
-                OBS.counter("alloc.delta_fallbacks", reason="placement").inc()
-            return None
-        for pid in changed_pids:
-            sel = selections[pid]
-            entries[pid]["hw"] = sel.hw_threads
-            entries[pid]["co"] = sel.co_allocated
-        self.stats.delta_solves += 1
-        if OBS.enabled:
-            OBS.counter("alloc.delta_solves").inc()
-        self._last_env = env
-        self._last_apps = entries
-        self._last_demand = demand
-        return AllocationResult(selections=selections, feasible=True)
-
-    def _place_delta(
-        self,
-        selections: dict[int, Selection],
-        keep_hw: dict[int, frozenset[int]],
-        reserved: dict[str, int],
-    ) -> bool:
-        """Incremental phase 3: unchanged apps keep their cores verbatim.
-
-        Only the changed applications are placed, into the cores nobody
-        kept.  Returns False when a changed application does not fit
-        disjointly (the caller falls back to a full solve, which may
-        co-allocate); on success every selection has disjoint hardware
-        threads and no co-allocation.
-        """
-        core_of_hw = self._core_of_hw
-        used_cores = {
-            core_of_hw[hw_id] for hw in keep_hw.values() for hw_id in hw
-        }
-        free_cores: dict[str, list] = {}
-        for ct in self.platform.core_types:
-            pool = list(self.platform.cores_of_type(ct.name))
-            hold_back = reserved.get(ct.name, 0)
-            if hold_back:
-                pool = pool[: max(0, len(pool) - hold_back)]
-            free_cores[ct.name] = [
-                c for c in pool if c.core_id not in used_cores
-            ]
-        type_order = [ct.name for ct in self.platform.core_types]
-        pending = sorted(
-            (s for s in selections.values() if s.pid not in keep_hw),
-            key=lambda s: (-s.point.erv.total_cores(), s.pid),
-        )
-        placed: dict[int, frozenset[int]] = {}
-        for sel in pending:
-            erv = sel.point.erv
-            demand = dict(zip(type_order, erv.core_vector()))
-            if any(demand[name] > len(free_cores[name]) for name in type_order):
-                return False
-            hw_ids: list[int] = []
-            for comp, count in zip(erv.layout.components, erv.counts):
-                for _ in range(count):
-                    core = free_cores[comp.core_type].pop(0)
-                    hw_ids.extend(
-                        self._core_thread_ids[core.core_id][
-                            : comp.threads_used
-                        ]
-                    )
-            placed[sel.pid] = frozenset(hw_ids)
-        for pid, sel in selections.items():
-            sel.co_allocated = False
-            sel.hw_threads = keep_hw.get(pid, placed.get(pid, frozenset()))
-        return True
 
     # -- memoization -----------------------------------------------------------------
 
@@ -738,7 +548,7 @@ class LagrangianAllocator:
         cost_vec = self._costs_of(req, counts_mat)
         res_mat = counts_mat @ proj
         keep = np.arange(len(req.points))
-        if self.prune and not req.mandatory and len(req.points) > 1:
+        if not req.mandatory and len(req.points) > 1:
             # Hysteresis is applied before pruning, so a discounted
             # current point survives exactly when the solver could
             # still pick it.
@@ -778,6 +588,27 @@ class LagrangianAllocator:
 
     # -- phase 1+2: selection ---------------------------------------------------------
 
+    @staticmethod
+    def _cost_scale(costs: list[np.ndarray]) -> float:
+        """Median of per-application minimum costs, guarded for emptiness."""
+        mins = [float(c.min()) for c in costs if len(c)]
+        if not mins:
+            return 1.0
+        return max(1.0, float(np.median(mins)))
+
+    @staticmethod
+    def _candidate_key(
+        problem: _Problem, choice, capacity: np.ndarray
+    ) -> tuple[bool, float]:
+        """Primal-recovery order: feasible candidates first, then cheapest."""
+        demand = problem.R[problem.rows, choice].sum(axis=0)
+        feasible = bool(np.all(demand - capacity <= 1e-9))
+        return (not feasible, float(problem.C[problem.rows, choice].sum()))
+
+    def _repair_bound(self, problem: _Problem) -> int:
+        """Repair-step budget derived from problem size (apps × points)."""
+        return max(1, len(problem.costs) * problem.C.shape[1])
+
     def _select(
         self,
         requests: list[AllocationRequest],
@@ -802,121 +633,6 @@ class LagrangianAllocator:
         greedy pick every epoch.  The returned ``greedy`` component is
         this epoch's repaired-greedy candidate, for seeding the next one.
         """
-        if self.mode == "reference":
-            return self._select_reference(
-                requests, problem, capacity, lam0, greedy_seed
-            )
-        return self._select_vectorized(
-            requests, problem, capacity, lam0, greedy_seed
-        )
-
-    @staticmethod
-    def _cost_scale(costs: list[np.ndarray]) -> float:
-        """Median of per-application minimum costs, guarded for emptiness."""
-        mins = [float(c.min()) for c in costs if len(c)]
-        if not mins:
-            return 1.0
-        return max(1.0, float(np.median(mins)))
-
-    def _repair_bound(self, problem: _Problem) -> int:
-        """Repair-step budget derived from problem size (apps × points)."""
-        return max(1, len(problem.costs) * problem.C.shape[1])
-
-    def _select_reference(
-        self,
-        requests: list[AllocationRequest],
-        problem: _Problem,
-        capacity: np.ndarray,
-        lam0: np.ndarray | None = None,
-        greedy_seed: list[int] | None = None,
-    ) -> tuple[list[int], np.ndarray, int, list[int]]:
-        costs, resources = problem.costs, problem.resources
-        warm = lam0 is not None
-        lam = np.array(lam0, dtype=float) if warm else np.zeros(len(capacity))
-        max_iters = self.warm_iterations if warm else self.iterations
-        cost_scale = self._cost_scale(costs)
-        total_cores = float(max(capacity.sum(), 1.0))
-        best_cost = np.inf
-        best_choice: list[int] | None = None
-        last_choice = [0] * len(requests)
-        prev_choice: list[int] | None = None
-        stable = 0
-        iters = 0
-        for it in range(max_iters):
-            iters = it + 1
-            choice = []
-            for req, cost_vec, res_mat in zip(requests, costs, resources):
-                if req.mandatory:
-                    choice.append(0)
-                    continue
-                penalized = cost_vec + res_mat @ lam
-                choice.append(int(np.argmin(penalized)))
-            last_choice = choice
-            demand = sum(
-                res_mat[c] for res_mat, c in zip(resources, choice)
-            )
-            violation = demand - capacity
-            feasible = bool(np.all(violation <= 0))
-            if feasible:
-                # Feasible iterate: keep the cheapest one seen (the dual
-                # sequence oscillates, so later iterates are not always
-                # better).
-                total = sum(c[x] for c, x in zip(costs, choice))
-                if total < best_cost:
-                    best_cost = total
-                    best_choice = choice
-            # Projected subgradient with a diminishing, scale-aware step:
-            # λ moves in cost-per-core units.
-            step = self.step0 * cost_scale / (total_cores * (1 + it))
-            lam = np.maximum(0.0, lam + step * violation)
-            stable = stable + 1 if choice == prev_choice else 0
-            prev_choice = choice
-            if warm and feasible and stable >= self._WARM_STABLE_ITERS:
-                break
-
-        # Primal recovery: repair both the final relaxed iterate and the
-        # unconstrained greedy choice, then keep the cheapest feasible
-        # candidate (including the best feasible dual iterate, if any).
-        # ``greedy_seed`` replaces per-app greedy picks for applications
-        # whose repaired-greedy choice from the previous epoch is still
-        # valid — repair then starts near-feasible instead of from the
-        # fully oversubscribed greedy point.
-        if greedy_seed is not None:
-            unconstrained = list(greedy_seed)
-        else:
-            unconstrained = [
-                0 if req.mandatory else int(np.argmin(cost_vec))
-                for req, cost_vec in zip(requests, costs)
-            ]
-        repaired_greedy = [
-            int(c)
-            for c in self._repair(requests, problem, unconstrained, capacity)
-        ]
-        candidates = [
-            self._repair(requests, problem, last_choice, capacity),
-            repaired_greedy,
-        ]
-        if best_choice is not None:
-            candidates.append(best_choice)
-        best = None
-        for choice in candidates:
-            total = sum(c[x] for c, x in zip(costs, choice))
-            demand = sum(res[c] for res, c in zip(resources, choice))
-            feasible = bool(np.all(demand - capacity <= 1e-9))
-            key = (not feasible, total)
-            if best is None or key < best[0]:
-                best = (key, choice)
-        assert best is not None
-        return [int(c) for c in best[1]], lam, iters, repaired_greedy
-
-    def _select_vectorized(
-        self,
-        requests: list[AllocationRequest],
-        problem: _Problem,
-        capacity: np.ndarray,
-        lam0: np.ndarray | None = None,
-        greedy_seed: list[int] | None = None,
-    ) -> tuple[list[int], np.ndarray, int, list[int]]:
         C, R = problem.C, problem.R
         rows, mandatory = problem.rows, problem.mandatory
         warm = lam0 is not None
@@ -955,7 +671,10 @@ class LagrangianAllocator:
                 break
         last_choice = choice
 
-        # Mirror of the reference path's seeded primal recovery.
+        # Primal recovery: repair both the final relaxed iterate and the
+        # unconstrained greedy choice (or the previous epoch's seed), then
+        # keep the cheapest feasible candidate (including the best feasible
+        # dual iterate, if any).
         if greedy_seed is not None:
             unconstrained = np.asarray(greedy_seed, dtype=int)
         else:
@@ -974,10 +693,7 @@ class LagrangianAllocator:
         best = None
         for cand in candidates:
             cand = np.asarray(cand, dtype=int)
-            total = float(C[rows, cand].sum())
-            demand = R[rows, cand].sum(axis=0)
-            feasible = bool(np.all(demand - capacity <= 1e-9))
-            key = (not feasible, total)
+            key = self._candidate_key(problem, cand, capacity)
             if best is None or key < best[0]:
                 best = (key, cand)
         assert best is not None
@@ -996,7 +712,7 @@ class LagrangianAllocator:
         problem: _Problem,
         choice,
         capacity: np.ndarray,
-    ):
+    ) -> np.ndarray:
         """Greedy downgrade until the capacity constraint holds (or gives up).
 
         Each move swaps one application's selection for the alternative
@@ -1010,75 +726,6 @@ class LagrangianAllocator:
         self.stats.repair_calls += 1
         if OBS.enabled:
             OBS.counter("allocator.repair_calls").inc()
-        if self.mode == "reference":
-            return self._repair_reference(requests, problem, choice, capacity)
-        return self._repair_vectorized(requests, problem, choice, capacity)
-
-    def _give_up(self, reason: str, violation: float) -> None:
-        self.stats.repair_give_ups += 1
-        if OBS.enabled:
-            OBS.counter("allocator.repair_give_ups").inc()
-            OBS.event(
-                "allocator.repair_give_up", track="rm",
-                reason=reason, residual_violation=violation,
-            )
-        logger.debug(
-            "allocator repair gave up (%s); residual violation %.3f cores "
-            "-> co-allocation fallback", reason, violation,
-        )
-
-    def _repair_reference(
-        self,
-        requests: list[AllocationRequest],
-        problem: _Problem,
-        choice: list[int],
-        capacity: np.ndarray,
-    ) -> list[int]:
-        costs, resources = problem.costs, problem.resources
-        choice = list(choice)
-        for _ in range(self._repair_bound(problem)):
-            demand = sum(res[c] for res, c in zip(resources, choice))
-            violation = float(np.maximum(demand - capacity, 0.0).sum())
-            if violation <= 1e-9:
-                return choice
-            best = None  # (penalty_per_unit, app_idx, point_idx)
-            for i, req in enumerate(requests):
-                if req.mandatory:
-                    continue
-                cur_cost = costs[i][choice[i]]
-                cur_res = resources[i][choice[i]]
-                base = demand - cur_res
-                for j in range(len(costs[i])):
-                    if j == choice[i]:
-                        continue
-                    new_violation = float(
-                        np.maximum(base + resources[i][j] - capacity, 0.0).sum()
-                    )
-                    improvement = violation - new_violation
-                    if improvement <= 1e-9:
-                        continue
-                    penalty = (costs[i][j] - cur_cost) / improvement
-                    if best is None or penalty < best[0]:
-                        best = (penalty, i, j)
-            if best is None:
-                # Nothing can shrink further: co-allocation territory.
-                self._give_up("no improving swap", violation)
-                return choice
-            self.stats.repair_steps += 1
-            if OBS.enabled:
-                OBS.counter("allocator.repair_steps").inc()
-            _, i, j = best
-            choice[i] = j
-        self._give_up("step budget exhausted", violation)
-        return choice
-
-    def _repair_vectorized(
-        self,
-        requests: list[AllocationRequest],
-        problem: _Problem,
-        choice,
-        capacity: np.ndarray,
-    ) -> np.ndarray:
         C, R = problem.C, problem.R
         rows = problem.rows
         width = C.shape[1]
@@ -1104,8 +751,8 @@ class LagrangianAllocator:
             with np.errstate(divide="ignore", invalid="ignore"):
                 penalty = (C - cur_cost[:, None]) / improvement
             penalty = np.where(mask, penalty, np.inf)
-            # First row-major occurrence of the minimum matches the scalar
-            # path's (app, point) iteration order and strict-less update.
+            # First row-major occurrence of the minimum: ties go to the
+            # lowest (app, point), as a strict-less scalar scan would.
             i, j = divmod(int(np.argmin(penalty)), width)
             self.stats.repair_steps += 1
             if OBS.enabled:
@@ -1113,6 +760,19 @@ class LagrangianAllocator:
             choice[i] = j
         self._give_up("step budget exhausted", violation)
         return choice
+
+    def _give_up(self, reason: str, violation: float) -> None:
+        self.stats.repair_give_ups += 1
+        if OBS.enabled:
+            OBS.counter("allocator.repair_give_ups").inc()
+            OBS.event(
+                "allocator.repair_give_up", track="rm",
+                reason=reason, residual_violation=violation,
+            )
+        logger.debug(
+            "allocator repair gave up (%s); residual violation %.3f cores "
+            "-> co-allocation fallback", reason, violation,
+        )
 
     # -- phase 3: placement ---------------------------------------------------------------
 
@@ -1268,13 +928,7 @@ class GreedyAllocator(LagrangianAllocator):
         lam0: np.ndarray | None = None,
         greedy_seed: list[int] | None = None,
     ) -> tuple[list[int], np.ndarray | None, int, list[int] | None]:
-        if self.mode == "reference":
-            choice = [
-                0 if req.mandatory else int(np.argmin(cost_vec))
-                for req, cost_vec in zip(requests, problem.costs)
-            ]
-        else:
-            choice = np.argmin(problem.C, axis=1)
-            choice[problem.mandatory] = 0
+        choice = np.argmin(problem.C, axis=1)
+        choice[problem.mandatory] = 0
         repaired = self._repair(requests, problem, choice, capacity)
         return [int(c) for c in repaired], None, 0, None

@@ -1,10 +1,13 @@
 """HL004 — parity-coverage: every reference/vectorized switch is tested.
 
-The allocator keeps its scalar reference implementation alive precisely
-so the vectorized hot path stays checkable point-for-point, and the
-tick/event engine switch carries a bit-parity claim.  Those guarantees
-only hold while some test actually exercises the switchable entry
-point; a new switch without a test is a parity claim nobody verifies.
+A switch between two implementations of one computation is a parity
+claim: the tick/event engine switch (``make_world(engine=...)`` and the
+fleet/scenario entry points that forward it) promises bit-identical
+results.  That guarantee only holds while some test actually exercises
+the switchable entry point; a new switch without a test is a parity
+claim nobody verifies.  The allocator and the simulator each have a
+single production path (their scalar oracles live in ``tests/``), so a
+reintroduced ``mode=``/``vectorized`` switch is caught here too.
 
 A *parity switch* is (a) a public function or a class whose ``__init__``
 takes a ``vectorized`` parameter, a ``mode`` parameter defaulting to

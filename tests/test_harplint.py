@@ -225,15 +225,16 @@ class TestParityCoverage:
         ]
         assert run(Project(files), rules=select_rules(["HL004"])) == []
 
-    def test_engine_and_allocator_are_recognized_as_switches(self):
-        """Guard against the rule silently matching nothing."""
+    def test_engine_is_recognized_and_allocator_is_not(self):
+        """Guard against the rule silently matching nothing; the
+        allocator has a single solver and is no longer a switch."""
         files = [
             SourceFile.load(REPO / "src" / "repro" / "core" / "allocator.py"),
             SourceFile.load(REPO / "src" / "repro" / "sim" / "event.py"),
         ]
         diags = run(Project(files), rules=select_rules(["HL004"]))
         subjects = {d.message.split("'")[1] for d in diags}
-        assert {"LagrangianAllocator", "GreedyAllocator", "make_world"} <= subjects
+        assert subjects == {"make_world"}
 
 
 # -- HL005 ipc-conformance ------------------------------------------------------

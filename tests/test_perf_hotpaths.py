@@ -1,8 +1,8 @@
 """Hot-path equivalence and behavior tests.
 
-The vectorized allocator must be interchangeable with its scalar
-reference path (same selections, same placement), and the engine's
-array-shaped power kernel must match a scalar per-core sum.  These tests
+The batched allocator must be interchangeable with the scalar test
+oracle in ``alloc_oracle.py`` (same selections, same placement), and
+the engine's array-shaped power kernel must match a scalar per-core sum.  These tests
 pin that equivalence with seeded random instances (mandatory points,
 hysteresis, reserved cores included) and exercise the hot-path plumbing
 — ERV caching, the layout projection, the repair-step budget, solve
@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from alloc_oracle import ScalarOracleAllocator
 from repro.apps import npb_model
 from repro.core.allocator import AllocationRequest, LagrangianAllocator
 from repro.core.operating_point import OperatingPoint
@@ -76,7 +77,7 @@ def _random_instance(
 
 
 def test_vectorized_matches_reference_on_random_instances(intel, intel_layout):
-    """Seeded sweep: both modes agree on every solve.
+    """Seeded sweep: the batched solver agrees with the scalar oracle.
 
     Selections are compared point-for-point (ties are measure-zero with
     continuous random characteristics, so unique argmins transfer), and
@@ -84,8 +85,8 @@ def test_vectorized_matches_reference_on_random_instances(intel, intel_layout):
     must all match.
     """
     rng = np.random.default_rng(1234)
-    ref = LagrangianAllocator(intel, intel_layout, mode="reference", cache_size=0)
-    vec = LagrangianAllocator(intel, intel_layout, mode="vectorized", cache_size=0)
+    ref = ScalarOracleAllocator(intel, intel_layout, cache_size=0)
+    vec = LagrangianAllocator(intel, intel_layout, cache_size=0)
     for _ in range(N_INSTANCES):
         requests, reserved = _random_instance(intel_layout, rng)
         res_ref = ref.allocate(requests, reserved=reserved)
@@ -106,6 +107,47 @@ def test_vectorized_matches_reference_on_random_instances(intel, intel_layout):
     assert ref.stats.solves == vec.stats.solves == N_INSTANCES
     assert vec.stats.points_pruned > 0
     assert vec.stats.repair_calls > 0
+
+
+def test_tie_breaks_match_the_oracle(intel, intel_layout):
+    """Apps drawing from one small menu of points tie constantly.
+
+    The continuous sweep above almost never ties, so it cannot see how
+    ties are broken; here the batched repair must pick the lowest
+    (app, point) among equal-penalty swaps, exactly like the oracle.
+    """
+    menu = [
+        (counts, utility, power)
+        for counts in ((4, 0, 0), (2, 0, 2), (0, 0, 8), (1, 1, 4))
+        for utility, power in ((10.0, 40.0), (20.0, 90.0))
+    ]
+    rng = np.random.default_rng(99)
+    ref = ScalarOracleAllocator(intel, intel_layout, cache_size=0)
+    vec = LagrangianAllocator(intel, intel_layout, cache_size=0)
+    for _ in range(50):
+        requests = [
+            AllocationRequest(
+                pid=pid,
+                points=[
+                    OperatingPoint(
+                        erv=ExtendedResourceVector(intel_layout, menu[k][0]),
+                        utility=menu[k][1],
+                        power=menu[k][2],
+                    )
+                    for k in rng.choice(len(menu), 4, replace=False)
+                ],
+                max_utility=20.0,
+            )
+            for pid in range(int(rng.integers(3, 9)))
+        ]
+        res_ref = ref.allocate(requests)
+        res_vec = vec.allocate(requests)
+        for req in requests:
+            s_ref = res_ref.selections[req.pid]
+            s_vec = res_vec.selections[req.pid]
+            assert s_ref.point is s_vec.point
+            assert s_ref.hw_threads == s_vec.hw_threads
+    assert vec.stats.repair_steps > 0
 
 
 def test_erv_derived_quantities_are_cached_and_safe(intel_layout):
