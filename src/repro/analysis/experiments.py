@@ -53,6 +53,7 @@ from repro.dse.explorer import (
 from repro.libharp.adaptivity import AdaptationMode
 from repro.platform.dvfs import make_governor
 from repro.sim.engine import World
+from repro.sim.event import EventKind
 from repro.sim.schedulers.cfs import CfsScheduler
 from repro.sim.schedulers.pinned import PinnedScheduler
 
@@ -407,11 +408,13 @@ def fig8_learning(
         )
         manager = HarpManager(world, ManagerConfig())
         snapshots: list[dict] = []
-        next_snap = [snapshot_interval_s]
+        snap_ticks = world.ticks_in(snapshot_interval_s)
+        next_snap = [snap_ticks]
 
         def snapshotter(w, manager=manager, snapshots=snapshots, next_snap=next_snap):
-            if w.time_s >= next_snap[0]:
-                next_snap[0] += snapshot_interval_s
+            if w.tick_index >= next_snap[0]:
+                next_snap[0] += snap_ticks
+                w.request_wakeup(next_snap[0], EventKind.MONITOR)
                 tables = {
                     name: [p.to_wire() for p in table.measured_points()]
                     for name, table in manager.table_store.items()
@@ -428,15 +431,17 @@ def fig8_learning(
                     }
                 )
 
-        world.on_tick.append(snapshotter)
-        while world.time_s < max_learning_s:
+        world.on_event.insert(0, snapshotter)  # before the manager acts
+        world.request_wakeup(next_snap[0], EventKind.MONITOR)
+        max_ticks = world.ticks_in(max_learning_s)
+        while world.tick_index < max_ticks:
             models = [resolve_model(a) for a in apps]
             _run_one_round(world, models, managed=True)
             if all(
                 name in manager.table_store
                 and manager.table_store[name].stage.value == "stable"
                 for name in apps
-            ) and world.time_s >= next_snap[0] - snapshot_interval_s:
+            ) and world.tick_index >= next_snap[0] - snap_ticks:
                 break
 
         base = run_scenario(apps, policy="cfs", rounds=rounds, seed=seed)
@@ -585,12 +590,13 @@ def energy_attribution(
         last_energy = world.total_energy_j()
         last_busy = dict(world.busy_time_by_type_s)
         last_cpu = {p.pid: dict(p.cpu_time_by_type) for p in processes}
-        next_t = interval_s
+        interval_ticks = world.ticks_in(interval_s)
+        next_tick = interval_ticks
         while world.running_processes():
             world.step()
-            if world.time_s + 1e-9 < next_t:
+            if world.tick_index < next_tick:
                 continue
-            next_t += interval_s
+            next_tick += interval_ticks
             energy = world.total_energy_j()
             busy = dict(world.busy_time_by_type_s)
             cpu_delta = {}

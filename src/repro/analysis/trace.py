@@ -3,8 +3,9 @@
 Records time series from a running world — per-application allocations,
 progress, package power, per-core-type busy time — for debugging,
 visualization, and the allocation-timeline reports used by the examples.
-A tracer is a plain ``on_tick`` listener; traces can be exported as
-JSON-compatible dictionaries or rendered as a text timeline.
+A tracer is an ``on_event`` listener that requests a wakeup at its next
+sample tick, so it samples the same ticks on both engines; traces can be
+exported as JSON-compatible dictionaries or rendered as a text timeline.
 
 The tracer also feeds the harpobs registry (``repro.obs``): while the
 default registry is enabled, every trace sample is mirrored as a
@@ -22,6 +23,7 @@ from pathlib import Path
 
 from repro.obs import OBS
 from repro.sim.engine import World
+from repro.sim.event import EventKind
 
 
 @dataclass
@@ -37,7 +39,8 @@ class TraceSample:
 
 
 class WorldTracer:
-    """Samples world state at a fixed interval via the on_tick hook."""
+    """Samples world state at a fixed interval, first in ``on_event``
+    (so before a resource manager acts on the same boundary)."""
 
     def __init__(self, world: World, interval_s: float = 0.1):
         if interval_s <= 0:
@@ -45,9 +48,10 @@ class WorldTracer:
         self.world = world
         self.interval_s = interval_s
         self.samples: list[TraceSample] = []
-        self._next_sample = 0.0
+        self._next_sample_tick = 0
         self._events: list[tuple[float, str]] = []
-        world.on_tick.append(self._on_tick)
+        world.on_event.insert(0, self._on_event)
+        world.request_wakeup(self._next_sample_tick, EventKind.MONITOR)
         world.on_process_start.append(
             lambda p: self._events.append(
                 (world.time_s, f"start pid={p.pid} {p.model.name}")
@@ -63,10 +67,11 @@ class WorldTracer:
     def events(self) -> list[tuple[float, str]]:
         return list(self._events)
 
-    def _on_tick(self, world: World) -> None:
-        if world.time_s + 1e-9 < self._next_sample:
+    def _on_event(self, world: World) -> None:
+        if world.tick_index < self._next_sample_tick:
             return
-        self._next_sample = world.time_s + self.interval_s
+        self._next_sample_tick = world.tick_index + world.ticks_in(self.interval_s)
+        world.request_wakeup(self._next_sample_tick, EventKind.MONITOR)
         sample = TraceSample(
             time_s=world.time_s,
             package_power_w=world.last_stats.package_power_w,

@@ -180,16 +180,16 @@ class AppSession:
     samples_at_current: int = 0
     measurements_total: int = 0
     explored: set[ExtendedResourceVector] = field(default_factory=set)
-    activation_due_s: float | None = None
+    activation_due_tick: int | None = None
     pending_activation: ActivateOperatingPoint | None = None
     stable_since_s: float | None = None
     # The first interval after a reconfiguration straddles both
     # configurations; its sample is discarded.
     skip_next_sample: bool = False
-    # Liveness state: when the RM last saw the process alive (a monitor
-    # sample or a libharp request), and how many utility polls in a row
-    # went unanswered.
-    last_seen_s: float = 0.0
+    # Liveness state: the tick the RM last saw the process alive (a
+    # monitor sample or a libharp request), and how many utility polls in
+    # a row went unanswered.
+    last_seen_tick: int = 0
     utility_misses: int = 0
     # Cumulative energy the RM's attribution pipeline has billed this
     # application (joules).  This is the RM-side accounting record that
@@ -245,10 +245,11 @@ class HarpManager:
         self.stable_at_s: dict[str, float] = {}
         self.allocation_epochs = 0
         self._all_ervs = self.layout.enumerate_all()
-        self._next_sample_s = 0.0
-        # Batched-epoch state: when the pending epoch is due (None = no
+        # Deadlines are ticks, converted once from seconds by world.ticks_in.
+        self._next_sample_tick = 0
+        # Batched-epoch state: the tick the pending epoch is due (None = no
         # epoch pending) and how many triggers folded into it so far.
-        self._epoch_due_s: float | None = None
+        self._epoch_due_tick: int | None = None
         self._epoch_pending_events = 0
         self.epoch_coalesced_events = 0
         # Robustness counters and fault hooks (docs/robustness.md).
@@ -291,7 +292,7 @@ class HarpManager:
         # Any request from a known application refreshes its liveness lease.
         known = self.sessions.get(getattr(message, "pid", -1))
         if known is not None:
-            known.last_seen_s = self.world.time_s
+            known.last_seen_tick = self.world.tick_index
         if isinstance(message, RegisterRequest):
             return RegisterReply(ok=True, session_id=message.pid)
         if isinstance(message, ObservabilityQuery):
@@ -340,7 +341,7 @@ class HarpManager:
             table=table,
         )
         # Registration must exist before the points message arrives.
-        session.last_seen_s = self.world.time_s
+        session.last_seen_tick = self.world.tick_index
         self.sessions[process.pid] = session
         session.client.register()
         session.provides_utility = adapter.provides_utility
@@ -362,62 +363,65 @@ class HarpManager:
             self._request_reallocation()
 
     def _on_event(self, world: World) -> None:
-        now = world.time_s
+        now = world.tick_index
         # Apply deferred activations (registration/communication latency).
         # A failed push reaps its session, so iterate over a copy.
         for session in list(self.sessions.values()):
             if (
                 session.pending_activation is not None
-                and session.activation_due_s is not None
-                and now >= session.activation_due_s
+                and session.activation_due_tick is not None
+                and now >= session.activation_due_tick
             ):
                 message = session.pending_activation
                 session.pending_activation = None
-                session.activation_due_s = None
+                session.activation_due_tick = None
                 self._push_activation(session, message)
-        if self._epoch_due_s is not None and now + 1e-9 >= self._epoch_due_s:
+        if self._epoch_due_tick is not None and now >= self._epoch_due_tick:
             self.flush()
-        if now + 1e-9 >= self._next_sample_s:
-            self._next_sample_s = now + self.config.measure_interval_s
+        if now >= self._next_sample_tick:
+            self._next_sample_tick = now + world.ticks_in(self.config.measure_interval_s)
             self._sample_all()
         self._check_leases(now)
         self._wake_deadlines()
 
     def _wake_deadlines(self) -> None:
-        """Announce every pending deadline to an event-driven engine.
+        """Announce every pending deadline tick to an event-driven engine.
 
-        Wakeups are conservative (possibly one tick early); a deadline
-        that has not arrived yet is simply re-announced from the next
-        boundary, which converges on the exact tick the fixed-tick engine
-        would have acted.  The sampling chain is always announced, so an
-        attached manager bounds leaps to one measure interval.
+        Each wakeup lands on the tick its deadline test in :meth:`_on_event`
+        first passes, so the event engine acts on exactly the tick the
+        fixed-tick engine does.  The sampling chain is always announced,
+        so an attached manager bounds leaps to one measure interval.
         """
         world = self.world
         if not world.event_driven or self._shut_down:
             return
-        world.request_wakeup(self._next_sample_s, EventKind.MONITOR)
-        if self._epoch_due_s is not None:
-            world.request_wakeup(self._epoch_due_s, EventKind.REALLOC)
-        earliest_seen: float | None = None
+        world.request_wakeup(self._next_sample_tick, EventKind.MONITOR)
+        if self._epoch_due_tick is not None:
+            world.request_wakeup(self._epoch_due_tick, EventKind.REALLOC)
+        earliest_seen: int | None = None
         for session in self.sessions.values():
-            if session.activation_due_s is not None:
-                world.request_wakeup(session.activation_due_s, EventKind.WAKEUP)
-            if earliest_seen is None or session.last_seen_s < earliest_seen:
-                earliest_seen = session.last_seen_s
+            if session.activation_due_tick is not None:
+                world.request_wakeup(session.activation_due_tick, EventKind.WAKEUP)
+            if earliest_seen is None or session.last_seen_tick < earliest_seen:
+                earliest_seen = session.last_seen_tick
         if earliest_seen is not None:
-            world.request_wakeup(earliest_seen + self._lease_s(), EventKind.TIMER)
+            # The reap test is strict: it passes one tick after the lease.
+            world.request_wakeup(
+                earliest_seen + self._lease_ticks() + 1, EventKind.TIMER
+            )
 
     # -- liveness (docs/robustness.md) ------------------------------------------------
 
-    def _lease_s(self) -> float:
+    def _lease_ticks(self) -> int:
         """Effective lease: never shorter than three monitoring intervals,
         so a healthy session cannot expire between samples."""
-        return max(self.config.lease_s, 3.0 * self.config.measure_interval_s)
+        lease_s = max(self.config.lease_s, 3.0 * self.config.measure_interval_s)
+        return self.world.ticks_in(lease_s)
 
-    def _check_leases(self, now: float) -> None:
-        lease = self._lease_s()
+    def _check_leases(self, now: int) -> None:
+        lease = self._lease_ticks()
         for session in list(self.sessions.values()):
-            if now - session.last_seen_s > lease:
+            if now - session.last_seen_tick > lease:
                 self._reap_session(session.pid, reason="lease-expired")
 
     def _reap_session(self, pid: int, reason: str) -> None:
@@ -494,7 +498,7 @@ class HarpManager:
         # operating-point table below.
         for session in sessions:
             if session.pid in samples:
-                session.last_seen_s = self.world.time_s
+                session.last_seen_tick = self.world.tick_index
                 session.attributed_energy_j += samples[session.pid].energy_j
         if OBS.enabled:
             OBS.counter("rm.sample_rounds").inc()
@@ -572,13 +576,13 @@ class HarpManager:
         window = self.config.epoch_window_s
         if window <= 0.0:
             return self.reallocate()
-        now = self.world.time_s
-        due = now if urgent else now + window
+        now = self.world.tick_index
+        due = now if urgent else now + self.world.ticks_in(window)
         self._epoch_pending_events += 1
-        if self._epoch_due_s is None:
-            self._epoch_due_s = due
+        if self._epoch_due_tick is None:
+            self._epoch_due_tick = due
         else:
-            self._epoch_due_s = min(self._epoch_due_s, due)
+            self._epoch_due_tick = min(self._epoch_due_tick, due)
             self.epoch_coalesced_events += 1
             if OBS.enabled:
                 OBS.counter("rm.epoch_coalesced_events").inc()
@@ -591,9 +595,9 @@ class HarpManager:
         Tests (and shutdown paths) use this to drain the epoch window
         deterministically instead of stepping the world to the deadline.
         """
-        if self._epoch_due_s is None:
+        if self._epoch_due_tick is None:
             return None
-        self._epoch_due_s = None
+        self._epoch_due_tick = None
         self._epoch_pending_events = 0
         return self.reallocate()
 
@@ -605,7 +609,7 @@ class HarpManager:
             self._reap_during_realloc = True
             return None
         # A directly invoked epoch serves any pending batched triggers too.
-        self._epoch_due_s = None
+        self._epoch_due_tick = None
         self._epoch_pending_events = 0
         sessions = [
             s for s in self.sessions.values() if not s.process.finished
@@ -923,20 +927,22 @@ class HarpManager:
         # latency; later pushes apply immediately (unless a fault-injected
         # reply delay is active on the session).
         if session.client.activations == 0:
-            session.activation_due_s = (
+            session.activation_due_tick = self.world.ticks_in(
                 session.process.start_time_s
                 + self.config.startup_delay_s
                 + session.reply_delay_s
             )
-            if self.world.time_s >= session.activation_due_s:
+            if self.world.tick_index >= session.activation_due_tick:
                 session.pending_activation = None
-                session.activation_due_s = None
+                session.activation_due_tick = None
                 self._push_activation(session, message)
             else:
                 session.pending_activation = message
         elif session.reply_delay_s > 0:
             session.pending_activation = message
-            session.activation_due_s = self.world.time_s + session.reply_delay_s
+            session.activation_due_tick = self.world.tick_index + self.world.ticks_in(
+                session.reply_delay_s
+            )
         else:
             self._push_activation(session, message)
 
@@ -1097,7 +1103,7 @@ class HarpManager:
         if self._shut_down:
             return
         self._shut_down = True
-        self._epoch_due_s = None
+        self._epoch_due_tick = None
         self._epoch_pending_events = 0
         for callbacks, cb in (
             (self.world.on_process_start, self._on_process_start),

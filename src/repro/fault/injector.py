@@ -1,10 +1,10 @@
 """Executes a :class:`~repro.fault.plan.FaultPlan` against a live world.
 
 The injector registers an ``on_event`` callback and fires each scheduled
-fault on the first advance boundary at or after its timestamp; on the
-event engine every fault timestamp is announced as a wakeup, so a leap
-never skips an injection point and the firing tick matches the tick
-engine exactly.  All faults act
+fault on the first advance boundary at or after its timestamp, converted
+once to a tick with ``world.ticks_in``; on the event engine every fault
+tick is announced as a wakeup, so a leap never skips an injection point
+and the firing tick matches the tick engine exactly.  All faults act
 through the same deterministic surfaces the production code exposes —
 ``World.kill``, the in-process transport's fault hooks, the manager's
 forced-solver-failure budget, and snapshot/restore — so a faulted run
@@ -50,6 +50,7 @@ class SimFaultInjector:
         #: Audit trail: one record per scheduled fault, in firing order.
         self.log: list[dict] = []
         self._next = 0
+        self._due_ticks = [world.ticks_in(f.at_s) for f in plan.faults]
         world.on_event.append(self._on_event)
         self._wake_next()
 
@@ -57,8 +58,8 @@ class SimFaultInjector:
 
     def _on_event(self, world: World) -> None:
         while (
-            self._next < len(self.plan.faults)
-            and self.plan.faults[self._next].at_s <= world.time_s
+            self._next < len(self._due_ticks)
+            and self._due_ticks[self._next] <= world.tick_index
         ):
             fault = self.plan.faults[self._next]
             self._next += 1
@@ -66,11 +67,9 @@ class SimFaultInjector:
         self._wake_next()
 
     def _wake_next(self) -> None:
-        """Announce the next pending fault time to an event-driven world."""
-        if self.world.event_driven and self._next < len(self.plan.faults):
-            self.world.request_wakeup(
-                self.plan.faults[self._next].at_s, EventKind.FAULT
-            )
+        """Announce the next pending fault tick to an event-driven world."""
+        if self.world.event_driven and self._next < len(self._due_ticks):
+            self.world.request_wakeup(self._due_ticks[self._next], EventKind.FAULT)
 
     def done(self) -> bool:
         """True when every scheduled fault has fired."""

@@ -150,12 +150,13 @@ class NodeManager:
     # -- world driving ----------------------------------------------------------------
 
     def advance_to(self, t_s: float) -> None:
-        """Advance the node world to fleet time ``t_s`` (no-op if crashed)."""
+        """Advance the node world to the tick of fleet time ``t_s`` (no-op
+        if crashed)."""
         if self.state is NodeState.CRASHED:
             return
-        delta = t_s - self.world.time_s
-        if delta > 1e-12:
-            self.world.run_for(delta)
+        ticks = self.world.ticks_in(t_s) - self.world.tick_index
+        if ticks > 0:
+            self.world.run_for(ticks * self.world.tick_s)
 
     def crash(self) -> None:
         """Silent node death: the world freezes, the link goes dead."""

@@ -1,12 +1,14 @@
 """HL012 — time-unit discipline: sim-seconds, wall-seconds, and ticks
 must not meet in arithmetic or comparisons.
 
-HARP code carries three clocks: the simulated clock (``world.clock``,
-sim-seconds), the host's wall clock (``time.perf_counter`` family,
-wall-seconds), and the integer epoch counter (ticks).  They share
-numeric types, so nothing stops ``deadline_sim_s > perf_counter()`` or
-``budget_s - epoch_ticks`` from type-checking — the bug only shows up as
-scenarios that end at the wrong time.  This rule infers a unit for every
+HARP code carries three time units: integer ticks (the sim clock,
+``world.tick_index``), sim-seconds (``world.time_s``, derived from it,
+and the durations and deadlines of configs and traces), and the host's
+wall clock (``time.perf_counter`` family, wall-seconds).  They share
+numeric types, so nothing stops ``deadline_sim_s > perf_counter()``,
+``budget_s - epoch_ticks`` or ``world.tick_index >= deadline_s`` from
+type-checking — the bug only shows up as scenarios that end at the
+wrong time.  This rule infers a unit for every
 operand it can and flags additive arithmetic (``+``, ``-``, ``+=``,
 ``-=``) and ordering/equality comparisons between *incompatible* units.
 
@@ -18,9 +20,10 @@ Unit inference, in priority order:
 2. assignment provenance — a name assigned from an expression of known
    unit carries that unit (flow-insensitive, last writer wins);
 3. naming — identifier/attribute/call leaves ending ``_sim_s`` /
-   ``_wall_s`` / ``_s`` / ``_ticks`` / ``_us`` / ``_ms`` / ``_ns``
-   (plus the bare name ``ticks`` and the ``time.perf_counter``/
-   ``monotonic``/``time`` wall-clock calls).
+   ``_wall_s`` / ``_s`` / ``_ticks`` / ``_tick`` / ``_us`` / ``_ms`` /
+   ``_ns`` (plus the names ``ticks``, ``tick_index`` and ``ticks_in``,
+   and the ``time.perf_counter``/``monotonic``/``time`` wall-clock
+   calls).
 
 Compatibility: generic ``_s`` is compatible with both ``sim_s`` and
 ``wall_s`` (most code rightly does not care which domain a duration
@@ -50,6 +53,7 @@ _SUFFIX_UNITS: tuple[tuple[str, str], ...] = (
     ("_sim_s", "sim_s"),
     ("_wall_s", "wall_s"),
     ("_ticks", "ticks"),
+    ("_tick", "ticks"),
     ("_us", "us"),
     ("_ms", "ms"),
     ("_ns", "ns"),
@@ -79,7 +83,8 @@ _SECONDS_FAMILY = frozenset({"s", "sim_s", "wall_s"})
 #: them keeps the rule's cost proportional to the timing code, not the
 #: tree.
 _PREFILTER = re.compile(
-    r"_(?:sim_s|wall_s|s|ticks|us|ms|ns)\b|perf_counter|monotonic"
+    r"_(?:sim_s|wall_s|s|ticks?|us|ms|ns)\b|tick_index|ticks_in|perf_counter"
+    r"|monotonic"
 )
 
 _ADDITIVE_OPS = (ast.Add, ast.Sub)
@@ -88,7 +93,7 @@ _ORDER_CMPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
 
 def unit_of_name(name: str) -> str | None:
     """Unit implied by an identifier leaf, or None."""
-    if name == "ticks":
+    if name in ("ticks", "tick_index", "ticks_in"):  # the sim clock and its conversion
         return "ticks"
     for suffix, unit in _SUFFIX_UNITS:
         if name.endswith(suffix) and len(name) > len(suffix):

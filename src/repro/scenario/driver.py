@@ -2,9 +2,10 @@
 
 The driver is engine-portable: it does all its work from the world's
 ``on_event`` hook (fired every tick on the fixed-tick engine, once per
-boundary on the event engine) and announces every future deadline —
+boundary on the event engine) and announces every future deadline tick —
 the next arrival and the earliest session phase flip — through
 ``request_wakeup``, so the event engine never leaps past a state change.
+Arrival times and phase durations become ticks once, via ``world.ticks_in``.
 Given the same (spec, seed), both engines replay the trace identically.
 """
 
@@ -56,14 +57,15 @@ class TraceDriver:
     ):
         self.world = world
         self.trace = sorted(trace, key=lambda p: p.arrival_s)
+        self._arrival_ticks = [world.ticks_in(p.arrival_s) for p in self.trace]
         self.managed = managed
         self.max_live = max_live
         self._next = 0
         self._live: dict[int, _LiveSession] = {}
-        # Min-heap of (deadline_s, pid) phase flips, with lazy deletion —
-        # a boundary touches only the sessions whose phase actually
+        # Min-heap of (deadline_tick, pid) phase flips, with lazy deletion
+        # — a boundary touches only the sessions whose phase actually
         # expired, never all live sessions.
-        self._phase_heap: list[tuple[float, int]] = []
+        self._phase_heap: list[tuple[int, int]] = []
         self.records: list[dict] = []
         self.spawned = 0
         self.rejected = 0
@@ -76,14 +78,14 @@ class TraceDriver:
     # -- world hooks -----------------------------------------------------------
 
     def _on_event(self, world: World) -> None:
-        now = world.time_s
-        trace = self.trace
-        while self._next < len(trace) and trace[self._next].arrival_s <= now + 1e-9:
-            plan = trace[self._next]
+        now = world.tick_index
+        arrival_ticks = self._arrival_ticks
+        while self._next < len(arrival_ticks) and arrival_ticks[self._next] <= now:
+            plan = self.trace[self._next]
             self._next += 1
             self._admit(plan, now)
         heap = self._phase_heap
-        while heap and heap[0][0] <= now + 1e-9:
+        while heap and heap[0][0] <= now:
             _, pid = heapq.heappop(heap)
             session = self._live.get(pid)
             if session is None or session.process.finished:
@@ -114,7 +116,7 @@ class TraceDriver:
 
     # -- internals -------------------------------------------------------------
 
-    def _admit(self, plan: SessionPlan, now: float) -> None:
+    def _admit(self, plan: SessionPlan, now: int) -> None:
         if self.max_live is not None and len(self._live) >= self.max_live:
             self.rejected += 1
             return
@@ -130,17 +132,17 @@ class TraceDriver:
         if len(self._live) > self.peak_live:
             self.peak_live = len(self._live)
         if plan.phases:
-            burst = plan.phases[0][0]
-            heapq.heappush(self._phase_heap, (now + burst, process.pid))
+            burst_ticks = self.world.ticks_in(plan.phases[0][0])
+            heapq.heappush(self._phase_heap, (now + burst_ticks, process.pid))
 
-    def _flip_phase(self, session: _LiveSession, now: float) -> None:
+    def _flip_phase(self, session: _LiveSession, now: int) -> None:
         phases = session.plan.phases
         session.phase_k += 1
         k = session.phase_k
         # Even k: bursting; odd k: thinking.  Durations cycle through the
         # precomputed (burst, think) pairs.
         pair = phases[(k // 2) % len(phases)]
-        duration = pair[0] if k % 2 == 0 else pair[1]
+        duration_ticks = self.world.ticks_in(pair[0] if k % 2 == 0 else pair[1])
         active = k % 2 == 0
         session.model.active = active
         # Tell the engine the session sleeps (its demand is exactly zero
@@ -150,14 +152,14 @@ class TraceDriver:
             self.world.unblock(session.process.pid)
         else:
             self.world.block(session.process.pid)
-        heapq.heappush(self._phase_heap, (now + duration, session.process.pid))
+        heapq.heappush(self._phase_heap, (now + duration_ticks, session.process.pid))
 
     def _wake(self) -> None:
         world = self.world
         if not world.event_driven:
             return
-        if self._next < len(self.trace):
-            world.request_wakeup(self.trace[self._next].arrival_s, EventKind.SPAWN)
+        if self._next < len(self._arrival_ticks):
+            world.request_wakeup(self._arrival_ticks[self._next], EventKind.SPAWN)
         # Prune lazily-deleted tops (sessions that completed with a phase
         # flip still pending) before announcing: a stale deadline would
         # split a leap for a session that no longer exists.  Pruning only
@@ -198,7 +200,7 @@ class TraceDriver:
         }
 
 
-# harplint: pure-wall-time -- wall_s is measurement-only; sim state advances on world.clock + explicit seed
+# harplint: pure-wall-time -- wall_s is measurement-only; sim state advances on world.tick_index + explicit seed
 def run_trace(
     spec: ScenarioSpec,
     seed: int = 0,

@@ -14,6 +14,7 @@ time per core type.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
@@ -75,7 +76,7 @@ class World:
     """
 
     #: True on event-driven subclasses; listeners that need to be woken at
-    #: a future sim time must call :meth:`request_wakeup` when this is set.
+    #: a future tick must call :meth:`request_wakeup` when this is set.
     event_driven = False
 
     def __init__(
@@ -94,8 +95,7 @@ class World:
         self.scheduler = scheduler
         self.governor = governor or PerformanceGovernor(platform)
         self.tick_s = tick_s
-        self.time_s = 0.0
-        self.tick_index = 0
+        self.tick_index = 0  # the one sim clock; ``time_s`` derives from it
         self.package_sensor = EnergySensor(
             "package", noise_std=sensor_noise, seed=seed
         )
@@ -104,10 +104,10 @@ class World:
         self._running: dict[int, SimProcess] = {}
         self.on_process_start: list[Callable[[SimProcess], None]] = []
         self.on_process_exit: list[Callable[[SimProcess], None]] = []
-        self.on_tick: list[Callable[["World"], None]] = []
         # Event listeners fire once per *advance* — every tick here, once
         # per leap boundary on the event engine.  Listeners with deadlines
-        # (epoch flushes, lease reaps, fault plans) must request wakeups.
+        # (samples, epoch flushes, lease reaps, fault plans) must request
+        # wakeups at their deadline ticks.
         self.on_event: list[Callable[["World"], None]] = []
         self.last_stats = TickStats()
         self.energy_by_type_j: dict[str, float] = {
@@ -180,6 +180,11 @@ class World:
         # registry resets — step() runs tens of thousands of times, so it
         # must not pay the name→instrument lookup on every tick.
         self._obs_handles: tuple | None = None
+
+    @property
+    def time_s(self) -> float:
+        """Sim time at the current tick boundary: ``tick_index * tick_s``."""
+        return self.tick_index * self.tick_s
 
     # -- workload management --------------------------------------------------
 
@@ -325,13 +330,14 @@ class World:
             self._awake[pid] = process
             self._runnable_stamp = -1
 
-    def request_wakeup(self, at_s: float, kind: object = None) -> None:
-        """Ask to be advanced at sim time ``at_s`` (event engine only).
+    def request_wakeup(self, tick: int, kind: object = None) -> None:
+        """Ask to be advanced at tick ``tick`` (event engine only).
 
         The fixed-tick engine visits every tick anyway, so this is a
         no-op here; :class:`repro.sim.event.EventWorld` overrides it.
         Callbacks on :attr:`on_event` must route all timed work through
-        wakeups so the same code runs unchanged on both engines.
+        wakeups so the same code runs unchanged on both engines; a
+        deadline given in seconds is converted once with :meth:`ticks_in`.
         """
 
     def _obs_hot(self) -> tuple:
@@ -440,7 +446,6 @@ class World:
         self.last_stats = stats
 
         # Completion notifications happen after accounting for the tick.
-        self.time_s += dt
         self.tick_index += 1
         for process in just_finished:
             self._running.pop(process.pid, None)
@@ -455,8 +460,6 @@ class World:
                 callback(process)
             for callback in self.on_process_exit:
                 callback(process)
-        for callback in self.on_tick:
-            callback(self)
         for callback in self.on_event:
             callback(self)
         if obs_on:
@@ -468,14 +471,17 @@ class World:
     def ticks_in(self, seconds: float) -> int:
         """Number of ticks covering ``seconds`` of sim time.
 
-        Horizons are computed in integer tick counts, never by comparing
-        the float-accumulated clock against a float target: ``time_s``
-        drifts by ~3e-8 s per simulated hour (repeated ``+= 0.01``), which
-        is enough to gain or lose a tick at long horizons.
+        The one seconds→tick conversion: a duration gives a tick count,
+        an absolute sim time gives the first tick at or after it.  Every
+        deadline is converted once, where it enters in seconds, and then
+        compared against :attr:`tick_index` as an integer.  The ``1e-9``
+        tick tolerance absorbs the rounding of ``seconds / tick_s`` for
+        seconds that are a whole number of ticks (``0.07 / 0.01`` is
+        ``7.000000000000001`` in floats).
         """
         if seconds <= 0:
             return 0
-        return max(1, int(np.ceil(seconds / self.tick_s - 1e-9)))
+        return max(1, math.ceil(seconds / self.tick_s - 1e-9))
 
     def run_for(self, seconds: float) -> None:
         """Advance by a fixed duration."""
@@ -491,9 +497,7 @@ class World:
         ``max_seconds=None`` to opt into an unbounded run (e.g. a
         simulated hour of a 10k-session fleet).
         """
-        max_ticks = (
-            None if max_seconds is None else int(max_seconds / self.tick_s + 1e-9)
-        )
+        max_ticks = None if max_seconds is None else self.ticks_in(max_seconds)
         while any(not p.daemon for p in self.running_processes()):
             if max_ticks is not None and self.tick_index > max_ticks:
                 raise RuntimeError(

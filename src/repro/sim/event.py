@@ -3,37 +3,36 @@
 :class:`EventWorld` subclasses the fixed-tick :class:`~repro.sim.engine.World`
 with a heap of typed future events (thread wakeups, process arrivals,
 completions, quantum expiries, RT periods, monitor epochs, scheduled
-reallocations, fault injections).  Whenever nothing is runnable and no
-listener needs per-tick callbacks, the engine *leaps* directly to the next
-event's tick, integrating idle power analytically over the whole interval
-instead of stepping through it — idle sim time costs (almost) zero CPU.
+reallocations, fault injections), keyed by integer tick.  Whenever nothing
+is runnable the engine *leaps* directly to the next event's tick,
+integrating idle power analytically over the whole interval instead of
+stepping through it — idle sim time costs (almost) zero CPU.
 
 Bit-parity contract
 -------------------
 On tick-equivalent scenarios the event engine reproduces the tick engine
-**bit for bit**: same ``time_s`` (the leap replays the per-tick float
-additions), same sensor energy (noise draws are batched through
-``default_rng``, which consumes the bitstream identically to scalar
-draws), same PELT trajectories (per-tick decay multiplies are replayed),
-same per-type energy accumulators (the leaps replay the power kernel's
-accumulator adds in the tick's order), and identical process completion
-order.  The parity suite in ``tests/test_eventsim.py`` asserts this
-across all four schedulers.
+**bit for bit**: same ``tick_index`` and hence the same ``time_s`` (both
+engines derive it as ``tick_index * tick_s``), same sensor energy (noise
+draws are batched through ``default_rng``, which consumes the bitstream
+identically to scalar draws), same PELT trajectories (per-tick decay
+multiplies are replayed), same per-type energy accumulators (the leaps
+replay the power kernel's accumulator adds in the tick's order), and
+identical process completion order.  The parity suite in
+``tests/test_eventsim.py`` asserts this across all four schedulers.
 
 Listeners attach to ``world.on_event`` (fired at every advance boundary —
 every tick while stepping, once per leap) and MUST route timed work
-through :meth:`World.request_wakeup`; a wakeup guarantees the engine
-visits that tick.  Wakeups are scheduled conservatively (up to one tick
-early against the drifted cumulative clock) — a listener whose deadline
-has not arrived yet simply re-requests and is woken on the next tick,
-which converges on exactly the tick the tick engine would have fired.
+through :meth:`World.request_wakeup`, which takes the integer tick of the
+deadline; a wakeup guarantees the engine visits exactly that tick.  A
+listener converts a deadline given in seconds once, with
+:meth:`World.ticks_in`, and tests it against ``tick_index``, so it is due
+at the wakeup it asked for — on the same tick the tick engine fires it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from enum import Enum
 from typing import Callable
 
@@ -90,33 +89,24 @@ class EventWorld(World):
         self._wakeup_ticks: set[int] = set()
         self._busy_backoff_until = 0
         # One idle tick of the power kernel: package power and per-type
-        # energy increments, exactly what step() adds with nothing busy.
+        # busy/energy increments, exactly what step() adds with nothing busy.
         # Zero busy fractions zero the DVFS term, so any frequencies do.
         idle_freqs = {
             c.core_id: c.core_type.max_freq_mhz for c in self.platform.cores
         }
-        self._idle_pkg_w, _, _, idle_energy, _ = self._power_tick(
-            {}, {}, idle_freqs
+        self._idle_pkg_w, _, self._idle_busy, self._idle_energy, _ = (
+            self._power_tick({}, {}, idle_freqs)
         )
-        self._idle_tick_energy = list(idle_energy.items())
 
     # -- event heap --------------------------------------------------------------
 
-    def _tick_for(self, at_s: float) -> int:
-        """Tick index at which a wakeup for sim time ``at_s`` fires.
+    def request_wakeup(self, tick: int, kind: object = EventKind.TIMER) -> None:
+        """Guarantee the engine visits tick ``tick``.
 
-        Conservatively early: the cumulative float clock drifts ~3e-8 s
-        per simulated hour off the nominal ``tick * tick_s`` grid, so the
-        wakeup lands up to one tick before the deadline test passes and
-        the listener re-requests.  Never at or before the current tick —
-        a re-request from a boundary callback always lands strictly in
-        the future, which is what makes the recheck loop converge.
+        A tick at or before the current one is clamped to the next tick:
+        the boundary being processed has already been reached.
         """
-        return max(self.tick_index + 1, math.ceil((at_s - 1e-6) / self.tick_s))
-
-    def request_wakeup(self, at_s: float, kind: object = EventKind.TIMER) -> None:
-        """Guarantee the engine visits the tick covering sim time ``at_s``."""
-        tick = self._tick_for(at_s)
+        tick = max(self.tick_index + 1, tick)
         if tick in self._wakeup_ticks:
             return
         self._wakeup_ticks.add(tick)
@@ -125,16 +115,17 @@ class EventWorld(World):
 
     def schedule(
         self,
-        at_s: float,
+        tick: int,
         callback: Callable[["EventWorld"], None],
         kind: EventKind = EventKind.TIMER,
     ) -> int:
-        """Run ``callback(world)`` at the boundary covering ``at_s``.
+        """Run ``callback(world)`` at the boundary of tick ``tick``.
 
-        Callbacks fire after ``on_event`` listeners, in (time, insertion)
-        order; returns the tick index they are scheduled for.
+        Callbacks fire after ``on_event`` listeners, in (tick, insertion)
+        order; a past tick is clamped to the next one.  Returns the tick
+        index the callback is scheduled for.
         """
-        tick = self._tick_for(at_s)
+        tick = max(self.tick_index + 1, tick)
         heapq.heappush(self._heap, (tick, next(self._seq), kind, callback))
         return tick
 
@@ -161,16 +152,11 @@ class EventWorld(World):
     def _advance_one(self, limit_tick: int) -> None:
         """Advance to the next boundary, never past ``limit_tick``.
 
-        A legacy ``on_tick`` listener forces per-tick stepping.  Otherwise
-        the tick budget to the next heap event (or the limit) is leapt:
+        The tick budget to the next heap event (or the limit) is leapt:
         via the idle leap when nothing is runnable, via the busy-stretch
         fast-forward when the runnable set is in a stable stretch.  A
         failed busy probe steps normally and backs off for a few ticks.
         """
-        if self.on_tick:
-            self.step()
-            self._drain_due()
-            return
         runnable = self._has_runnable()
         next_tick = self._heap[0][0] if self._heap else None
         leap_to = limit_tick if next_tick is None else min(next_tick, limit_tick)
@@ -213,9 +199,7 @@ class EventWorld(World):
         the scenario; ``max_seconds=None`` opts into an unbounded run,
         advancing in hour-sized leap windows until the workload drains.
         """
-        max_ticks = (
-            None if max_seconds is None else int(max_seconds / self.tick_s + 1e-9)
-        )
+        max_ticks = None if max_seconds is None else self.ticks_in(max_seconds)
         while any(not p.daemon for p in self.running_processes()):
             if max_ticks is None:
                 self._advance_one(self.tick_index + 360_000)
@@ -237,10 +221,9 @@ class EventWorld(World):
     def _leap(self, n: int) -> None:
         """Replay ``n`` fully idle ticks in one analytic jump.
 
-        Preconditions (enforced by :meth:`_advance_one`): no runnable
-        thread and no ``on_tick`` listener.  Everything a tick would have
-        mutated is replayed bit-identically: the cumulative clock, the
-        package sensor (batched noise draws), per-type energy
+        Precondition (enforced by :meth:`_advance_one`): no runnable
+        thread.  Everything a tick would have mutated is replayed
+        bit-identically: the package sensor (batched noise draws), per-type energy
         accumulators in the power kernel's order, PELT decay of
         blocked threads, core-utilization state, the placement-signature
         cache, and the obs tick/placement counters.
@@ -297,7 +280,7 @@ class EventWorld(World):
         # sensor integrates n equal deltas and the per-type accumulators
         # replay the per-tick adds.
         package_power = self._idle_pkg_w
-        tick_energy = self._idle_tick_energy
+        tick_energy = list(self._idle_energy.items())
         acc = self.energy_by_type_j
         for _ in range(n):
             for name, energy in tick_energy:
@@ -306,22 +289,13 @@ class EventWorld(World):
         # busy_time accumulators gain exactly +0.0 per idle tick — a
         # bitwise no-op — so they are left untouched.
         self._core_util = {core_id: 0.0 for core_id in self._core_ids}
-
-        # The cumulative clock replays every per-tick addition (n float
-        # adds), capturing the start time of the final tick for stats.
-        t = self.time_s
-        for _ in range(n - 1):
-            t += dt
-        stats = TickStats(time_s=t)
-        stats.package_power_w = package_power
-        for name in self._type_names:
-            stats.busy_time_by_type[name] = 0.0
-        for name, energy in tick_energy:
-            stats.energy_by_type_j[name] = (
-                stats.energy_by_type_j.get(name, 0.0) + energy
-            )
-        self.last_stats = stats
-        self.time_s = t + dt
+        # Stats describe the final leapt tick, as step() would leave them.
+        self.last_stats = TickStats(
+            (self.tick_index + n - 1) * dt,
+            package_power,
+            dict(self._idle_busy),
+            dict(self._idle_energy),
+        )
         self.tick_index += n
 
         if obs_on:
@@ -350,7 +324,7 @@ class EventWorld(World):
         margin against float drift).
 
         Preconditions (enforced by :meth:`_advance_one`): something is
-        runnable, no ``on_tick`` listener, budget ≥ 2.  Returns ``False``
+        runnable, budget ≥ 2.  Returns ``False``
         — without mutating anything — when no leapable stretch exists:
         the scheduler opted out of signatures (EAS), a placed model is
         stateful (the RM daemon), the governor's frequencies are not a
@@ -362,8 +336,7 @@ class EventWorld(World):
         (work, CPU time, perf counters, per-type energy, ground-truth
         attribution) grouped into elementwise array adds, PELT
         accumulate/decay as elementwise per-tick updates, batched sensor
-        noise draws, the cumulative clock, and the placement-cache and
-        obs bookkeeping.
+        noise draws, and the placement-cache and obs bookkeeping.
         """
         dt = self.tick_s
         obs_on = OBS.enabled
@@ -537,17 +510,9 @@ class EventWorld(World):
                 )
 
         self.package_sensor.accumulate_constant(package_power, dt, n)
-        # The cumulative clock replays every per-tick addition, capturing
-        # the start time of the final tick for stats.
-        t = self.time_s
-        for _ in range(n - 1):
-            t += dt
-        stats = TickStats(time_s=t)
-        stats.package_power_w = package_power
-        stats.busy_time_by_type = stat_busy
-        stats.energy_by_type_j = stat_energy
-        self.last_stats = stats
-        self.time_s = t + dt
+        self.last_stats = TickStats(
+            (self.tick_index + n - 1) * dt, package_power, stat_busy, stat_energy
+        )
         self.tick_index += n
         self._core_util = core_util
         if not pattern_hit:

@@ -26,12 +26,20 @@ class TestBasics:
     def test_time_advances_by_tick(self, intel):
         world = _world(intel)
         world.step()
-        assert world.time_s == pytest.approx(0.01)
+        assert world.time_s == 0.01
 
     def test_run_for(self, intel):
         world = _world(intel)
         world.run_for(0.1)
-        assert world.time_s == pytest.approx(0.1)
+        assert world.time_s == 0.1
+
+    def test_time_is_derived_from_the_tick_index(self, intel):
+        world = _world(intel)
+        world.run_for(0.07)
+        assert world.tick_index == 7
+        assert world.time_s == 7 * world.tick_s
+        with pytest.raises(AttributeError):
+            world.time_s = 1.0
 
     def test_spawn_assigns_unique_pids(self, intel):
         world = _world(intel)

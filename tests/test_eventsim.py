@@ -235,19 +235,43 @@ class TestIntegerTickHorizons:
         assert world.ticks_in(0.0) == 0
         assert world.ticks_in(-1.0) == 0
         assert world.ticks_in(1e-9) == 1
-        assert world.ticks_in(0.07) == 7  # 0.07/0.01 = 6.999... in floats
+        assert world.ticks_in(0.07) == 7  # 0.07/0.01 = 7.000000000000001 in floats
         assert world.ticks_in(3600.0) == 360_000
 
     def test_long_horizon_exact_tick_count(self) -> None:
         # Empty event world: a 10-simulated-hour horizon leaps instantly
-        # and must land on the exact tick, despite the cumulative float
-        # clock drifting off the nominal grid.
+        # and lands on the exact tick; time_s is derived from the tick
+        # index, so it sits exactly on the grid too.
         world, _ = _build_world(0, "event")
         world.run_for(36_000.0)
         assert world.tick_index == 3_600_000
-        assert world.time_s != 36_000.0  # the drift is real...
-        world.run_for(0.07)  # ...and horizons are unaffected by it
+        assert world.time_s == 36_000.0
+        world.run_for(0.07)
         assert world.tick_index == 3_600_007
+
+    def test_off_grid_wakeups_land_on_their_exact_tick(self) -> None:
+        # Deadlines in seconds, off the tick grid, across a 10-simulated-
+        # hour event world: each wakeup fires at exactly ticks_in(at_s),
+        # and the listener finds its deadline due at every boundary it
+        # is woken for (no early wakeups to re-request from).
+        world, _ = _build_world(0, "event")
+        deadlines_s = [0.07, 1.2300000005, 3599.995, 35_999.985, 36_000.0]
+        due_ticks = [world.ticks_in(at_s) for at_s in deadlines_s]
+        assert due_ticks == [7, 124, 360_000, 3_599_999, 3_600_000]
+        pending = list(due_ticks)
+        woken: list[tuple[int, bool]] = []
+
+        def listener(w) -> None:
+            woken.append((w.tick_index, w.tick_index >= pending[0]))
+            pending.pop(0)
+            if pending:
+                w.request_wakeup(pending[0], EventKind.TIMER)
+
+        world.on_event.append(listener)
+        world.request_wakeup(pending[0], EventKind.TIMER)
+        world.run_for(36_000.0)
+        assert woken == [(tick, True) for tick in due_ticks]
+        assert world.time_s == 36_000.0
 
 
 class TestEventHeap:
@@ -255,7 +279,7 @@ class TestEventHeap:
         world, _ = _build_world(0, "event")
         boundaries: list[int] = []
         world.on_event.append(lambda w: boundaries.append(w.tick_index))
-        world.request_wakeup(0.5, EventKind.TIMER)
+        world.request_wakeup(50, EventKind.TIMER)
         world.run_for(1.0)
         assert world.tick_index == 100
         # One leap to the wakeup tick, one to the horizon.
@@ -264,22 +288,22 @@ class TestEventHeap:
     def test_request_wakeup_deduplicates(self) -> None:
         world, _ = _build_world(0, "event")
         for _ in range(5):
-            world.request_wakeup(0.25, EventKind.MONITOR)
+            world.request_wakeup(25, EventKind.MONITOR)
         assert len(world._heap) == 1
 
     def test_schedule_callback_fires_once(self) -> None:
         world, _ = _build_world(0, "event")
         fired: list[float] = []
-        world.schedule(0.3, lambda w: fired.append(w.time_s))
+        world.schedule(30, lambda w: fired.append(w.time_s))
         world.run_for(1.0)
-        assert len(fired) == 1
-        assert fired[0] == pytest.approx(0.3, abs=1e-6)
+        assert fired == [0.3]
 
     def test_wakeup_never_in_past(self) -> None:
         world, _ = _build_world(0, "event")
         world.run_for(0.5)
-        tick = world._tick_for(0.1)  # long past
-        assert tick == world.tick_index + 1
+        world.request_wakeup(10, EventKind.TIMER)  # long past
+        assert world.next_event_tick() == world.tick_index + 1
+        assert world.schedule(10, lambda w: None) == world.tick_index + 1
 
 
 class TestRunnableScan:
@@ -627,7 +651,7 @@ class TestMidStretchInvalidation:
             if world.event_driven:
                 # The kill rides a scheduled callback: the heap event
                 # bounds the leap, so the stretch re-splits at tick 40.
-                world.schedule(0.4, lambda w: w.kill(victims[0].pid))
+                world.schedule(40, lambda w: w.kill(victims[0].pid))
             else:
                 def _kill_at_40(w, pid=victims[0].pid):
                     if w.tick_index == 40:
@@ -662,7 +686,7 @@ class TestMidStretchInvalidation:
 
             world.on_event.append(pull_forward)
             if world.event_driven:
-                world.request_wakeup(0.4, EventKind.REALLOC)
+                world.request_wakeup(40, EventKind.REALLOC)
             world.run_for(2.0)
             assert fired[0]
             fp = _fingerprint(world, exit_order)

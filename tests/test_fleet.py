@@ -750,6 +750,18 @@ class TestPartition:
 # -- leaks and scale ------------------------------------------------------------------
 
 
+class TestFleetLockstep:
+    def test_node_world_ends_every_epoch_on_the_epoch_tick(self):
+        # One 0.25 s fleet epoch is 25 node ticks.  A node world that
+        # ran one tick past an epoch would report state 10 ms after the
+        # fleet epoch it claims to describe.
+        fleet = FleetSim(n_nodes=1, engine="event", seed=0)
+        world = fleet.nodes[0].world
+        for epoch in range(1, 801):
+            fleet.run_epoch()
+            assert world.tick_index == 25 * epoch, f"epoch {epoch}"
+
+
 class TestFleetHygiene:
     def test_no_thread_leaks(self):
         baseline = threading.active_count()

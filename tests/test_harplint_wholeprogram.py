@@ -400,6 +400,31 @@ class TestTimeUnits:
         )
         assert diags == []
 
+    def test_tick_clock_against_seconds_deadline_flagged(self):
+        project = project_of(
+            {
+                "src/repro/clocky.py": (
+                    "def due(world, deadline_s):\n"
+                    "    return world.tick_index >= deadline_s\n"
+                )
+            }
+        )
+        diags = run(project, rules=select_rules(["HL012"]))
+        assert [d.code for d in diags] == ["HL012"]
+        assert "world.tick_index [ticks] vs deadline_s [s]" in diags[0].message
+
+    def test_deadline_converted_to_ticks_is_clean(self):
+        project = project_of(
+            {
+                "src/repro/clocky.py": (
+                    "def due(world, last_seen_tick, lease_s):\n"
+                    "    expiry_tick = last_seen_tick + world.ticks_in(lease_s)\n"
+                    "    return world.tick_index >= expiry_tick\n"
+                )
+            }
+        )
+        assert run(project, rules=select_rules(["HL012"])) == []
+
 
 # -- HL007 stale-suppression ----------------------------------------------------
 

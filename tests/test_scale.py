@@ -448,9 +448,9 @@ class TestBatchedEpochs:
         manager = HarpManager(world, ManagerConfig(epoch_window_s=5.0))
         assert manager.flush() is None  # nothing pending
         world.spawn(npb_model("ep.C"), managed=True)
-        assert manager._epoch_due_s is not None
+        assert manager._epoch_due_tick is not None
         manager.flush()
-        assert manager._epoch_due_s is None
+        assert manager._epoch_due_tick is None
         assert manager.flush() is None
 
     def test_reaping_interacts_with_batched_epochs(self, intel):

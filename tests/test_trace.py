@@ -1,14 +1,17 @@
 """Tests for the tracing/telemetry module."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis.trace import WorldTracer
 from repro.apps import npb_model
 from repro.apps.base import ApplicationModel
+from repro.core.manager import HarpManager, ManagerConfig
 from repro.platform.dvfs import make_governor
 from repro.sim.engine import World
+from repro.sim.event import make_world
 from repro.sim.schedulers.cfs import CfsScheduler
 
 
@@ -113,3 +116,25 @@ class TestWorldTracer:
     def test_invalid_interval(self, intel):
         with pytest.raises(ValueError):
             WorldTracer(_world(intel), interval_s=0.0)
+
+    def test_tick_and_event_engines_trace_identically(self, intel):
+        # A seeded managed run with an idle gap the event engine leaps
+        # over: the tracer's wakeups put it on the same sample ticks, and
+        # it samples before the manager acts, on both engines.
+        traces = []
+        for engine in ("tick", "event"):
+            world = make_world(intel, CfsScheduler(), engine=engine, seed=3)
+            tracer = WorldTracer(world, interval_s=0.07)
+            manager = HarpManager(world, ManagerConfig(startup_delay_s=0.05))
+            for name, work in (("is.C", 40.0), ("ep.C", 60.0)):
+                model = replace(npb_model(name))
+                model.total_work = work
+                world.spawn(model, nthreads=2, managed=True)
+            world.run_until_all_finished()
+            world.run_for(2.0)
+            world.spawn(ApplicationModel(name="late", total_work=1.0), nthreads=2)
+            world.run_until_all_finished()
+            manager.shutdown()
+            traces.append(tracer.to_dict())
+        assert traces[0]["samples"]
+        assert traces[0] == traces[1]
