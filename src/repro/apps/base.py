@@ -131,21 +131,27 @@ class ApplicationModel:
     def steady_work_horizon(self, process: SimProcess) -> float | None:
         """Work units this model can absorb with behaviour guaranteed fixed.
 
-        The event engine's busy-stretch fast-forward evaluates ``perf``
-        once and replays its result over many ticks; that is only sound
-        while the model's response is a pure function of the (unchanged)
-        slots.  The contract:
+        Two consumers evaluate ``perf`` once and reuse its result on later
+        ticks, which is only sound while the model's response is a pure
+        function of the (unchanged) slots: the event engine's busy-stretch
+        fast-forward, and ``World.step()``'s tick-pattern memory on both
+        engines, which serves a tick from a remembered pattern only while
+        every placed model reports ``None``.  The contract:
 
         * ``None`` — ``perf`` and ``thread_demand`` depend only on the
           slots and on state that changes exclusively at event boundaries
           (knobs, activity flags).  The composite model and its subclasses
-          qualify: progress feeds back into nothing.
+          qualify: progress feeds back into nothing.  The pattern memory
+          keys on ``process.knobs`` and on the demand ``thread_demand``
+          reports, so such state must reach ``perf`` through one of
+          those two.
         * a positive float — behaviour is slot-pure until ``work_done``
           advances by this much (e.g. a phase boundary); leaps stop short
-          of it.
+          of it, and ``step()`` evaluates every tick afresh.
         * ``0.0`` — ``perf`` mutates model state every call (e.g. the RM
-          daemon burning its pending busy time); the engine never leaps
-          while such a process holds a slot.
+          daemon burning its pending busy time); the engine never leaps,
+          and ``step()`` never reuses a pattern, while such a process
+          holds a slot.
         """
         return None
 

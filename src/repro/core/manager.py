@@ -96,13 +96,15 @@ class RmDaemonModel(ApplicationModel):
         return min(1.0, self.pending_busy_s / self._tick_hint_s)
 
     def steady_work_horizon(self, process: SimProcess) -> float:
-        """Never leapable: ``perf`` burns pending busy time on every call.
+        """Never reusable: ``perf`` burns pending busy time on every call.
 
-        A zero horizon tells the event engine this model is stateful —
-        each tick the daemon runs changes its demand for the next one —
-        so busy stretches end whenever the daemon holds a slot.  (While
-        it is idle its demand is zero, it never gets placed, and leaps
-        proceed normally.)
+        A zero horizon marks this model as stateful — each tick the
+        daemon runs changes its demand for the next one — so the event
+        engine's busy stretches end whenever the daemon holds a slot, and
+        ``World.step()`` on both engines evaluates such a tick afresh
+        instead of serving it from its tick-pattern memory.  (While it is
+        idle its demand is zero, it never gets placed, and leaps and
+        pattern reuse proceed normally.)
         """
         return 0.0
 

@@ -14,6 +14,7 @@ time per core type.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
@@ -27,6 +28,14 @@ from repro.platform.sensors import EnergySensor
 from repro.platform.topology import Platform
 from repro.sim.perf import PerfCounters
 from repro.sim.process import SimProcess, SimThread, ThreadId, _decay_for
+
+
+#: Indices of the ``sim.pattern_cache{result}`` counters in
+#: :meth:`World._obs_hot`'s handle tuple.
+_PATTERN_HIT, _PATTERN_MISS, _PATTERN_UNCACHEABLE = 5, 6, 7
+
+#: The knobs snapshot of a process without knobs (shared, never mutated).
+_NO_KNOBS: dict = {}
 
 
 class ThreadSlot(NamedTuple):
@@ -139,8 +148,15 @@ class World:
         self._hw_ids = [t.thread_id for t in platform.hw_threads]
         self._n_hw_threads = platform.n_hw_threads
         self._core_by_id = {c.core_id: c for c in platform.cores}
+        # Two-entry placement memory, keyed by the scheduler's signature:
+        # ``_placement_sig``/``_placement_cache`` is the most recent entry,
+        # ``_placement_prev`` the one before it.  And the matching tick-
+        # pattern memory (:meth:`_remembered_pattern`), most recent first.
+        # Both are cleared whenever a process exits or is killed.
         self._placement_sig: tuple | None = None
         self._placement_cache: dict[ThreadId, int] = {}
+        self._placement_prev: tuple[tuple, dict[ThreadId, int]] | None = None
+        self._patterns: list[tuple] = []
         # Static per-core arrays for the power kernel (:meth:`_power_tick`);
         # hw threads are grouped by core so per-core reductions are
         # reduceat segments.
@@ -243,17 +259,10 @@ class World:
         self._runnable_stamp = -1
         for thread in process.threads:
             self._decaying.pop(thread.tid, None)
-        # A kill can race a placement-signature hit: eas opts out of the
-        # cache, and for the other schedulers the signature normally moves
-        # because the runnable set shrank — but a process whose demand was
-        # already ~0 (a blocked daemon) leaves the signature unchanged, so
-        # the cached placement would be served without revalidation.  Drop
-        # the cache whenever the dead process appears in it.
-        if self._placement_sig is not None and any(
-            tid.pid == pid for tid in self._placement_cache
-        ):
-            self._placement_sig = None
-            self._placement_cache = {}
+        # A kill can race a placement-signature hit: a process whose demand
+        # was already ~0 (a blocked daemon) leaves the signature unchanged,
+        # so a remembered placement would be served without revalidation.
+        self._clear_tick_memories()
         if OBS.enabled:
             OBS.event(
                 "process.crash" if silent else "process.kill",
@@ -350,57 +359,78 @@ class World:
                 OBS.histogram("sim.tick_seconds"),
                 OBS.counter("sim.placement_cache", result="hit"),
                 OBS.counter("sim.placement_cache", result="miss"),
+                OBS.counter("sim.pattern_cache", result="hit"),
+                OBS.counter("sim.pattern_cache", result="miss"),
+                OBS.counter("sim.pattern_cache", result="uncacheable"),
             )
         return handles
 
     # -- stepping ----------------------------------------------------------------
 
     def step(self) -> TickStats:
-        """Advance the world by one tick."""
+        """Advance the world by one tick.
+
+        The tick's slot/perf/power evaluation (:meth:`_evaluate_tick`)
+        yields a *pattern*: per placed process its ``rate·dt``, finish
+        fraction, instructions, CPU time and per-slot
+        ``(thread, activity·share, core_type, slot_time)``, plus the power
+        kernel's outputs.  Applying a pattern performs every float op of
+        the tick in one fixed order, so the world remembers its two most
+        recent cacheable patterns and re-applies one — without calling
+        ``perf()``, building slots or running the power kernel — while its
+        key repeats.  The key (:meth:`_remembered_pattern`) is:
+
+        * the placement, by identity: the placement memory hands out one
+          dict per scheduler signature (runnable threads, affinities);
+        * the frequency vector;
+        * per placed process: its CPU demand, its ``threads_revision``
+          (the identity of its ``SimThread`` objects) and a snapshot of
+          its ``knobs``.
+
+        A tick is evaluated afresh and not remembered when the scheduler
+        has no placement signature (EAS), when a placed model's
+        ``steady_work_horizon()`` is not ``None`` (phased models, the RM
+        daemon), or when a placed process finishes on it (its exact
+        ``finish_time_s`` comes from the fresh evaluation).  Both memories
+        are cleared whenever a process exits or is killed, so they never
+        retain finished processes.
+        """
         obs_on = OBS.enabled
         t0_wall = OBS.walltime() if obs_on else 0.0
         dt = self.tick_s
         self.runnable_pairs()  # refresh the per-tick demand snapshot
         placement = self._placement_for()
         freqs = self.governor.select_all(self._core_util)
+        pattern = self._remembered_pattern(placement, freqs)
+        if pattern is not None:
+            outcome = _PATTERN_HIT
+        else:
+            pattern, remembered = self._evaluate_tick(placement, freqs)
+            outcome = _PATTERN_MISS if remembered else _PATTERN_UNCACHEABLE
+        procs, (package_power, core_util, stat_busy, stat_energy, acc_ops) = (
+            pattern
+        )
 
-        busy_fraction: dict[int, float] = {}
-        app_busy_on_core: dict[int, dict[int, float]] = {}
         decaying = self._decaying
         just_finished: list[SimProcess] = []
-        for process, slots, slot_threads in self._placed_slots(placement, freqs):
-            perf = process.model.perf(slots, process)
-            frac = 1.0
-            remaining = process.remaining_work()
-            if perf.rate > 0 and perf.rate * dt >= remaining:
-                frac = remaining / (perf.rate * dt) if remaining > 0 else 0.0
+        for process, rate_dt, finish_frac, ips, cpu_time, slots in procs:
+            if finish_frac is None:
+                process.work_done += rate_dt
+            else:
                 process.work_done = process.model.total_work
                 process.finished = True
-                process.finish_time_s = self.time_s + dt * frac
-            else:
-                process.work_done += perf.rate * dt
-
-            cpu_time = 0.0
-            for slot, thread, activity in zip(slots, slot_threads, perf.activities):
-                used = activity * slot.share * frac
-                busy_fraction[slot.hw_thread_id] = (
-                    busy_fraction.get(slot.hw_thread_id, 0.0) + used
-                )
-                app_busy_on_core.setdefault(slot.core_id, {})
-                app_busy_on_core[slot.core_id][process.pid] = (
-                    app_busy_on_core[slot.core_id].get(process.pid, 0.0) + used
-                )
-                thread.update_utilization(activity * slot.share, dt)
+                process.finish_time_s = self.time_s + dt * finish_frac
+            cpu_by_type = process.cpu_time_by_type
+            for thread, act_share, core_type, slot_time in slots:
+                thread.update_utilization(act_share, dt)
                 if thread.utilization != 0.0:  # harplint: disable=HL003 -- exact fixed point, not a tolerance check
                     decaying[thread.tid] = thread
                 else:
                     decaying.pop(thread.tid, None)
-                slot_time = used * dt
-                cpu_time += slot_time
-                process.cpu_time_by_type[slot.core_type] = (
-                    process.cpu_time_by_type.get(slot.core_type, 0.0) + slot_time
+                cpu_by_type[core_type] = (
+                    cpu_by_type.get(core_type, 0.0) + slot_time
                 )
-            self.perf.accumulate(process.pid, perf.ips * frac, dt, cpu_time)
+            self.perf.accumulate(process.pid, ips, dt, cpu_time)
             if process.finished:
                 just_finished.append(process)
                 # A finished process's active_threads is empty: its PELT
@@ -433,20 +463,22 @@ class World:
                 for tid in drained:
                     del decaying[tid]
 
-        package_power, self._core_util, stat_busy, stat_energy, acc_ops = (
-            self._power_tick(busy_fraction, app_busy_on_core, freqs)
-        )
+        self._core_util = core_util
         for is_attr, container, key, inc in acc_ops:
             if is_attr:
                 setattr(container, key, getattr(container, key) + inc)
             else:
                 container[key] += inc
-        stats = TickStats(self.time_s, package_power, stat_busy, stat_energy)
+        stats = TickStats(
+            self.time_s, package_power, dict(stat_busy), dict(stat_energy)
+        )
         self.package_sensor.accumulate(package_power, dt)
         self.last_stats = stats
 
         # Completion notifications happen after accounting for the tick.
         self.tick_index += 1
+        if just_finished:
+            self._clear_tick_memories()
         for process in just_finished:
             self._running.pop(process.pid, None)
             self._awake.pop(process.pid, None)
@@ -466,7 +498,123 @@ class World:
             handles = self._obs_hot()
             handles[1].inc()
             handles[2].observe(OBS.walltime() - t0_wall)
+            handles[outcome].inc()
         return stats
+
+    def _evaluate_tick(
+        self, placement: dict[ThreadId, int], freqs: dict[int, float]
+    ) -> tuple[tuple, bool]:
+        """This tick's pattern, computed afresh; remembered when cacheable.
+
+        The one slot loop of :meth:`step`: each placed process's ``perf()``
+        response becomes its accumulator increments, and the per-slot
+        busy fractions feed the power kernel.  Nothing is mutated here
+        except what ``perf()`` itself mutates (a stateful model).  Returns
+        ``(pattern, remembered)``; see :meth:`step` for the pattern layout
+        and for which ticks are not remembered.
+        """
+        dt = self.tick_s
+        busy_fraction: dict[int, float] = {}
+        app_busy_on_core: dict[int, dict[int, float]] = {}
+        procs: list[tuple] = []
+        # Only a placement held by the placement memory can key a pattern.
+        keys: list[tuple] | None = (
+            [] if placement is self._placement_cache else None
+        )
+        placed = self._placed_slots(placement, freqs)
+        for process, slots, slot_threads in placed:
+            pid = process.pid
+            if (
+                keys is not None
+                and process.model.steady_work_horizon(process) is not None
+            ):
+                keys = None
+            perf = process.model.perf(slots, process)
+            rate_dt = perf.rate * dt
+            remaining = process.remaining_work()
+            frac = 1.0
+            finish_frac = None
+            if perf.rate > 0 and rate_dt >= remaining:
+                frac = finish_frac = (
+                    remaining / rate_dt if remaining > 0 else 0.0
+                )
+                keys = None
+            cpu_time = 0.0
+            slot_ops: list[tuple] = []
+            for slot, thread, activity in zip(
+                slots, slot_threads, perf.activities
+            ):
+                act_share = activity * slot.share
+                used = act_share * frac
+                busy_fraction[slot.hw_thread_id] = (
+                    busy_fraction.get(slot.hw_thread_id, 0.0) + used
+                )
+                core_mix = app_busy_on_core.setdefault(slot.core_id, {})
+                core_mix[pid] = core_mix.get(pid, 0.0) + used
+                slot_time = used * dt
+                cpu_time += slot_time
+                slot_ops.append((thread, act_share, slot.core_type, slot_time))
+            procs.append(
+                (process, rate_dt, finish_frac, perf.ips * frac, cpu_time,
+                 slot_ops)
+            )
+            if keys is not None:
+                knobs = process.knobs
+                keys.append(
+                    (
+                        process,
+                        self._proc_demand[pid],
+                        process.threads_revision,
+                        copy.deepcopy(knobs) if knobs else _NO_KNOBS,
+                        rate_dt if perf.rate > 0 else None,
+                    )
+                )
+        power = self._power_tick(busy_fraction, app_busy_on_core, freqs)
+        pattern = (procs, power)
+        if keys is None:
+            return pattern, False
+        entry = (placement, freqs, keys, pattern)
+        self._patterns = [entry] + self._patterns[:1]
+        return pattern, True
+
+    def _remembered_pattern(
+        self, placement: dict[ThreadId, int], freqs: dict[int, float]
+    ) -> tuple | None:
+        """A remembered pattern whose key this tick repeats, or ``None``.
+
+        A hit also requires that every placed model still reports no
+        work horizon and that no placed process would finish this tick.
+        The entry found becomes the most recent one.
+        """
+        patterns = self._patterns
+        proc_demand = self._proc_demand
+        for i, (e_placement, e_freqs, keys, pattern) in enumerate(patterns):
+            if e_placement is not placement or e_freqs != freqs:
+                continue
+            for process, demand, revision, knobs, work_step in keys:
+                if (
+                    proc_demand.get(process.pid) != demand
+                    or process.threads_revision != revision
+                    or process.knobs != knobs
+                ):
+                    break
+                if process.model.steady_work_horizon(process) is not None or (
+                    work_step is not None
+                    and work_step >= process.remaining_work()
+                ):
+                    return None
+            else:
+                if i:
+                    patterns.insert(0, patterns.pop(i))
+                return pattern
+        return None
+
+    def _clear_tick_memories(self) -> None:
+        """Drop the placement and pattern memories (a process exited)."""
+        self._placement_sig = None
+        self._placement_cache = {}
+        self._placement_prev = None
+        self._patterns = []
 
     def ticks_in(self, seconds: float) -> int:
         """Number of ticks covering ``seconds`` of sim time.
@@ -514,29 +662,51 @@ class World:
     # -- helpers -----------------------------------------------------------------
 
     def _placement_for(self) -> dict[ThreadId, int]:
-        """This tick's placement, reusing the last one when nothing changed.
+        """This tick's placement, reusing a remembered one when possible.
 
         Schedulers exposing a placement signature (a pure function of
-        runnable threads and affinity masks) are only invoked when that
-        signature changes — i.e. when the thread set or the HARP
-        allocation actually moved.  Cached placements were validated when
-        first computed.
+        runnable threads and affinity masks) are only invoked when the
+        signature matches neither of the two remembered placements — so a
+        world alternating between two thread sets (the RM daemon's
+        one-tick burns) stops re-placing.  Remembered placements were
+        validated when first computed.
         """
         if not self._running:
             return {}
         sig = self.scheduler.placement_signature(self)
-        if sig is not None and sig == self._placement_sig:
-            if OBS.enabled:
-                self._obs_hot()[3].inc()
-            return self._placement_cache
+        if sig is not None:
+            placement = self._remembered_placement(sig)
+            if placement is not None:
+                if OBS.enabled:
+                    self._obs_hot()[3].inc()
+                return placement
         placement = self.scheduler.place(self)
         self._validate_placement(placement)
         if sig is not None:
-            self._placement_sig = sig
-            self._placement_cache = placement
+            self._remember_placement(sig, placement)
         if OBS.enabled:
             self._obs_hot()[4].inc()
         return placement
+
+    def _remembered_placement(self, sig: tuple) -> dict[ThreadId, int] | None:
+        """The remembered placement for ``sig`` (made most recent), or None."""
+        if sig == self._placement_sig:
+            return self._placement_cache
+        prev = self._placement_prev
+        if prev is None or prev[0] != sig:
+            return None
+        self._placement_prev = (self._placement_sig, self._placement_cache)
+        self._placement_sig, self._placement_cache = prev
+        return self._placement_cache
+
+    def _remember_placement(
+        self, sig: tuple, placement: dict[ThreadId, int]
+    ) -> None:
+        """Make ``(sig, placement)`` the most recent placement entry."""
+        if self._placement_sig is not None:
+            self._placement_prev = (self._placement_sig, self._placement_cache)
+        self._placement_sig = sig
+        self._placement_cache = placement
 
     def _placed_slots(
         self, placement: dict[ThreadId, int], freqs: dict[int, float]
@@ -552,8 +722,7 @@ class World:
         the share.  Processes without a placed active thread are skipped.
 
         Lazy on purpose: the caller may stop early (the busy leap's
-        stateful-model screen) or mutate a process before the next one's
-        slots are built.
+        stateful-model screen).
         """
         threads_on_hw: dict[int, list[ThreadId]] = {}
         for tid, hw_id in placement.items():

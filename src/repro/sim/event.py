@@ -241,11 +241,10 @@ class EventWorld(World):
             sig = self.scheduler.placement_signature(self)
             if sig is None:
                 misses = n
-            elif sig == self._placement_sig:
+            elif self._remembered_placement(sig) is not None:
                 hits = n
             else:
-                self._placement_sig = sig
-                self._placement_cache = {}
+                self._remember_placement(sig, {})
                 misses, hits = 1, n - 1
 
         # PELT decay for every blocked thread still holding a nonzero
@@ -352,13 +351,13 @@ class EventWorld(World):
             if n < _MIN_BUSY_LEAP_TICKS:
                 return False
 
-        # The stretch placement.  Cache bookkeeping (signature update, obs
-        # hit/miss counters) is deferred until the leap commits, so a
-        # bailed probe leaves the world exactly as step() expects it.
-        pattern_hit = sig == self._placement_sig
-        if pattern_hit:
-            placement = self._placement_cache
-        else:
+        # The stretch placement.  A fresh one is remembered (and the obs
+        # hit/miss counters bumped) only when the leap commits; a bailed
+        # probe at most reorders the placement memory, which step() reads
+        # the same either way.
+        placement = self._remembered_placement(sig)
+        placement_hit = placement is not None
+        if not placement_hit:
             placement = sched.place(self)
             self._validate_placement(placement)
         if not placement:
@@ -515,15 +514,14 @@ class EventWorld(World):
         )
         self.tick_index += n
         self._core_util = core_util
-        if not pattern_hit:
-            self._placement_sig = sig
-            self._placement_cache = placement
+        if not placement_hit:
+            self._remember_placement(sig, placement)
 
         if obs_on:
             handles = self._obs_hot()
             handles[1].inc(n)
             handles[2].observe(OBS.walltime() - t0_wall)
-            if pattern_hit:
+            if placement_hit:
                 handles[3].inc(n)
             else:
                 handles[4].inc()

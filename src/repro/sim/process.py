@@ -111,6 +111,11 @@ class SimProcess:
     on_finish: list[Callable[["SimProcess"], None]] = field(default_factory=list)
     managed: bool = False
     daemon: bool = False
+    #: Bumped whenever ``threads`` gains or loses a ``SimThread``: a thread
+    #: list regrown to an earlier length holds new objects under the same
+    #: ids, and the engine's tick-pattern memory must not mistake it for
+    #: the list it recorded.
+    threads_revision: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.nthreads < 1:
@@ -135,6 +140,8 @@ class SimProcess:
         self.affinity = hw_threads
 
     def _sync_threads(self) -> None:
+        if len(self.threads) != self.nthreads:
+            self.threads_revision += 1
         while len(self.threads) < self.nthreads:
             idx = len(self.threads)
             self.threads.append(

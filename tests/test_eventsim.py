@@ -200,6 +200,23 @@ class TestObsBitIdentity:
             OBS.reset()
         assert observed == baseline
 
+    @pytest.mark.parametrize("engine", ["tick", "event"])
+    def test_obs_on_off_managed_with_pattern_memory(self, engine: str) -> None:
+        """The managed scenario, where ``step()`` serves most ticks from
+        its tick-pattern memory: obs on and off stay ``==``."""
+        baseline, _ = TestManagedParity()._run(engine)
+        OBS.reset()
+        OBS.enable()
+        try:
+            observed, _ = TestManagedParity()._run(engine)
+            hits = OBS.counter("sim.pattern_cache", result="hit").value
+            misses = OBS.counter("sim.pattern_cache", result="miss").value
+        finally:
+            OBS.disable()
+            OBS.reset()
+        assert observed == baseline
+        assert hits > 0 and misses > 0
+
     def test_obs_handles_survive_registry_reset(self) -> None:
         world, _ = _build_world(0, "tick")
         _spawn_mix(world, 0)

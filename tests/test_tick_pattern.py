@@ -1,0 +1,441 @@
+"""The tick-pattern and placement memories of ``World.step()``.
+
+``step()`` remembers its two most recent cacheable tick patterns and
+placements and re-applies one while its key repeats.  The claim is that
+this is invisible: every run here is compared with ``==`` against the
+same run with both memories forced to miss (the oracle), and each
+targeted case also checks that the memory was actually used, so a
+passing comparison is not vacuous.  Each targeted case guards one part
+of the pattern key or one bypass rule; dropping that part from
+``World._remembered_pattern`` makes the case fail.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import replace
+
+import pytest
+
+from repro.analysis.scenarios import make_platform, resolve_model
+from repro.apps.base import ApplicationModel
+from repro.apps.kpn import REPLICAS_KNOB, KpnApplicationModel, KpnStage
+from repro.apps.npb import npb_model
+from repro.core.manager import HarpManager, ManagerConfig
+from repro.ext.dvfs import FREQ_SCALE_KNOB, CappedGovernor, DvfsAwareManager
+from repro.ext.phases import Phase, PhasedApplicationModel
+from repro.fault import Fault, FaultKind, FaultPlan, SimFaultInjector
+from repro.fleet import FleetAppSpec, FleetSim
+from repro.libharp.adaptivity import SimProcessAdapter
+from repro.obs import OBS
+from repro.platform.dvfs import make_governor
+from repro.scenario.driver import TraceDriver
+from repro.scenario.generator import SessionPlan
+from repro.sim import CfsScheduler, PinnedScheduler, World
+from repro.sim.process import SimProcess
+
+from test_eventsim import _build_world, _fingerprint, _run_instance
+
+ENGINES = ("tick", "event")
+
+
+def _run(monkeypatch, scenario, cache: bool = True):
+    """Run ``scenario()`` with the memories on, or forced to miss.
+
+    Returns ``(result, served)``: ``served`` lists, for every tick served
+    from the pattern memory, its tick index and the processes whose
+    increments it applied.
+    """
+    served: list[tuple[int, list[SimProcess]]] = []
+    lookup = World._remembered_pattern
+
+    def remembered(self, placement, freqs):
+        if not cache:
+            return None
+        pattern = lookup(self, placement, freqs)
+        if pattern is not None:
+            served.append((self.tick_index, [proc[0] for proc in pattern[0]]))
+        return pattern
+
+    with monkeypatch.context() as m:
+        m.setattr(World, "_remembered_pattern", remembered)
+        if not cache:
+            m.setattr(World, "_remembered_placement", lambda self, sig: None)
+        result = scenario()
+    return result, served
+
+
+def _assert_oracle(monkeypatch, scenario) -> list[tuple[int, list[SimProcess]]]:
+    """Cache-on result ``==`` cache-off result; returns the served ticks."""
+    on, served = _run(monkeypatch, scenario)
+    off, _ = _run(monkeypatch, scenario, cache=False)
+    assert on == off
+    return served
+
+
+# -- cache-off oracle over the parity scenarios ----------------------------------
+
+
+class TestCacheOffOracle:
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("seed", range(20))
+    def test_property_suite(self, monkeypatch, seed: int, engine: str) -> None:
+        _assert_oracle(monkeypatch, lambda: _run_instance(seed, engine))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_managed_scenario(self, monkeypatch, engine: str) -> None:
+        def scenario():
+            world, exit_order = _build_world(4, engine)  # cfs / intel
+            manager = HarpManager(
+                world, config=ManagerConfig(epoch_window_s=0.02)
+            )
+            for i, app in enumerate(["ep.C", "is.C"]):
+                model = replace(resolve_model(app))
+                model.total_work = 1.0 + i
+                world.spawn(model, nthreads=2, managed=True)
+            world.run_for(6.0)
+            epochs = manager.allocation_epochs
+            manager.shutdown()
+            return _fingerprint(world, exit_order), epochs
+
+        served = _assert_oracle(monkeypatch, scenario)
+        assert served
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_fault_replay(self, monkeypatch, engine: str) -> None:
+        def scenario():
+            world, exit_order = _build_world(4, engine)
+            manager = HarpManager(
+                world, config=ManagerConfig(epoch_window_s=0.02)
+            )
+            plan = FaultPlan(
+                [Fault(at_s=0.5, kind=FaultKind.APP_CRASH, target="ep.C")]
+            )
+            injector = SimFaultInjector(world, manager, plan)
+            for app in ("ep.C", "is.C"):
+                model = replace(resolve_model(app))
+                model.total_work = 1.5
+                world.spawn(model, nthreads=2, managed=True)
+            world.run_for(4.0)
+            assert injector.done()
+            fp = _fingerprint(world, exit_order)
+            fp["fault_log"] = [
+                (rec["at_s"], rec["kind"], rec["applied"]) for rec in injector.log
+            ]
+            manager.shutdown()
+            return fp
+
+        assert _assert_oracle(monkeypatch, scenario)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_fleet_8_nodes(self, monkeypatch, engine: str) -> None:
+        def scenario():
+            apps = [
+                FleetAppSpec(
+                    app_id=f"app-{i}",
+                    model="npb:ep.C" if i % 2 == 0 else "npb:is.C",
+                    nthreads=1 + i % 3,
+                    work_scale=0.05,
+                )
+                for i in range(12)
+            ]
+            fleet = FleetSim(
+                n_nodes=8,
+                apps=apps,
+                engine=engine,
+                seed=13,
+                manager_config=ManagerConfig(epoch_window_s=0.05),
+            )
+            fleet.run_until_done(max_epochs=300)
+            assert fleet.coordinator.all_finished()
+            worlds = {
+                node_id: (
+                    node.world.total_energy_j(),
+                    dict(node.world.energy_by_type_j),
+                    node.world.tick_index,
+                )
+                for node_id, node in fleet.nodes.items()
+            }
+            return json.dumps(fleet.results(), sort_keys=True), worlds
+
+        assert _assert_oracle(monkeypatch, scenario)
+
+
+# -- targeted key and bypass cases (tick engine: every tick is a step) -------------
+
+
+def _intel_world(scheduler=None, governor=None) -> World:
+    platform = make_platform("intel")
+    return World(
+        platform, scheduler or PinnedScheduler(), governor=governor, seed=3
+    )
+
+
+def _ep(total_work: float = 50.0) -> ApplicationModel:
+    model = replace(resolve_model("ep.C"))
+    model.total_work = total_work
+    return model
+
+
+def _hw_of_type(world: World, core_type: str) -> list[int]:
+    return [
+        t.thread_id
+        for c in world.platform.cores_of_type(core_type)
+        for t in c.hw_threads
+    ]
+
+
+class TestPatternKey:
+    def test_kpn_replicas_knob_change(self, monkeypatch) -> None:
+        """Guards the knobs: same threads, placement and frequencies,
+        but the replicas knob moves the slot→stage mapping."""
+
+        def scenario():
+            world = _intel_world()
+            model = KpnApplicationModel(
+                name="two-stage",
+                total_work=1e4,
+                serial_fraction=0.0,
+                stages=[
+                    KpnStage("source", weight=0.05),
+                    KpnStage("a", weight=1.0, parallel=True, replicas=2),
+                    KpnStage("b", weight=0.2, parallel=True, replicas=2),
+                    KpnStage("sink", weight=0.05),
+                ],
+            )
+            process = world.spawn(model, nthreads=model.topology_size())
+            adapter = SimProcessAdapter(process)
+            hw = _hw_of_type(world, "P")[:6]
+            adapter.apply_allocation(6, {REPLICAS_KNOB: {"a": 2, "b": 2}}, hw)
+            world.run_for(0.3)
+            adapter.apply_allocation(6, {REPLICAS_KNOB: {"a": 3, "b": 1}}, hw)
+            assert process.nthreads == 6
+            world.run_for(0.3)
+            return _fingerprint(world, [])
+
+        assert _assert_oracle(monkeypatch, scenario)
+
+    def test_set_nthreads_shrink_then_regrow(self, monkeypatch) -> None:
+        """Guards the thread identity: the regrown list reuses thread ids
+        (and so the placement) but holds new ``SimThread`` objects."""
+
+        def scenario():
+            world = _intel_world(CfsScheduler())
+            process = world.spawn(_ep(), nthreads=4)
+            world.run_for(0.2)
+            process.set_nthreads(2)
+            world.run_for(0.1)
+            process.set_nthreads(4)
+            world.run_for(0.2)
+            return _fingerprint(world, [])
+
+        served = _assert_oracle(monkeypatch, scenario)
+        assert len(served) > 20
+
+    def test_affinity_change(self, monkeypatch) -> None:
+        """Guards the placement: same threads, demands and frequencies,
+        but the process moves from P-cores to E-cores and back."""
+
+        def scenario():
+            world = _intel_world()
+            process = world.spawn(_ep(), nthreads=4)
+            p_cores = frozenset(_hw_of_type(world, "P")[:4])
+            e_cores = frozenset(_hw_of_type(world, "E")[:4])
+            for affinity in (p_cores, e_cores, p_cores, e_cores):
+                process.set_affinity(affinity)
+                world.run_for(0.15)
+            return _fingerprint(world, [])
+
+        assert _assert_oracle(monkeypatch, scenario)
+
+    def test_demand_change(self, monkeypatch) -> None:
+        """Guards the demands: two processes share one hardware thread,
+        and one's demand drops without changing the runnable set."""
+
+        class Throttled(ApplicationModel):
+            demand = 1.0
+
+            def thread_demand(self, process: SimProcess) -> float:
+                return self.demand
+
+        def scenario():
+            world = _intel_world()
+            shared = frozenset({0})
+            throttled = Throttled(name="throttled", total_work=1e4)
+            world.spawn(throttled, nthreads=1, affinity=shared)
+            world.spawn(_ep(), nthreads=1, affinity=shared)
+            world.run_for(0.2)
+            throttled.demand = 0.5
+            world.run_for(0.2)
+            return _fingerprint(world, [])
+
+        assert _assert_oracle(monkeypatch, scenario)
+
+    def test_dvfs_frequency_cap(self, monkeypatch) -> None:
+        """Guards the frequency vector: ``DvfsAwareManager`` caps the
+        allocated cores through a ``CappedGovernor`` on activation, and
+        the cap then moves mid-stretch with the placement unchanged."""
+
+        def scenario():
+            platform = make_platform("intel")
+            governor = CappedGovernor(make_governor("performance", platform))
+            world = World(platform, PinnedScheduler(), governor=governor, seed=0)
+            points = [
+                {"erv": [0, 0, 16], "utility": 6.0, "power": 40.0,
+                 "knobs": {FREQ_SCALE_KNOB: 0.7}, "measured": True,
+                 "samples": 1},
+            ]
+            config = ManagerConfig(explore=False, startup_delay_s=0.02)
+            manager = DvfsAwareManager(
+                world, config, offline_tables={"mg.C": points}
+            )
+            model = npb_model("mg.C")
+            model.total_work = 20.0
+            world.spawn(model, managed=True)
+            world.run_for(1.0)
+            capped = sorted(
+                c.core_id for c in platform.cores
+                if governor.cap_of(c.core_id) < 1.0
+            )
+            assert capped
+            for core_id in capped:
+                governor.set_cap(core_id, 0.85)
+            world.run_for(0.5)
+            manager.shutdown()
+            return _fingerprint(world, []), capped
+
+        assert _assert_oracle(monkeypatch, scenario)
+
+
+class TestPatternBypass:
+    def test_phased_model_never_served(self, monkeypatch) -> None:
+        def scenario():
+            world = _intel_world(CfsScheduler())
+            phased = PhasedApplicationModel(
+                name="phased",
+                total_work=6.0,
+                phases=[
+                    Phase(0.3, power_intensity=0.7, ips_per_work=8e8),
+                    Phase(0.5, power_intensity=1.4, mem_bw_cap=5.0),
+                    Phase(0.2, power_intensity=1.0),
+                ],
+            )
+            world.spawn(phased, nthreads=4)
+            world.spawn(_ep(), nthreads=2)
+            world.run_for(1.5)
+            return _fingerprint(world, [])
+
+        served = _assert_oracle(monkeypatch, scenario)
+        assert not any(
+            p.model.name == "phased" for _, procs in served for p in procs
+        )
+
+    def test_rm_daemon_never_served(self, monkeypatch) -> None:
+        def scenario():
+            world, exit_order = _build_world(4, "tick")
+            manager = HarpManager(
+                world, config=ManagerConfig(epoch_window_s=0.02)
+            )
+            for app in ("ep.C", "is.C"):
+                model = replace(resolve_model(app))
+                model.total_work = 2.0
+                world.spawn(model, nthreads=2, managed=True)
+            world.run_for(3.0)
+            manager.shutdown()
+            return _fingerprint(world, exit_order)
+
+        served = _assert_oracle(monkeypatch, scenario)
+        assert served
+        assert not any(p.daemon for _, procs in served for p in procs)
+
+    def test_completion_inside_repeated_stretch(self, monkeypatch) -> None:
+        def scenario():
+            world = _intel_world(CfsScheduler())
+            short = world.spawn(_ep(total_work=1.3), nthreads=2)
+            world.spawn(_ep(), nthreads=2)
+            finish_ticks: list[int] = []
+            short.on_finish.append(
+                lambda p: finish_ticks.append(world.tick_index - 1)
+            )
+            world.run_for(1.0)
+            return _fingerprint(world, []), finish_ticks
+
+        on, served = _run(monkeypatch, scenario)
+        off, _ = _run(monkeypatch, scenario, cache=False)
+        assert on == off
+        fingerprint, (finish_tick,) = on
+        served_ticks = {tick for tick, _ in served}
+        # The stretch repeated right up to the completion tick, which was
+        # evaluated afresh for its fractional finish time.
+        assert {finish_tick - 2, finish_tick - 1} <= served_ticks
+        assert finish_tick not in served_ticks
+        finish_time = next(
+            finish for pid, finish, _, _ in fingerprint["finish"] if pid == 1
+        )
+        assert finish_tick * 0.01 < finish_time < (finish_tick + 1) * 0.01
+
+    def test_trace_driver_activity_flip(self, monkeypatch) -> None:
+        def scenario():
+            world = _intel_world(CfsScheduler())
+            trace = [
+                SessionPlan(0.0, "ep.C", 2, 0.5, phases=[(0.07, 0.05)]),
+                SessionPlan(0.02, "is.C", 2, 0.5, phases=[(0.11, 0.03)]),
+                SessionPlan(0.05, "cg.C", 1, 0.5),
+            ]
+            driver = TraceDriver(world, trace)
+            world.run_for(1.5)
+            return _fingerprint(world, []), driver.summary()
+
+        served = _assert_oracle(monkeypatch, scenario)
+        assert served
+
+
+class TestMemoryHygiene:
+    def test_exit_and_kill_clear_both_memories(self) -> None:
+        world = _intel_world(CfsScheduler())
+        short = world.spawn(_ep(total_work=0.5), nthreads=2)
+        victim = world.spawn(_ep(), nthreads=2)
+        world.spawn(_ep(), nthreads=2)
+        at_exit = []
+        short.on_finish.append(
+            lambda p: at_exit.append(
+                (world._patterns, world._placement_sig, world._placement_prev)
+            )
+        )
+        world.run_for(0.1)
+        assert world._patterns and world._placement_sig is not None
+        world.run_for(1.0)
+        assert short.finished and not victim.finished
+        assert at_exit == [([], None, None)]
+        assert world._patterns
+        world.kill(victim.pid)
+        assert world._patterns == [] and world._placement_sig is None
+        assert world._placement_prev is None
+
+    def test_at_most_two_entries(self) -> None:
+        world = _intel_world()
+        process = world.spawn(_ep(), nthreads=2)
+        for hw in (0, 2, 4, 6):
+            process.set_affinity(frozenset({hw, hw + 1}))
+            world.run_for(0.05)
+            assert len(world._patterns) <= 2
+
+    def test_obs_counters(self) -> None:
+        OBS.reset()
+        OBS.enable()
+        try:
+            world = _intel_world(CfsScheduler())
+            world.spawn(_ep(total_work=0.5), nthreads=2)
+            world.spawn(_ep(), nthreads=2)
+            world.run_for(1.0)
+            hits = OBS.counter("sim.pattern_cache", result="hit").value
+            misses = OBS.counter("sim.pattern_cache", result="miss").value
+            uncacheable = OBS.counter(
+                "sim.pattern_cache", result="uncacheable"
+            ).value
+        finally:
+            OBS.disable()
+            OBS.reset()
+        assert hits + misses + uncacheable == world.tick_index
+        assert hits > 0 and misses > 0
+        assert uncacheable >= 1  # the completion tick
