@@ -61,6 +61,7 @@ from __future__ import annotations
 import logging
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,6 +146,42 @@ class AllocatorStats:
     def reset(self) -> None:
         for name in vars(self):
             setattr(self, name, 0)
+
+
+def _dominated_points(
+    costs: np.ndarray, cores: np.ndarray, groups: np.ndarray
+) -> np.ndarray:
+    """``dominated_mask`` of the (cost, cores) rows, solved on group minima.
+
+    ``groups`` labels rows with equal ``cores``.  A row costing more than
+    its group's cheapest is dominated by that cheapest row; a row at the
+    minimum is dominated exactly when another group's minimum dominates
+    it, so the front extraction runs on one row per distinct core vector
+    (ties kept) instead of on every point.  A NaN cost is neither at nor
+    above the minimum, so such a row stays unmarked, as in the full check.
+    """
+    low = np.full(int(groups.max()) + 1, np.inf)
+    np.fmin.at(low, groups, costs)
+    floor = low[groups]
+    dominated = costs > floor
+    best = np.flatnonzero(costs == floor)
+    dominated[best] = dominated_mask(
+        np.column_stack([costs[best], cores[best]])
+    )
+    return dominated
+
+
+class _RequestKey(NamedTuple):
+    """One request by value (see :meth:`LagrangianAllocator._request_key`)."""
+
+    pid: int
+    mandatory: bool
+    max_utility: float
+    hysteresis: float
+    preferred_row: int  # -1: no current configuration
+    rows: bytes  # intp ErvIndex row per point
+    utility: bytes  # float64 per point
+    power: bytes  # float64 per point
 
 
 class _Problem:
@@ -448,21 +485,31 @@ class LagrangianAllocator:
 
     # -- memoization -----------------------------------------------------------------
 
-    @staticmethod
-    def _request_key(req: AllocationRequest) -> tuple:
+    def _request_key(self, req: AllocationRequest) -> "_RequestKey":
         """A by-value hash of everything one request contributes to a solve.
 
-        Point characteristics are captured by value, so a table whose
-        points mutate in place (EMA updates, regression refreshes) changes
-        the key and invalidates any memoized solve or cached row.
+        Points enter as their rows in the layout's :class:`ErvIndex` plus
+        their utility and power, copied into bytes when the key is made:
+        a table whose points mutate in place (EMA updates, regression
+        refreshes) changes the key and invalidates any memoized solve or
+        cached row.  Bytes cache their hash and compare as one block, so
+        a memo or row-cache lookup costs no per-point work.
         """
-        return (
+        points = req.points
+        index = self.layout.index()
+        rows = index.rows([p.erv for p in points])
+        preferred = (
+            -1 if req.preferred_erv is None else index.row(req.preferred_erv)
+        )
+        return _RequestKey(
             req.pid,
             req.mandatory,
             req.max_utility,
             req.hysteresis,
-            req.preferred_erv.counts if req.preferred_erv is not None else None,
-            tuple((p.erv.counts, p.utility, p.power) for p in req.points),
+            preferred,
+            rows.tobytes(),
+            np.array([p.utility for p in points], dtype=float).tobytes(),
+            np.array([p.power for p in points], dtype=float).tobytes(),
         )
 
     def _cache_get(self, key: tuple) -> tuple | None:
@@ -512,26 +559,13 @@ class LagrangianAllocator:
 
     # -- problem construction (padding + pruning) ---------------------------------------
 
-    def _costs_of(
-        self, req: AllocationRequest, counts_mat: np.ndarray
-    ) -> np.ndarray:
-        costs = batch_costs(
-            [p.power for p in req.points],
-            [p.utility for p in req.points],
-            req.max_utility,
-        )
-        if req.preferred_erv is not None:
-            pref = req.preferred_erv.counts
-            if len(pref) == counts_mat.shape[1]:
-                match = np.all(counts_mat == np.asarray(pref), axis=1)
-                costs[match] *= req.hysteresis
-        return costs
-
     def _request_rows(
-        self, req: AllocationRequest, req_key: tuple
+        self, req: AllocationRequest, req_key: "_RequestKey"
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One application's (cost vector, resource matrix, kept indices).
 
+        Built from the key's index rows and values: costs through
+        ``batch_costs``, the resource matrix as rows of ``ErvIndex.cores``.
         Memoized by request value: consecutive epochs re-solve with mostly
         unchanged tables, so the padding/pruning work is paid once per
         distinct request instead of once per solve.
@@ -541,18 +575,24 @@ class LagrangianAllocator:
             self._row_cache.move_to_end(req_key)
             self.stats.row_cache_hits += 1
             return cached
-        # counts @ projection == stacked core_vector()s, without the
-        # per-point Python that used to dominate problem construction.
-        proj = self.layout.type_projection()
-        counts_mat = np.array([p.erv.counts for p in req.points], dtype=float)
-        cost_vec = self._costs_of(req, counts_mat)
-        res_mat = counts_mat @ proj
-        keep = np.arange(len(req.points))
-        if not req.mandatory and len(req.points) > 1:
+        rows = np.frombuffer(req_key.rows, dtype=np.intp)
+        cost_vec = batch_costs(
+            np.frombuffer(req_key.power),
+            np.frombuffer(req_key.utility),
+            req.max_utility,
+        )
+        if req_key.preferred_row >= 0:
+            cost_vec[rows == req_key.preferred_row] *= req.hysteresis
+        index = self.layout.index()
+        res_mat = index.cores[rows]
+        keep = np.arange(len(rows))
+        if not req.mandatory and len(rows) > 1:
             # Hysteresis is applied before pruning, so a discounted
             # current point survives exactly when the solver could
             # still pick it.
-            dominated = dominated_mask(np.column_stack([cost_vec, res_mat]))
+            dominated = _dominated_points(
+                cost_vec, res_mat, index.core_group[rows]
+            )
             if dominated.any():
                 keep = np.flatnonzero(~dominated)
                 self.stats.points_pruned += int(dominated.sum())

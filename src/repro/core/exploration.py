@@ -101,7 +101,9 @@ class ExplorationPlanner:
         measured = table.measured_points()
         if len(measured) < 2:
             return None
-        x = np.array([p.erv.as_array() for p in measured])
+        index = self.layout.index()
+        rows = index.rows([p.erv for p in measured])
+        x = index.counts[rows]
         y_u = np.array([p.utility for p in measured])
         y_p = np.array([p.power for p in measured])
         if anchor_zero:
@@ -126,42 +128,72 @@ class ExplorationPlanner:
         candidates: list[ExtendedResourceVector],
     ) -> ExtendedResourceVector | None:
         """The next configuration to measure, or None when exhausted."""
-        measured_ervs = {p.erv for p in table.measured_points()}
-        unmeasured = [c for c in candidates if c not in measured_ervs]
-        if not unmeasured:
+        index = self.layout.index()
+        cand_rows = index.rows(candidates)
+        measured_rows = self._measured_rows(table)
+        keep = self._unmeasured(cand_rows, measured_rows)
+        if not len(keep):
             return None
+        unmeasured = [candidates[i] for i in keep.tolist()]
+        rows = cand_rows[keep]
         stage = self.stage_of(table)
         if OBS.enabled:
             OBS.counter("exploration.points_planned", stage=stage.value).inc()
         if stage is MaturityStage.INITIAL:
-            return self._furthest_point(measured_ervs, unmeasured)
-        return self._refinement_point(table, unmeasured)
+            return self._furthest_point(measured_rows, unmeasured, rows)
+        return self._refinement_point(table, unmeasured, rows)
+
+    def _measured_rows(self, table: OperatingPointTable) -> np.ndarray:
+        """ErvIndex rows of the table's measured points, in table order."""
+        return self.layout.index().rows(
+            [p.erv for p in table.measured_points()]
+        )
+
+    def _unmeasured(
+        self, cand_rows: np.ndarray, measured_rows: np.ndarray
+    ) -> np.ndarray:
+        """Positions in ``cand_rows`` whose row is not in ``measured_rows``."""
+        measured = np.zeros(len(self.layout.index().counts), dtype=bool)
+        measured[measured_rows] = True
+        return np.flatnonzero(~measured[cand_rows])
 
     def _furthest_point(
         self,
-        measured: set[ExtendedResourceVector],
+        measured_rows: np.ndarray,
         candidates: list[ExtendedResourceVector],
+        rows: np.ndarray,
     ) -> ExtendedResourceVector:
-        if not measured:
+        """The candidate furthest from every measured point.
+
+        Ties on the distance go to the largest counts tuple.  ERV counts
+        are small integers, so the squared distances are exact and rank
+        the candidates exactly as the Euclidean distances do.
+        """
+        if not len(measured_rows):
             # Nothing measured yet: start from the largest allocation, the
             # most informative corner of the space.
             return max(candidates, key=lambda c: (c.total_threads(), c.counts))
-        def min_dist(candidate: ExtendedResourceVector) -> float:
-            return min(candidate.distance(m) for m in measured)
-        return max(candidates, key=lambda c: (min_dist(c), c.counts))
+        counts = self.layout.index().counts
+        diff = counts[rows][:, None, :] - counts[measured_rows][None, :, :]
+        nearest = (diff * diff).sum(axis=2).min(axis=1)
+        tied = np.flatnonzero(nearest == nearest.max())
+        return max(
+            (candidates[i] for i in tied.tolist()), key=lambda c: c.counts
+        )
 
     def _refinement_point(
         self,
         table: OperatingPointTable,
         candidates: list[ExtendedResourceVector],
+        rows: np.ndarray,
     ) -> ExtendedResourceVector:
         primary = self.fit_models(table, anchor_zero=False)
         if primary is None:
             return self._furthest_point(
-                {p.erv for p in table.measured_points()}, candidates
+                self._measured_rows(table), candidates, rows
             )
         model_u, model_p = primary
-        x = np.array([c.as_array() for c in candidates])
+        x = self.layout.index().counts[rows]
         pred_u = model_u.predict(x)
         pred_p = model_p.predict(x)
 
@@ -209,11 +241,12 @@ class ExplorationPlanner:
             return 0
         model_u, model_p = models
         measured = table.measured_points()
-        measured_ervs = {p.erv for p in measured}
-        missing = [c for c in candidates if c not in measured_ervs]
-        if not missing:
+        index = self.layout.index()
+        cand_rows = index.rows(candidates)
+        missing = self._unmeasured(cand_rows, self._measured_rows(table))
+        if not len(missing):
             return 0
-        x = np.array([c.as_array() for c in missing])
+        x = index.counts[cand_rows[missing]]
         pred_u = np.maximum(0.0, model_u.predict(x))
         pred_p = np.maximum(0.0, model_p.predict(x))
         # Polynomial extrapolation far outside the measured region can
@@ -227,8 +260,10 @@ class ExplorationPlanner:
             pred_u = np.minimum(pred_u, max(utilities))
         if powers:
             pred_p = np.clip(pred_p, 0.5 * min(powers), 1.5 * max(powers))
-        for erv, utility, power in zip(missing, pred_u, pred_p):
-            point = table.get_or_create(erv)
+        for i, utility, power in zip(
+            missing.tolist(), pred_u.tolist(), pred_p.tolist()
+        ):
+            point = table.get_or_create(candidates[i])
             if not point.measured:
                 point.set_predicted(utility, power)
         if OBS.enabled:

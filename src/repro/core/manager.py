@@ -19,6 +19,8 @@ import contextlib
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.allocator import (
     AllocationRequest,
     AllocationResult,
@@ -228,7 +230,7 @@ class HarpManager:
         # On small platforms the whole coarse-grained space may hold fewer
         # configurations than the stable threshold; exploration is done
         # once everything reachable has been measured.
-        space_size = len(self.layout.enumerate_all())
+        space_size = self.layout.space_size()
         self.planner = ExplorationPlanner(
             self.layout,
             stable_after=min(self.config.stable_after, space_size),
@@ -246,7 +248,6 @@ class HarpManager:
         # (world seconds), for the §6.5 learning analysis.
         self.stable_at_s: dict[str, float] = {}
         self.allocation_epochs = 0
-        self._all_ervs = self.layout.enumerate_all()
         # Deadlines are ticks, converted once from seconds by world.ticks_in.
         self._next_sample_tick = 0
         # Batched-epoch state: the tick the pending epoch is due (None = no
@@ -674,14 +675,10 @@ class HarpManager:
                 # Complete the table with regression approximations for
                 # not-yet-explored configurations (§5, challenge 2).  In
                 # offline mode the description table is authoritative.
-                self.planner.predict_missing(session.table, self._all_ervs)
-            points = [
-                p
-                for p in session.table
-                if not p.erv.is_empty()
-                and p.erv.fits(capacity)
-                and (p.measured or p.utility > 0)
-            ]
+                self.planner.predict_missing(
+                    session.table, self.layout.index().ervs
+                )
+            points = self._allocatable_points(session.table, capacity)
             if not points:
                 points = [OperatingPoint(erv=fair_erv, utility=1.0, power=1.0)]
             requests.append(
@@ -747,6 +744,33 @@ class HarpManager:
         return result
 
     # -- helpers ------------------------------------------------------------------------
+
+    def _allocatable_points(
+        self, table: OperatingPointTable, capacity: list[int]
+    ) -> list[OperatingPoint]:
+        """The table's points the allocator may select, in table order:
+        non-empty, within ``capacity``, and measured or predicted useful."""
+        rows = table.index_rows()
+        cores = table.layout.index().cores[rows]
+        points = table.points
+        useful = np.fromiter(
+            (p.measured or p.utility > 0 for p in points),
+            dtype=bool, count=len(points),
+        )
+        keep = (
+            useful
+            & (cores.sum(axis=1) > 0)
+            & np.all(cores <= capacity, axis=1)
+        )
+        return [points[i] for i in np.flatnonzero(keep).tolist()]
+
+    def _exploration_candidates(
+        self, capacity: list[int]
+    ) -> list[ExtendedResourceVector]:
+        """Every ERV of the space within ``capacity``, in index order."""
+        index = self.layout.index()
+        fits = np.all(index.cores[: len(index)] <= capacity, axis=1)
+        return [index.ervs[i] for i in np.flatnonzero(fits).tolist()]
 
     def _fair_share_erv(self, n_sessions: int) -> ExtendedResourceVector:
         """An even split of the machine used while exploring (§5.3)."""
@@ -849,18 +873,18 @@ class HarpManager:
         capacity_vec = [
             region_cap.get(ct.name, 0) for ct in self.world.platform.core_types
         ]
-        candidates = [
-            erv
-            for erv in self._all_ervs
-            if all(u <= c for u, c in zip(erv.core_vector(), capacity_vec))
-        ]
+        candidates = self._exploration_candidates(capacity_vec)
         if not candidates:
             session.current_erv = None
             return
+        # The candidates are the whole space within the region, and the
+        # region never exceeds the platform: membership is this test.
+        current = session.current_erv
         keep_current = (
-            session.current_erv is not None
+            current is not None
             and session.samples_at_current < self.config.measurements_per_point
-            and session.current_erv in set(candidates)
+            and not current.is_empty()
+            and current.fits(capacity_vec)
         )
         if keep_current:
             erv = session.current_erv

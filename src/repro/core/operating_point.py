@@ -59,6 +59,12 @@ class OperatingPoint:
     knobs: dict[str, object] = field(default_factory=dict)
     measured: bool = False
     samples: int = 0
+    # Tables holding this point: they cache their measured points, so a
+    # flip of ``measured`` — even through a direct record_sample() on the
+    # point — must reach each of them.
+    _tables: list["OperatingPointTable"] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     @property
     def is_fine_grained(self) -> bool:
@@ -76,7 +82,8 @@ class OperatingPoint:
         """
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.samples == 0 or not self.measured:
+        newly_measured = not self.measured
+        if self.samples == 0 or newly_measured:
             self.utility = utility
             self.power = power
         else:
@@ -84,6 +91,12 @@ class OperatingPoint:
             self.power += alpha * (power - self.power)
         self.measured = True
         self.samples += 1
+        if newly_measured:
+            self._measured_changed()
+
+    def _measured_changed(self) -> None:
+        for table in self._tables:
+            table._measured = None
 
     def set_predicted(self, utility: float, power: float) -> None:
         """Overwrite characteristics with regression predictions (§5.2).
@@ -140,6 +153,12 @@ class OperatingPointTable:
         self._points: list[OperatingPoint] = []
         self._by_erv: dict[ExtendedResourceVector, OperatingPoint] = {}
         self.stage = MaturityStage.INITIAL
+        # The measured points in table order; None when a point's
+        # ``measured`` flag changed since the last scan.
+        self._measured: list[OperatingPoint] | None = []
+        # Each point's row in the layout's ErvIndex, extended as points
+        # are appended (points are never removed or re-bound to an ERV).
+        self._rows: np.ndarray = np.empty(0, dtype=np.intp)
 
     def __len__(self) -> int:
         return len(self._points)
@@ -155,15 +174,24 @@ class OperatingPointTable:
         """Insert a point; coarse points merge into any existing ERV entry."""
         if not point.is_fine_grained and point.erv in self._by_erv:
             existing = self._by_erv[point.erv]
+            flipped = existing.measured != point.measured
             existing.utility = point.utility
             existing.power = point.power
             existing.measured = point.measured
             existing.samples = max(existing.samples, point.samples)
+            if flipped:
+                existing._measured_changed()
             return existing
-        self._points.append(point)
+        self._append(point)
         if not point.is_fine_grained:
             self._by_erv[point.erv] = point
         return point
+
+    def _append(self, point: OperatingPoint) -> None:
+        self._points.append(point)
+        point._tables.append(self)
+        if point.measured:
+            self._measured = None
 
     def get(self, erv: ExtendedResourceVector) -> OperatingPoint | None:
         """Look up the coarse-grained point for an ERV."""
@@ -174,17 +202,35 @@ class OperatingPointTable:
         point = self._by_erv.get(erv)
         if point is None:
             point = OperatingPoint(erv=erv)
-            self._points.append(point)
+            self._append(point)
             self._by_erv[erv] = point
         return point
 
+    def _measured_list(self) -> list[OperatingPoint]:
+        if self._measured is None:
+            self._measured = [p for p in self._points if p.measured]
+        return self._measured
+
     def measured_points(self) -> list[OperatingPoint]:
         """Points whose characteristics come from actual measurements."""
-        return [p for p in self._points if p.measured]
+        return list(self._measured_list())
 
     def measured_count(self) -> int:
         """Number of measured points (the §5.3 maturity criterion)."""
-        return len(self.measured_points())
+        return len(self._measured_list())
+
+    def index_rows(self) -> np.ndarray:
+        """Each point's row in ``layout.index()``, in table order.
+
+        The returned array is the table's own cache: do not write to it.
+        """
+        done = len(self._rows)
+        if done < len(self._points):
+            tail = self.layout.index().rows(
+                [p.erv for p in self._points[done:]]
+            )
+            self._rows = np.concatenate([self._rows, tail])
+        return self._rows
 
     def max_utility(self) -> float:
         """The normalizer v_max (Eq. 2)."""

@@ -14,7 +14,9 @@ platform order, one component per occupancy level 1..smt.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -43,16 +45,35 @@ class ErvLayout:
             (c.core_type, c.threads_used): i
             for i, c in enumerate(self.components)
         }
+        self._erv_index: ErvIndex | None = None
 
     def __len__(self) -> int:
         return len(self.components)
+
+    def index(self) -> "ErvIndex":
+        """The layout's :class:`ErvIndex`, built on first use."""
+        if self._erv_index is None:
+            self._erv_index = ErvIndex(self)
+        return self._erv_index
+
+    def space_size(self) -> int:
+        """Number of non-empty feasible ERVs, without enumerating them.
+
+        A core type with ``c`` cores and ``s`` occupancy levels admits
+        C(c + s, s) count tuples summing to at most ``c``; the space is
+        their product, minus the empty allocation.
+        """
+        return math.prod(
+            math.comb(self.platform.count_of_type(ct.name) + ct.smt, ct.smt)
+            for ct in self.platform.core_types
+        ) - 1
 
     def type_projection(self) -> np.ndarray:
         """(components × core types) 0/1 matrix mapping ERV counts to cores.
 
         ``erv_counts @ type_projection()`` equals ``erv.core_vector()`` for
-        every ERV of this layout; the allocator uses it to build whole
-        resource matrices with one matmul instead of per-point Python.
+        every ERV of this layout; :class:`ErvIndex` builds its core-vector
+        matrix with it in one matmul instead of per-point Python.
         """
         if not hasattr(self, "_type_projection"):
             types = [ct.name for ct in self.platform.core_types]
@@ -131,6 +152,70 @@ class ErvLayout:
                 continue
             vectors.append(ExtendedResourceVector(self, flat))
         return vectors
+
+
+class ErvIndex:
+    """Every ERV of a layout as one row of a counts and a core-vector matrix.
+
+    Rows ``0 .. len(index) - 1`` hold the layout's non-empty feasible
+    space in :meth:`ErvLayout.enumerate_all` order (``ervs``).  An ERV
+    outside that space — the empty allocation, or one over the platform's
+    capacity — gets an extra row the first time :meth:`row` meets it, so
+    every ERV of the layout has a row and equal ERVs share one.  The RM's
+    per-epoch table work (point filters, exploration candidates,
+    regression features, allocator rows) runs as numpy masks and slices
+    over these matrices instead of per-point Python.
+
+    Read the matrices after calling :meth:`rows` or :meth:`row`: an
+    extra row replaces them.
+    """
+
+    def __init__(self, layout: ErvLayout):
+        self.ervs: tuple[ExtendedResourceVector, ...] = tuple(
+            layout.enumerate_all()
+        )
+        # Keyed by the counts tuple: it identifies an ERV within a layout
+        # and hashes in C, where ERV keys call ``__hash__`` in Python.
+        self.row_of: dict[tuple[int, ...], int] = {
+            erv.counts: i for i, erv in enumerate(self.ervs)
+        }
+        self._projection = layout.type_projection()
+        #: (rows × components) ERV counts, as float regression features.
+        self.counts: np.ndarray = np.array(
+            [erv.counts for erv in self.ervs], dtype=float
+        ).reshape(len(self.ervs), len(layout))
+        #: (rows × core types) cores used per type: stacked core_vector()s.
+        self.cores: np.ndarray = self.counts @ self._projection
+        #: Per row, the id of its distinct core vector (rows with equal
+        #: ``cores`` share one).
+        self.core_group: np.ndarray = self._core_groups()
+
+    def __len__(self) -> int:
+        return len(self.ervs)
+
+    def rows(self, ervs: Sequence["ExtendedResourceVector"]) -> np.ndarray:
+        """The row of each ERV, as an ``intp`` array aligned with ``ervs``."""
+        get = self.row_of.get
+        rows = np.array([get(erv.counts, -1) for erv in ervs], dtype=np.intp)
+        for i in np.flatnonzero(rows < 0):
+            rows[i] = self.row(ervs[i])
+        return rows
+
+    def row(self, erv: "ExtendedResourceVector") -> int:
+        """The row of one ERV, adding a row for one outside the space."""
+        row = self.row_of.get(erv.counts)
+        if row is None:
+            row = len(self.counts)
+            self.row_of[erv.counts] = row
+            extra = np.asarray(erv.counts, dtype=float)[None, :]
+            self.counts = np.vstack([self.counts, extra])
+            self.cores = np.vstack([self.cores, extra @ self._projection])
+            self.core_group = self._core_groups()
+        return row
+
+    def _core_groups(self) -> np.ndarray:
+        _, inverse = np.unique(self.cores, axis=0, return_inverse=True)
+        return inverse.reshape(-1)
 
 
 class ExtendedResourceVector:
