@@ -5,8 +5,10 @@ Everything else in this repository drives the RM through the in-process
 transport for determinism.  This example exercises the actual IPC path of
 the paper: a resource-manager endpoint listening on a Unix socket,
 applications registering through :class:`HarpSocketClient`, a dedicated
-per-application push socket for activation messages, and utility polling —
-the full Fig. 3 control flow over real file descriptors.
+per-application push socket for activation messages, and utility polling
+whose replies travel back to the RM on that push socket — the full Fig. 3
+control flow over real file descriptors.  Exits non-zero if any
+application's utility reply fails to reach the RM.
 
 Usage::
 
@@ -43,6 +45,8 @@ class MiniRm:
         self.allocator = LagrangianAllocator(self.platform, self.layout)
         self.tables: dict[int, OperatingPointTable] = {}
         self.names: dict[int, str] = {}
+        #: Utilities the applications reported over their push channels.
+        self.utilities: dict[int, float] = {}
         self.server = HarpSocketServer(socket_path, self.handle)
 
     def handle(self, message):
@@ -64,6 +68,9 @@ class MiniRm:
                   f"from pid={message.pid}")
             self.reallocate()
             return Ack(ok=True)
+        if isinstance(message, UtilityReply):
+            print(f"[rm] utility pid={message.pid} utility={message.utility}")
+            self.utilities[message.pid] = message.utility
         return Ack(ok=True)
 
     def reallocate(self):
@@ -147,9 +154,16 @@ def main():
                 time.sleep(0.1)
             print("[rm] polling utilities over the push channel...")
             rm.poll_utilities()
-            time.sleep(0.3)
+            deadline = time.monotonic() + 5.0
+            while len(rm.utilities) < len(rm.tables):
+                assert time.monotonic() < deadline, (
+                    f"utility replies reached the RM only from "
+                    f"{sorted(rm.utilities)} of {sorted(rm.tables)}"
+                )
+                time.sleep(0.01)
+            assert rm.utilities == {101: 42.0, 102: 42.0}, rm.utilities
             print("\nDone: two applications negotiated disjoint allocations "
-                  "over real Unix sockets.")
+                  "and answered utility polls over real Unix sockets.")
         finally:
             for client in clients:
                 client.close()

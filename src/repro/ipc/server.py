@@ -1,30 +1,32 @@
 """Unix-socket endpoint of the HARP resource manager.
 
-An ``AF_UNIX`` server with two switchable serving modes:
+One event-loop thread serves every socket through :mod:`selectors`, with
+non-blocking reads, an incremental frame decoder per socket
+(``StreamDecoder``) and write buffering.  It serves two kinds of socket:
 
-* ``threaded`` (default) — each application connection is served by a
-  dedicated thread that decodes frames and dispatches them to a handler
-  callback, which returns the reply message.
-* ``selector`` — a single event-loop thread multiplexes every connection
-  through :mod:`selectors` with non-blocking sockets, an incremental
-  frame decoder per connection, and write buffering.  At hundreds of
-  clients this avoids the per-connection thread cost and the
-  thundering-herd of idle poll wakeups.
+* request connections accepted on the RM socket: each decoded frame goes
+  to the handler callback and its return value is the reply;
+* the push socket the RM dials to each application (§4.1.1).  Callers of
+  ``push()``/``push_batch()`` write activations and utility polls to it
+  directly (``push_batch()`` coalesces one epoch's pushes to a client into
+  one wire flush).  Each push expects one reply frame; the loop reads it
+  and passes it to the handler, whose return value is discarded.  This is
+  how an application's ``UtilityReply`` (Fig. 3, step 4) reaches the RM.
 
-Push messages (allocation activations, utility polls) are delivered over
-the application's dedicated push socket, exactly as described in §4.1.1.
-``push_batch()`` coalesces one epoch's pushes to a client into a single
-wire flush.
+The loop thread owns every socket it has registered.  Other threads hand
+push sockets to it through ``open_push_channel``/``close_push_channel``
+and never close a registered socket themselves.
 
 Hardening contract (docs/robustness.md): a misbehaving peer must never
 take the RM down.  A well-framed but undecodable message (garbage JSON,
 unknown TYPE, malformed fields) gets an ``ErrorReply`` and the connection
-keeps serving; a framing-integrity failure (truncated stream, oversized
-frame) gets a best-effort ``ErrorReply(recoverable=False)`` and the
+keeps serving; a framing-integrity failure (oversized frame, EOF
+mid-frame) gets a best-effort ``ErrorReply(recoverable=False)`` and the
 connection is closed, because the byte stream can no longer be trusted.
-Handler exceptions become error acks.  ``stop()`` is idempotent and
-closes live connections so worker threads exit promptly; threads that
-still fail to join within the timeout are counted in the
+Handler exceptions become error acks.  A push write that does not finish
+within ``PUSH_SEND_TIMEOUT_S`` closes that application's push channel and
+reports the push undelivered.  ``stop()`` is idempotent; a loop thread
+that fails to join within the timeout is counted in the
 ``ipc.thread_join_timeouts`` obs counter rather than silently leaked.
 """
 
@@ -34,6 +36,7 @@ import contextlib
 import os
 import selectors
 import socket
+import struct
 import threading
 from typing import Callable
 
@@ -44,30 +47,39 @@ from repro.ipc.protocol import (
     MessageDecodeError,
     ProtocolError,
     StreamDecoder,
-    recv_message,
-    send_message,
     send_messages,
 )
 from repro.obs import OBS
 
 Handler = Callable[[Message], Message | None]
 
-#: Idle-poll granularity for blocking reads: bounds how long a worker
-#: thread can outlive ``stop()`` while parked in ``recv``.
-_POLL_TIMEOUT_S = 0.2
+#: Bound on one ``push()``/``push_batch()`` write: an application that
+#: stops reading its push socket loses the channel instead of blocking
+#: the RM's epoch forever.
+PUSH_SEND_TIMEOUT_S = 1.0
+
+# A kernel send timeout (SO_SNDTIMEO, a struct timeval) rather than
+# ``settimeout()``: the socket stays blocking, so a push costs one send
+# syscall and one GIL release instead of a poll plus a send.
+_PUSH_SNDTIMEO = struct.pack(
+    "ll", int(PUSH_SEND_TIMEOUT_S), int(PUSH_SEND_TIMEOUT_S % 1 * 1e6)
+)
 
 
-class _SelectorConn:
-    """Per-connection state for the selector serving mode."""
+class _Conn:
+    """Per-socket state of the event loop."""
 
-    __slots__ = ("sock", "decoder", "outbuf", "closing")
+    __slots__ = ("sock", "decoder", "outbuf", "closing", "push_pid")
 
-    def __init__(self, sock: socket.socket):
+    def __init__(self, sock: socket.socket, push_pid: int | None = None):
         self.sock = sock
         self.decoder = StreamDecoder()
         self.outbuf = bytearray()
         #: Close once the out-buffer drains (after a non-recoverable error).
         self.closing = False
+        #: The application's pid on a push socket; None on a request
+        #: connection.  The loop never writes to a push socket.
+        self.push_pid = push_pid
 
 
 class HarpSocketServer:
@@ -78,27 +90,27 @@ class HarpSocketServer:
         socket_path: str,
         handler: Handler,
         join_timeout_s: float = 2.0,
-        mode: str = "threaded",
     ):
-        if mode not in ("threaded", "selector"):
-            raise ValueError(f"unknown server mode: {mode!r}")
         self.socket_path = socket_path
         self.handler = handler
         self.join_timeout_s = join_timeout_s
-        self.mode = mode
         self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._conns: set[socket.socket] = set()
+        self._thread: threading.Thread | None = None
+        #: Write end of a socketpair the loop selects on: one byte wakes
+        #: it to take handoffs or to stop.
+        self._wake_w: socket.socket | None = None
         self._push_sockets: dict[int, socket.socket] = {}
+        #: Push sockets waiting for the loop: ``(pid, sock)`` to register,
+        #: ``(None, sock)`` to close.
+        self._handoff: list[tuple[int | None, socket.socket]] = []
         self._push_lock = threading.Lock()
-        self._conn_lock = threading.Lock()
         self._stopping = threading.Event()
         self._stopped = False
 
     # -- lifecycle ----------------------------------------------------------------
 
     def start(self) -> None:
-        """Bind, listen, and accept in a background thread."""
+        """Bind, listen, and serve in a background event-loop thread."""
         if self._listener is not None:
             raise RuntimeError("server already started")
         with contextlib.suppress(FileNotFoundError):
@@ -106,24 +118,28 @@ class HarpSocketServer:
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         listener.bind(self.socket_path)
         listener.listen(32)
+        listener.settimeout(0.0)
+        wake_r, self._wake_w = socket.socketpair()
+        wake_r.settimeout(0.0)
+        self._wake_w.settimeout(0.0)
         self._listener = listener
         self._stopping.clear()
         self._stopped = False
-        if self.mode == "selector":
-            loop_thread = threading.Thread(
-                target=self._selector_loop, name="harp-rm-selector", daemon=True
-            )
-            loop_thread.start()
-            self._threads.append(loop_thread)
-            return
-        accept_thread = threading.Thread(
-            target=self._accept_loop, name="harp-rm-accept", daemon=True
+        self._thread = threading.Thread(
+            target=self._loop,
+            args=(listener, wake_r),
+            name="harp-rm-selector",
+            daemon=True,
         )
-        accept_thread.start()
-        self._threads.append(accept_thread)
+        self._thread.start()
 
     def stop(self) -> None:
-        """Shut down the listener and all connections; safe to call twice."""
+        """Shut down the listener and all connections; safe to call twice.
+
+        The loop thread closes every socket it has registered on its way
+        out; ``stop()`` only refuses new connections, closes push sockets
+        the loop has not taken yet, and joins the thread.
+        """
         if self._stopped:
             return
         self._stopped = True
@@ -131,33 +147,23 @@ class HarpSocketServer:
         if self._listener is not None:
             with contextlib.suppress(OSError):
                 self._listener.shutdown(socket.SHUT_RDWR)
-            self._listener.close()
             self._listener = None
-        with self._conn_lock:
-            conns = list(self._conns)
-        for conn in conns:
-            with contextlib.suppress(OSError):
-                conn.shutdown(socket.SHUT_RDWR)
-            with contextlib.suppress(OSError):
-                conn.close()
-        # Detach the push sockets under the lock, close them outside it:
-        # close() can block flushing unsent pushes, and the epoch loop's
-        # push() path contends on this lock.
         with self._push_lock:
-            push_socks = list(self._push_sockets.values())
             self._push_sockets.clear()
-        for sock in push_socks:
-            with contextlib.suppress(OSError):
+            pending, self._handoff = self._handoff, []
+        for pid, sock in pending:
+            if pid is not None:  # never registered; close requests are the loop's
                 sock.close()
+        self._wake()
         with contextlib.suppress(FileNotFoundError):
             os.unlink(self.socket_path)
-        for thread in self._threads:
-            thread.join(timeout=self.join_timeout_s)
-            if thread.is_alive() and OBS.enabled:
-                OBS.counter(
-                    "ipc.thread_join_timeouts", role="server"
-                ).inc()
-        self._threads.clear()
+        if self._thread is not None:
+            self._thread.join(timeout=self.join_timeout_s)
+            if self._thread.is_alive() and OBS.enabled:
+                OBS.counter("ipc.thread_join_timeouts", role="server").inc()
+            self._thread = None
+        if self._wake_w is not None:
+            self._wake_w.close()
 
     def __enter__(self) -> "HarpSocketServer":
         self.start()
@@ -171,36 +177,30 @@ class HarpSocketServer:
     def open_push_channel(self, pid: int, push_socket_path: str) -> None:
         """Connect to an application's dedicated push socket."""
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.connect(push_socket_path)
+        try:
+            sock.connect(push_socket_path)
+        except OSError:
+            sock.close()
+            raise
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, _PUSH_SNDTIMEO)
         with self._push_lock:
             old = self._push_sockets.pop(pid, None)
+            if old is not None:
+                self._handoff.append((None, old))
             self._push_sockets[pid] = sock
-        # Close the displaced socket outside the lock — close() can
-        # block, and push() serializes on _push_lock.
-        if old is not None:
-            with contextlib.suppress(OSError):
-                old.close()
+            self._handoff.append((pid, sock))
+        self._wake()
+
+    def close_push_channel(self, pid: int) -> None:
+        with self._push_lock:
+            sock = self._push_sockets.pop(pid, None)
+            if sock is not None:
+                self._handoff.append((None, sock))
+        self._wake()
 
     def push(self, pid: int, message: Message) -> bool:
         """Send a push message to an application; False if unreachable."""
-        with self._push_lock:
-            sock = self._push_sockets.get(pid)
-        if sock is None:
-            return False
-        try:
-            send_message(sock, message)
-            if OBS.enabled:
-                OBS.counter(
-                    "ipc.pushes", type=message.TYPE, delivered="true"
-                ).inc()
-            return True
-        except OSError:
-            if OBS.enabled:
-                OBS.counter(
-                    "ipc.pushes", type=message.TYPE, delivered="false"
-                ).inc()
-            self.close_push_channel(pid)
-            return False
+        return self._deliver(pid, [message])
 
     def push_batch(self, pid: int, messages: list[Message]) -> bool:
         """Deliver several pushes to one application in one wire flush.
@@ -212,102 +212,172 @@ class HarpSocketServer:
         """
         if not messages:
             return True
+        delivered = self._deliver(pid, messages)
+        if delivered and OBS.enabled:
+            OBS.counter("ipc.push_batches").inc()
+        return delivered
+
+    def _deliver(self, pid: int, messages: list[Message]) -> bool:
         with self._push_lock:
             sock = self._push_sockets.get(pid)
         if sock is None:
             return False
         try:
             send_messages(sock, messages)
-            if OBS.enabled:
-                OBS.counter("ipc.push_batches").inc()
-                for message in messages:
-                    OBS.counter(
-                        "ipc.pushes", type=message.TYPE, delivered="true"
-                    ).inc()
-            return True
-        except OSError:
-            if OBS.enabled:
-                for message in messages:
-                    OBS.counter(
-                        "ipc.pushes", type=message.TYPE, delivered="false"
-                    ).inc()
+            delivered = True
+        except OSError:  # includes the PUSH_SEND_TIMEOUT_S timeout
+            delivered = False
             self.close_push_channel(pid)
-            return False
+        if OBS.enabled:
+            for message in messages:
+                OBS.counter(
+                    "ipc.pushes",
+                    type=message.TYPE,
+                    delivered="true" if delivered else "false",
+                ).inc()
+        return delivered
 
-    def close_push_channel(self, pid: int) -> None:
-        with self._push_lock:
-            sock = self._push_sockets.pop(pid, None)
-        if sock is not None:
-            with contextlib.suppress(OSError):
+    def _wake(self) -> None:
+        if self._wake_w is None:
+            return
+        # BlockingIOError: a wakeup is already pending; other OSErrors:
+        # the server has stopped.
+        with contextlib.suppress(OSError):
+            self._wake_w.send(b"\0")
+
+    # -- the event loop -------------------------------------------------------------
+
+    def _loop(self, listener: socket.socket, wake_r: socket.socket) -> None:
+        sel = selectors.DefaultSelector()
+        sel.register(listener, selectors.EVENT_READ)
+        sel.register(wake_r, selectors.EVENT_READ)
+        states: dict[socket.socket, _Conn] = {}
+        try:
+            while not self._stopping.is_set():
+                self._take_handoff(sel, states)
+                for key, events in sel.select():
+                    if key.fileobj is listener:
+                        self._accept(sel, states, listener)
+                    elif key.fileobj is wake_r:
+                        with contextlib.suppress(OSError):
+                            wake_r.recv(4096)
+                    elif key.data.sock in states:
+                        state = key.data
+                        if events & selectors.EVENT_WRITE:
+                            self._flush(sel, states, state)
+                        if (
+                            events & selectors.EVENT_READ
+                            and state.sock in states
+                        ):
+                            self._read(sel, states, state)
+        finally:
+            for state in list(states.values()):
+                self._drop(sel, states, state)
+            with self._push_lock:
+                pending, self._handoff = self._handoff, []
+            for _, sock in pending:
                 sock.close()
+            sel.close()
+            listener.close()
+            wake_r.close()
 
-    # -- internals ----------------------------------------------------------------------
+    def _take_handoff(
+        self,
+        sel: selectors.BaseSelector,
+        states: dict[socket.socket, _Conn],
+    ) -> None:
+        with self._push_lock:
+            handoff, self._handoff = self._handoff, []
+        for pid, sock in handoff:
+            if pid is not None:
+                state = _Conn(sock, push_pid=pid)
+                states[sock] = state
+                sel.register(sock, selectors.EVENT_READ, state)
+            elif sock in states:  # else the loop has already dropped it
+                self._drop(sel, states, states[sock])
 
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stopping.is_set():
+    def _accept(
+        self,
+        sel: selectors.BaseSelector,
+        states: dict[socket.socket, _Conn],
+        listener: socket.socket,
+    ) -> None:
+        while True:
             try:
-                conn, _ = self._listener.accept()
+                conn, _ = listener.accept()
             except OSError:
                 return
-            # Reap finished workers so the thread list stays bounded on
-            # long-lived servers with much connection churn.
-            self._threads = [t for t in self._threads if t.is_alive()]
-            worker = threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name="harp-rm-conn",
-                daemon=True,
-            )
-            worker.start()
-            self._threads.append(worker)
+            conn.settimeout(0.0)
+            state = _Conn(conn)
+            states[conn] = state
+            sel.register(conn, selectors.EVENT_READ, state)
 
-    def _serve_connection(self, conn: socket.socket) -> None:
-        with self._conn_lock:
-            self._conns.add(conn)
+    def _read(
+        self,
+        sel: selectors.BaseSelector,
+        states: dict[socket.socket, _Conn],
+        state: _Conn,
+    ) -> None:
         try:
-            with conn:
-                conn.settimeout(_POLL_TIMEOUT_S)
-                self._serve_frames(conn)
-        finally:
-            with self._conn_lock:
-                self._conns.discard(conn)
-
-    def _serve_frames(self, conn: socket.socket) -> None:
-        while not self._stopping.is_set():
+            # Push sockets stay blocking for their writers; never block here.
+            data = state.sock.recv(65536, socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._drop(sel, states, state)
+            return
+        if not data:
+            if state.decoder.pending_bytes:
+                self._fail(
+                    sel, states, state,
+                    FrameIntegrityError("connection closed mid-frame"),
+                )
+            else:
+                self._drop(sel, states, state)
+            return
+        state.decoder.feed(data)
+        while state.sock in states:
             try:
-                message = recv_message(conn)
-            except socket.timeout:
-                continue  # idle poll: re-check the stop flag
+                message = state.decoder.next_message()
             except MessageDecodeError as exc:
-                # Well-framed junk: the stream is still in sync, so tell
-                # the peer what happened and keep serving.
-                if OBS.enabled:
-                    OBS.counter("ipc.error_replies", reason="decode").inc()
-                try:
-                    send_message(
-                        conn, ErrorReply(error=str(exc), recoverable=True)
+                # Well-framed junk: the frame's bytes are already consumed,
+                # so the stream is in sync — report and keep parsing.
+                if state.push_pid is None:
+                    if OBS.enabled:
+                        OBS.counter("ipc.error_replies", reason="decode").inc()
+                    self._send(
+                        sel, states, state,
+                        ErrorReply(error=str(exc), recoverable=True),
                     )
-                except OSError:
-                    return
                 continue
-            except (FrameIntegrityError, ProtocolError, OSError) as exc:
-                # Framing integrity lost: best-effort error, then close.
-                if OBS.enabled:
-                    OBS.counter("ipc.error_replies", reason="framing").inc()
-                with contextlib.suppress(OSError, ProtocolError):
-                    send_message(
-                        conn, ErrorReply(error=str(exc), recoverable=False)
-                    )
+            except ProtocolError as exc:
+                self._fail(sel, states, state, exc)
                 return
             if message is None:
                 return
             reply = self._dispatch(message)
-            if reply is not None:
-                try:
-                    send_message(conn, reply)
-                except OSError:
-                    return
+            if reply is not None and state.push_pid is None:
+                self._send(sel, states, state, reply)
+
+    def _fail(
+        self,
+        sel: selectors.BaseSelector,
+        states: dict[socket.socket, _Conn],
+        state: _Conn,
+        exc: ProtocolError,
+    ) -> None:
+        """Framing integrity lost: best-effort error reply, then close."""
+        if state.push_pid is not None:
+            self._drop(sel, states, state)
+            return
+        if OBS.enabled:
+            OBS.counter("ipc.error_replies", reason="framing").inc()
+        state.closing = True
+        self._send(
+            sel, states, state, ErrorReply(error=str(exc), recoverable=False)
+        )
+        if state.sock in states and not state.outbuf:
+            self._drop(sel, states, state)
 
     def _dispatch(self, message: Message) -> Message | None:
         obs_on = OBS.enabled
@@ -323,116 +393,11 @@ class HarpSocketServer:
             ).observe(OBS.walltime() - t0)
         return reply
 
-    # -- selector mode ------------------------------------------------------------------
-
-    def _selector_loop(self) -> None:
-        """Single event-loop thread multiplexing every connection."""
-        listener = self._listener
-        assert listener is not None
-        sel = selectors.DefaultSelector()
-        try:
-            listener.settimeout(0.0)
-            sel.register(listener, selectors.EVENT_READ)
-        except OSError:
-            # stop() already closed the listener before the loop started.
-            sel.close()
-            return
-        states: dict[socket.socket, _SelectorConn] = {}
-        try:
-            while not self._stopping.is_set():
-                try:
-                    ready = sel.select(timeout=_POLL_TIMEOUT_S)
-                except OSError:
-                    return
-                for key, events in ready:
-                    if key.fileobj is listener:
-                        self._selector_accept(sel, states)
-                        continue
-                    state = states.get(key.fileobj)
-                    if state is None:
-                        continue
-                    if events & selectors.EVENT_WRITE:
-                        self._selector_flush(sel, states, state)
-                    if (
-                        events & selectors.EVENT_READ
-                        and key.fileobj in states
-                    ):
-                        self._selector_read(sel, states, state)
-        finally:
-            for state in list(states.values()):
-                self._selector_drop(sel, states, state)
-            sel.close()
-
-    def _selector_accept(
+    def _send(
         self,
         sel: selectors.BaseSelector,
-        states: dict[socket.socket, _SelectorConn],
-    ) -> None:
-        assert self._listener is not None
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            conn.settimeout(0.0)
-            state = _SelectorConn(conn)
-            states[conn] = state
-            with self._conn_lock:
-                self._conns.add(conn)
-            sel.register(conn, selectors.EVENT_READ, state)
-
-    def _selector_read(
-        self,
-        sel: selectors.BaseSelector,
-        states: dict[socket.socket, _SelectorConn],
-        state: _SelectorConn,
-    ) -> None:
-        try:
-            data = state.sock.recv(65536)
-        except BlockingIOError:
-            return
-        except OSError:
-            self._selector_drop(sel, states, state)
-            return
-        if not data:
-            self._selector_drop(sel, states, state)
-            return
-        state.decoder.feed(data)
-        while state.sock in states:
-            try:
-                message = state.decoder.next_message()
-            except MessageDecodeError as exc:
-                # Well-framed junk: the frame's bytes are already consumed,
-                # so the stream is in sync — report and keep parsing.
-                if OBS.enabled:
-                    OBS.counter("ipc.error_replies", reason="decode").inc()
-                self._selector_send(
-                    sel, states, state,
-                    ErrorReply(error=str(exc), recoverable=True),
-                )
-                continue
-            except (FrameIntegrityError, ProtocolError) as exc:
-                if OBS.enabled:
-                    OBS.counter("ipc.error_replies", reason="framing").inc()
-                self._selector_send(
-                    sel, states, state,
-                    ErrorReply(error=str(exc), recoverable=False),
-                )
-                state.closing = True
-                if state.sock in states and not state.outbuf:
-                    self._selector_drop(sel, states, state)
-                return
-            if message is None:
-                return
-            reply = self._dispatch(message)
-            if reply is not None:
-                self._selector_send(sel, states, state, reply)
-
-    def _selector_send(
-        self,
-        sel: selectors.BaseSelector,
-        states: dict[socket.socket, _SelectorConn],
-        state: _SelectorConn,
+        states: dict[socket.socket, _Conn],
+        state: _Conn,
         message: Message,
     ) -> None:
         try:
@@ -445,13 +410,13 @@ class HarpSocketServer:
                 len(frame)
             )
         state.outbuf.extend(frame)
-        self._selector_flush(sel, states, state)
+        self._flush(sel, states, state)
 
-    def _selector_flush(
+    def _flush(
         self,
         sel: selectors.BaseSelector,
-        states: dict[socket.socket, _SelectorConn],
-        state: _SelectorConn,
+        states: dict[socket.socket, _Conn],
+        state: _Conn,
     ) -> None:
         while state.outbuf:
             try:
@@ -459,28 +424,28 @@ class HarpSocketServer:
             except BlockingIOError:
                 break
             except OSError:
-                self._selector_drop(sel, states, state)
+                self._drop(sel, states, state)
                 return
             del state.outbuf[:sent]
         if not state.outbuf and state.closing:
-            self._selector_drop(sel, states, state)
+            self._drop(sel, states, state)
             return
-        events = selectors.EVENT_READ
+        # A closing connection only drains its out-buffer; it reads no more.
+        events = 0 if state.closing else selectors.EVENT_READ
         if state.outbuf:
             events |= selectors.EVENT_WRITE
-        with contextlib.suppress(KeyError, ValueError, OSError):
-            sel.modify(state.sock, events, state)
+        sel.modify(state.sock, events, state)
 
-    def _selector_drop(
+    def _drop(
         self,
         sel: selectors.BaseSelector,
-        states: dict[socket.socket, _SelectorConn],
-        state: _SelectorConn,
+        states: dict[socket.socket, _Conn],
+        state: _Conn,
     ) -> None:
-        states.pop(state.sock, None)
-        with contextlib.suppress(KeyError, ValueError):
-            sel.unregister(state.sock)
-        with self._conn_lock:
-            self._conns.discard(state.sock)
-        with contextlib.suppress(OSError):
-            state.sock.close()
+        del states[state.sock]
+        sel.unregister(state.sock)
+        if state.push_pid is not None:
+            with self._push_lock:
+                if self._push_sockets.get(state.push_pid) is state.sock:
+                    del self._push_sockets[state.push_pid]
+        state.sock.close()

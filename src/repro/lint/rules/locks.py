@@ -1,8 +1,9 @@
 """HL011 — lock-discipline: consistent acquisition order, no unbounded
 blocking and no foreign code while a lock is held.
 
-The threaded IPC server, the selector server, and the obs registry are
-the only parts of the system where real threads contend on real locks;
+The IPC server (its event loop against callers of ``push()`` and
+``open_push_channel()``), the IPC client, and the obs registry are the
+only parts of the system where real threads contend on real locks;
 a regression there deadlocks the RM instead of failing a test.  This
 rule builds the whole-program *lock-acquisition graph* — which locks a
 function acquires, directly and through everything it calls — and

@@ -234,7 +234,7 @@ class TestFleetMessages:
 
     def test_fleet_protocol_over_real_socket(self, tmp_path):
         """The coordinator handler serves fleet frames over the real
-        selector IPC unchanged — the protocol is wire-ready."""
+        socket server unchanged — the protocol is wire-ready."""
         baseline = threading.active_count()
         coordinator = Coordinator()
         coordinator.register_link(

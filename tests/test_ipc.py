@@ -1,6 +1,8 @@
 """Tests for the IPC layer: messages, framing, and real Unix sockets."""
 
+import os
 import socket
+import sys
 import threading
 import time
 
@@ -28,7 +30,8 @@ from repro.ipc.protocol import (
     recv_message,
     send_message,
 )
-from repro.ipc.server import HarpSocketServer
+from repro.ipc.server import PUSH_SEND_TIMEOUT_S, HarpSocketServer
+from repro.obs import OBS
 
 
 class TestMessages:
@@ -244,3 +247,135 @@ class TestUnixSockets:
         assert os.path.exists(rm_path)
         server.stop()
         assert not os.path.exists(rm_path)
+
+    def test_every_push_reply_reaches_the_handler(self, tmp_path):
+        rm_path = str(tmp_path / "rm.sock")
+        push_path = str(tmp_path / "app.sock")
+        n_pushes = 2000
+        replies = []
+
+        def handler(message):
+            if isinstance(message, UtilityReply):
+                replies.append(message)
+            return Ack(ok=True)
+
+        with HarpSocketServer(rm_path, handler) as server:
+            client = HarpSocketClient(rm_path, push_path)
+            client.set_push_handler(
+                lambda m: UtilityReply(pid=m.pid, utility=float(m.pid))
+            )
+            try:
+                server.open_push_channel(3, push_path)
+                delivered = [
+                    server.push(3, UtilityRequest(pid=3))
+                    for _ in range(n_pushes)
+                ]
+                assert all(delivered)
+                deadline = time.monotonic() + 10.0
+                while len(replies) < n_pushes and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert len(replies) == n_pushes
+                assert all(r.pid == 3 and r.utility == 3.0 for r in replies)
+            finally:
+                client.close()
+
+    def test_push_to_an_app_that_stops_reading_is_bounded(self, tmp_path):
+        rm_path = str(tmp_path / "rm.sock")
+        push_path = str(tmp_path / "app.sock")
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(push_path)
+        listener.listen(1)
+        OBS.reset()
+        OBS.enable()
+        try:
+            with listener, HarpSocketServer(
+                rm_path, lambda m: Ack(ok=True)
+            ) as server:
+                server.open_push_channel(4, push_path)
+                conn, _ = listener.accept()  # accepted, then never read
+                with conn:
+                    outcome = []
+
+                    def pusher():
+                        for _ in range(1_000_000):
+                            if not server.push(4, UtilityRequest(pid=4)):
+                                outcome.append(False)
+                                return
+                        outcome.append(True)
+
+                    thread = threading.Thread(target=pusher, daemon=True)
+                    thread.start()
+                    thread.join(timeout=PUSH_SEND_TIMEOUT_S + 10.0)
+                    assert not thread.is_alive(), "push blocked past its bound"
+                    assert outcome == [False]
+                    assert server.push(4, UtilityRequest(pid=4)) is False
+                    undelivered = OBS.counter(
+                        "ipc.pushes", type="utility_request", delivered="false"
+                    )
+                    assert undelivered.value == 1
+                    t0 = time.monotonic()
+                    server.stop()
+                    assert time.monotonic() - t0 < server.join_timeout_s + 1.0
+        finally:
+            OBS.disable()
+            OBS.reset()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd"
+    )
+    def test_push_channel_churn_from_many_threads_leaks_nothing(
+        self, tmp_path
+    ):
+        # Each worker re-opens, pushes to and finally closes its own app's
+        # channel while the others do the same, so the handoff list and the
+        # loop's registrations are hit from every thread at once.  A lost or
+        # misordered handoff would leak a socket or fail a push.
+        rm_path = str(tmp_path / "rm.sock")
+        n_apps, rounds = 6, 40
+        fds_before = len(os.listdir("/proc/self/fd"))
+        threads_before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with HarpSocketServer(rm_path, lambda m: Ack(ok=True)) as server:
+                paths = [str(tmp_path / f"app{i}.sock") for i in range(n_apps)]
+                clients = [HarpSocketClient(rm_path, path) for path in paths]
+                for client in clients:
+                    client.set_push_handler(
+                        lambda m: UtilityReply(pid=m.pid, utility=1.0)
+                    )
+                failed = []
+
+                def churn(pid):
+                    for _ in range(rounds):
+                        server.open_push_channel(pid, paths[pid])
+                        if not server.push(pid, UtilityRequest(pid=pid)):
+                            failed.append(pid)
+                        if not server.push_batch(
+                            pid, [UtilityRequest(pid=pid)] * 2
+                        ):
+                            failed.append(pid)
+                    server.close_push_channel(pid)
+
+                workers = [
+                    threading.Thread(target=churn, args=(pid,), daemon=True)
+                    for pid in range(n_apps)
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=30.0)
+                assert not any(w.is_alive() for w in workers)
+                assert failed == []
+                for client in clients:
+                    client.close()
+        finally:
+            sys.setswitchinterval(interval)
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and (
+            threading.active_count() > threads_before
+            or len(os.listdir("/proc/self/fd")) > fds_before
+        ):
+            time.sleep(0.01)
+        assert threading.active_count() <= threads_before
+        assert len(os.listdir("/proc/self/fd")) <= fds_before

@@ -1,7 +1,7 @@
 """Tests for the harpobs telemetry layer (registry, exporters, wiring).
 
 Covers the tentpole contracts: span nesting and exception safety, counter
-concurrency under the IPC server's per-connection threads, byte-stable
+concurrency across IPC client and server threads, byte-stable
 Perfetto export (golden file), the ObservabilityQuery IPC message, and —
 most importantly — that telemetry never perturbs the simulation (obs-on
 and obs-off runs with identical seeds produce identical allocations).
@@ -211,8 +211,8 @@ class TestConcurrency:
         assert counter.value == n_threads * per_thread
 
     def test_socket_server_threads_share_counters(self, obs, tmp_path):
-        # The socket server handles each connection on its own thread; the
-        # protocol layer counts frames into the shared global registry.
+        # Client threads and the server's event-loop thread all count frames
+        # into the shared global registry.
         rm_path = str(tmp_path / "rm.sock")
         server = HarpSocketServer(rm_path, lambda m: Ack(ok=True))
         n_clients, per_client = 4, 25

@@ -6,8 +6,8 @@ solves stay exact against the scalar test oracle, warm solves stay
 feasible and within the documented Lagrangian bound, churn storms and
 fault-injection reaping never corrupt warm state — plus the
 batched reallocation epoch semantics (window 0 is bit-identical eager
-behavior, a lone registration is never delayed) and the selector IPC
-serving mode with frame write batching.
+behavior, a lone registration is never delayed) and the socket
+server's event loop with frame write batching.
 """
 
 from __future__ import annotations
@@ -483,7 +483,7 @@ class TestBatchedEpochs:
         assert manager.sessions[survivor.pid].current_hw
 
 
-# -- selector IPC mode ----------------------------------------------------------------
+# -- socket server event loop ---------------------------------------------------------
 
 
 class TestStreamDecoder:
@@ -514,16 +514,10 @@ class TestStreamDecoder:
         assert isinstance(message, Ack)
 
 
-class TestSelectorServer:
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            HarpSocketServer("/tmp/x.sock", lambda m: None, mode="async")
-
+class TestSocketServerLoop:
     def test_serves_concurrent_clients(self, tmp_path):
         rm_path = str(tmp_path / "rm.sock")
-        server = HarpSocketServer(
-            rm_path, lambda m: Ack(ok=True), mode="selector"
-        )
+        server = HarpSocketServer(rm_path, lambda m: Ack(ok=True))
         with server:
             errors = []
 
@@ -550,9 +544,7 @@ class TestSelectorServer:
 
     def test_garbage_frame_recoverable_then_keeps_serving(self, tmp_path):
         rm_path = str(tmp_path / "rm.sock")
-        with HarpSocketServer(
-            rm_path, lambda m: Ack(ok=True), mode="selector"
-        ):
+        with HarpSocketServer(rm_path, lambda m: Ack(ok=True)):
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.connect(rm_path)
             sock.settimeout(5.0)
@@ -566,9 +558,7 @@ class TestSelectorServer:
 
     def test_oversized_frame_closes_connection(self, tmp_path):
         rm_path = str(tmp_path / "rm.sock")
-        with HarpSocketServer(
-            rm_path, lambda m: Ack(ok=True), mode="selector"
-        ):
+        with HarpSocketServer(rm_path, lambda m: Ack(ok=True)):
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.connect(rm_path)
             sock.settimeout(5.0)
@@ -584,9 +574,7 @@ class TestSelectorServer:
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         listener.bind(push_path)
         listener.listen(1)
-        with HarpSocketServer(
-            rm_path, lambda m: Ack(ok=True), mode="selector"
-        ) as server:
+        with HarpSocketServer(rm_path, lambda m: Ack(ok=True)) as server:
             server.open_push_channel(7, push_path)
             conn, _ = listener.accept()
             conn.settimeout(5.0)
@@ -609,9 +597,7 @@ class TestSelectorServer:
 
     def test_push_batch_unreachable_client(self, tmp_path):
         rm_path = str(tmp_path / "rm.sock")
-        with HarpSocketServer(
-            rm_path, lambda m: Ack(ok=True), mode="selector"
-        ) as server:
+        with HarpSocketServer(rm_path, lambda m: Ack(ok=True)) as server:
             assert server.push_batch(99, [Ack(ok=True)]) is False
 
     def test_send_messages_batches_frames(self, tmp_path):
