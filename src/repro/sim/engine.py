@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -87,6 +87,11 @@ class World:
     #: True on event-driven subclasses; listeners that need to be woken at
     #: a future tick must call :meth:`request_wakeup` when this is set.
     event_driven = False
+
+    #: ``(placement, freqs, pattern or None, pattern_cache index)`` of a
+    #: tick the event engine's busy-leap probe evaluated and did not leap;
+    #: that tick's step uses it instead of evaluating the tick again.
+    _probed_tick: tuple | None = None
 
     def __init__(
         self,
@@ -394,19 +399,27 @@ class World:
         ``finish_time_s`` comes from the fresh evaluation).  Both memories
         are cleared whenever a process exits or is killed, so they never
         retain finished processes.
+
+        The event engine's busy-leap probe evaluates its tick the same
+        way; when it does not leap, this step applies what the probe
+        evaluated (:attr:`_probed_tick`) instead of evaluating it again.
         """
         obs_on = OBS.enabled
         t0_wall = OBS.walltime() if obs_on else 0.0
         dt = self.tick_s
-        self.runnable_pairs()  # refresh the per-tick demand snapshot
-        placement = self._placement_for()
-        freqs = self.governor.select_all(self._core_util)
-        pattern = self._remembered_pattern(placement, freqs)
-        if pattern is not None:
-            outcome = _PATTERN_HIT
+        probed, self._probed_tick = self._probed_tick, None
+        if probed is not None and self._runnable_stamp == self.tick_index:
+            placement, freqs, pattern, outcome = probed
         else:
-            pattern, remembered = self._evaluate_tick(placement, freqs)
-            outcome = _PATTERN_MISS if remembered else _PATTERN_UNCACHEABLE
+            self.runnable_pairs()  # refresh the per-tick demand snapshot
+            placement = self._placement_for()
+            freqs = self.governor.select_all(self._core_util)
+            pattern = None
+        if pattern is None:
+            pattern = self._remembered_pattern(placement, freqs)
+            outcome = _PATTERN_HIT
+        if pattern is None:
+            pattern, outcome = self._evaluate_tick(placement, freqs)
         procs, (package_power, core_util, stat_busy, stat_energy, acc_ops) = (
             pattern
         )
@@ -503,17 +516,40 @@ class World:
 
     def _evaluate_tick(
         self, placement: dict[ThreadId, int], freqs: dict[int, float]
-    ) -> tuple[tuple, bool]:
+    ) -> tuple[tuple, int]:
         """This tick's pattern, computed afresh; remembered when cacheable.
 
-        The one slot loop of :meth:`step`: each placed process's ``perf()``
-        response becomes its accumulator increments, and the per-slot
-        busy fractions feed the power kernel.  Nothing is mutated here
-        except what ``perf()`` itself mutates (a stateful model).  Returns
-        ``(pattern, remembered)``; see :meth:`step` for the pattern layout
-        and for which ticks are not remembered.
+        The simulator's one slot loop, shared by :meth:`step` and the
+        event engine's busy-leap probe.  Shares are demand-weighted: a
+        thread that wants a sliver of CPU (the RM daemon) leaves the rest
+        of the slice to its queue mates.  A slot's speed is the core
+        type's per-thread speed at the core's frequency and busy-sibling
+        count, scaled by the share.  Each placed process's ``perf()``
+        response, in ascending pid order, becomes its accumulator
+        increments; the per-slot busy fractions feed the power kernel.
+        Nothing is mutated except what ``perf()`` itself mutates (a
+        stateful model).  Returns the pattern and its
+        ``sim.pattern_cache`` handle index; see :meth:`step` for the
+        pattern layout and for which ticks are not remembered.
         """
         dt = self.tick_s
+        proc_demand = self._proc_demand
+        threads_on_hw: dict[int, list[ThreadId]] = {}
+        for tid, hw_id in placement.items():
+            threads_on_hw.setdefault(hw_id, []).append(tid)
+        shares: dict[ThreadId, float] = {}
+        busy_hw_per_core: dict[int, int] = {}
+        for hw_id, tids in threads_on_hw.items():
+            total = sum(proc_demand[tid.pid] for tid in tids)
+            for tid in tids:
+                d = proc_demand[tid.pid]
+                if total <= 1.0:
+                    shares[tid] = d if d > 0 else 0.0
+                else:
+                    shares[tid] = d / total
+            core_id = self._hw_by_id[hw_id].core_id
+            busy_hw_per_core[core_id] = busy_hw_per_core.get(core_id, 0) + 1
+
         busy_fraction: dict[int, float] = {}
         app_busy_on_core: dict[int, dict[int, float]] = {}
         procs: list[tuple] = []
@@ -521,9 +557,26 @@ class World:
         keys: list[tuple] | None = (
             [] if placement is self._placement_cache else None
         )
-        placed = self._placed_slots(placement, freqs)
-        for process, slots, slot_threads in placed:
-            pid = process.pid
+        for pid in sorted({tid.pid for tid in placement}):
+            process = self.processes[pid]
+            slots: list[ThreadSlot] = []
+            slot_threads: list[SimThread] = []
+            for thread in process.active_threads:
+                hw_id = placement.get(thread.tid)
+                if hw_id is None:
+                    continue
+                hw = self._hw_by_id[hw_id]
+                share = shares[thread.tid]
+                siblings = busy_hw_per_core[hw.core_id]
+                speed = hw.core_type.thread_speed(
+                    siblings, freqs.get(hw.core_id)
+                ) * share
+                slots.append(
+                    ThreadSlot(hw_id, hw.core_id, hw.core_type.name, speed, share)
+                )
+                slot_threads.append(thread)
+            if not slots:
+                continue
             if (
                 keys is not None
                 and process.model.steady_work_horizon(process) is not None
@@ -563,7 +616,7 @@ class World:
                 keys.append(
                     (
                         process,
-                        self._proc_demand[pid],
+                        proc_demand[pid],
                         process.threads_revision,
                         copy.deepcopy(knobs) if knobs else _NO_KNOBS,
                         rate_dt if perf.rate > 0 else None,
@@ -572,10 +625,10 @@ class World:
         power = self._power_tick(busy_fraction, app_busy_on_core, freqs)
         pattern = (procs, power)
         if keys is None:
-            return pattern, False
+            return pattern, _PATTERN_UNCACHEABLE
         entry = (placement, freqs, keys, pattern)
         self._patterns = [entry] + self._patterns[:1]
-        return pattern, True
+        return pattern, _PATTERN_MISS
 
     def _remembered_pattern(
         self, placement: dict[ThreadId, int], freqs: dict[int, float]
@@ -615,6 +668,7 @@ class World:
         self._placement_cache = {}
         self._placement_prev = None
         self._patterns = []
+        self._probed_tick = None
 
     def ticks_in(self, seconds: float) -> int:
         """Number of ticks covering ``seconds`` of sim time.
@@ -661,7 +715,7 @@ class World:
 
     # -- helpers -----------------------------------------------------------------
 
-    def _placement_for(self) -> dict[ThreadId, int]:
+    def _placement_for(self, sig: tuple | None = None) -> dict[ThreadId, int]:
         """This tick's placement, reusing a remembered one when possible.
 
         Schedulers exposing a placement signature (a pure function of
@@ -669,11 +723,13 @@ class World:
         signature matches neither of the two remembered placements — so a
         world alternating between two thread sets (the RM daemon's
         one-tick burns) stops re-placing.  Remembered placements were
-        validated when first computed.
+        validated when first computed.  ``sig`` is the signature when the
+        caller already holds it (the busy-leap probe).
         """
         if not self._running:
             return {}
-        sig = self.scheduler.placement_signature(self)
+        if sig is None:
+            sig = self.scheduler.placement_signature(self)
         if sig is not None:
             placement = self._remembered_placement(sig)
             if placement is not None:
@@ -707,59 +763,6 @@ class World:
             self._placement_prev = (self._placement_sig, self._placement_cache)
         self._placement_sig = sig
         self._placement_cache = placement
-
-    def _placed_slots(
-        self, placement: dict[ThreadId, int], freqs: dict[int, float]
-    ) -> Iterator[tuple[SimProcess, list[ThreadSlot], list[SimThread]]]:
-        """Each placed process with its thread slots, in ascending pid order.
-
-        Demand-weighted time-sharing: a thread that only wants a sliver of
-        CPU (e.g. the RM daemon) leaves the rest of the slice to its queue
-        mates, like a real proportional-share scheduler.  Only placed
-        threads can receive a share; the demands come from the tick's
-        runnable snapshot.  A slot's speed is the core type's per-thread
-        speed at the core's frequency and busy-sibling count, scaled by
-        the share.  Processes without a placed active thread are skipped.
-
-        Lazy on purpose: the caller may stop early (the busy leap's
-        stateful-model screen).
-        """
-        threads_on_hw: dict[int, list[ThreadId]] = {}
-        for tid, hw_id in placement.items():
-            threads_on_hw.setdefault(hw_id, []).append(tid)
-        proc_demand = self._proc_demand
-        shares: dict[ThreadId, float] = {}
-        busy_hw_per_core: dict[int, int] = {}
-        for hw_id, tids in threads_on_hw.items():
-            total = sum(proc_demand[tid.pid] for tid in tids)
-            for tid in tids:
-                d = proc_demand[tid.pid]
-                if total <= 1.0:
-                    shares[tid] = d if d > 0 else 0.0
-                else:
-                    shares[tid] = d / total
-            core_id = self._hw_by_id[hw_id].core_id
-            busy_hw_per_core[core_id] = busy_hw_per_core.get(core_id, 0) + 1
-
-        for pid in sorted({tid.pid for tid in placement}):
-            process = self.processes[pid]
-            slots: list[ThreadSlot] = []
-            slot_threads: list[SimThread] = []
-            for thread in process.active_threads:
-                hw_id = placement.get(thread.tid)
-                if hw_id is None:
-                    continue
-                hw = self._hw_by_id[hw_id]
-                share = shares[thread.tid]
-                siblings = busy_hw_per_core[hw.core_id]
-                freq = freqs.get(hw.core_id)
-                speed = hw.core_type.thread_speed(siblings, freq) * share
-                slots.append(
-                    ThreadSlot(hw_id, hw.core_id, hw.core_type.name, speed, share)
-                )
-                slot_threads.append(thread)
-            if slots:
-                yield process, slots, slot_threads
 
     def _power_tick(
         self,

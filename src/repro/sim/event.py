@@ -6,7 +6,11 @@ completions, quantum expiries, RT periods, monitor epochs, scheduled
 reallocations, fault injections), keyed by integer tick.  Whenever nothing
 is runnable the engine *leaps* directly to the next event's tick,
 integrating idle power analytically over the whole interval instead of
-stepping through it — idle sim time costs (almost) zero CPU.
+stepping through it — idle sim time costs (almost) zero CPU.  Stable
+busy stretches leap too; their probe evaluates its tick on ``World``'s
+one path (placement and pattern memories, ``_evaluate_tick``), and a
+tick it does not leap is applied by ``step()`` without a second
+evaluation.
 
 Bit-parity contract
 -------------------
@@ -41,7 +45,7 @@ import numpy as np
 from repro.obs import OBS
 from repro.platform.dvfs import Governor
 from repro.platform.topology import Platform
-from repro.sim.engine import TickStats, World
+from repro.sim.engine import _PATTERN_HIT, TickStats, World
 from repro.sim.process import (
     _PELT_HALFLIFE_S,
     _decay_for,
@@ -66,7 +70,8 @@ class EventKind(Enum):
 
 
 #: A busy leap must replace at least this many ticks to pay for its
-#: pattern evaluation (which costs about one tick of work).
+#: commit (grouping the pattern's adds into arrays); a probe that finds
+#: its pattern remembered evaluates nothing, so the commit is its cost.
 _MIN_BUSY_LEAP_TICKS = 2
 
 #: After a failed busy-leap probe, skip probing for this many ticks: the
@@ -322,13 +327,16 @@ class EventWorld(World):
         remaining-work or model phase-boundary expiry (with a guard
         margin against float drift).
 
+        The probe takes its placement and pattern exactly as ``step()``
+        does, from the placement and pattern memories or, on a miss,
+        from :meth:`World._evaluate_tick` — after screening out stateful
+        models (the RM daemon), whose ``perf()`` must not be called.
         Preconditions (enforced by :meth:`_advance_one`): something is
-        runnable, budget ≥ 2.  Returns ``False``
-        — without mutating anything — when no leapable stretch exists:
-        the scheduler opted out of signatures (EAS), a placed model is
-        stateful (the RM daemon), the governor's frequencies are not a
-        fixpoint of the stretch utilization, or a work boundary is too
-        close.
+        runnable, budget ≥ 2.  Returns ``False`` if the scheduler has no
+        signature (EAS), nothing is placed, a placed model is stateful, a
+        preemption, completion or work boundary is too close, or the
+        frequencies are not a fixpoint of the pattern's utilization; what
+        the probe evaluated is then applied by this tick's ``step()``.
 
         Everything the replaced ticks would have mutated is replayed
         bit-identically: per-tick float adds to every touched accumulator
@@ -343,29 +351,40 @@ class EventWorld(World):
         sched = self.scheduler
         sig = sched.placement_signature(self)
         if sig is None:
-            return False
+            return self._no_leap("no_signature")
         n = budget_ticks
         preempt_tick = sched.next_preemption_tick(self)
         if preempt_tick is not None:
             n = min(n, preempt_tick - self.tick_index)
             if n < _MIN_BUSY_LEAP_TICKS:
-                return False
+                return self._no_leap("preemption")
 
-        # The stretch placement.  A fresh one is remembered (and the obs
-        # hit/miss counters bumped) only when the leap commits; a bailed
-        # probe at most reorders the placement memory, which step() reads
-        # the same either way.
-        placement = self._remembered_placement(sig)
-        placement_hit = placement is not None
-        if not placement_hit:
-            placement = sched.place(self)
-            self._validate_placement(placement)
-        if not placement:
-            return False
-
-        # -- the pattern: one tick of step()'s work, through the same slot
-        # and power helpers, with no mutation --------------------------------
+        placement = self._placement_for(sig)
         freqs = self.governor.select_all(self._core_util)
+        probed = (placement, freqs, None, None)
+        if not placement:
+            return self._no_leap("empty", probed)
+        pattern = self._remembered_pattern(placement, freqs)
+        outcome = _PATTERN_HIT
+        if pattern is None:
+            # A stateful model (horizon 0) must be screened *before* its
+            # perf() is called — the call itself would mutate it.
+            for pid in {tid.pid for tid in placement}:
+                process = self.processes[pid]
+                horizon = process.model.steady_work_horizon(process)
+                if horizon is not None and horizon <= 0.0:
+                    return self._no_leap("stateful", probed)
+            pattern, outcome = self._evaluate_tick(placement, freqs)
+        probed = (placement, freqs, pattern, outcome)
+        procs, (package_power, core_util, stat_busy, stat_energy, acc_ops) = (
+            pattern
+        )
+        # Frequency stability: the stretch utilization must reproduce the
+        # stretch frequencies, else tick 2 would run at different clocks.
+        # Exact dict equality is intended — any moved frequency breaks
+        # bit parity.
+        if self.governor.select_all(core_util) != freqs:
+            return self._no_leap("governor", probed)
 
         # Per-tick accumulator increments, in step()'s execution order.
         # Each op is (is_attr, container, key, increment).
@@ -374,60 +393,30 @@ class EventWorld(World):
         pelt_gains: list[float] = []
         decay = _decay_for(dt)
         gain_scale = 1.0 - decay
-        busy_fraction: dict[int, float] = {}
-        app_busy_on_core: dict[int, dict[int, float]] = {}
         # (process, work_before, work_budget, rate_dt) overrun guards.
         guards: list[tuple] = []
-        for process, slots, slot_threads in self._placed_slots(placement, freqs):
-            pid = process.pid
-            # A stateful model (horizon 0) must be screened *before* its
-            # perf() is called — the call itself would mutate it.
+        for process, rate_dt, finish_frac, ips, cpu_time, slots in procs:
+            if finish_frac is not None:
+                return self._no_leap("completion", probed)
+            work_budget = process.remaining_work()
             horizon = process.model.steady_work_horizon(process)
-            if horizon is not None and horizon <= 0.0:
-                return False
-            perf = process.model.perf(slots, process)
-            rate_dt = perf.rate * dt
-            if perf.rate > 0:
-                work_budget = process.remaining_work()
-                if horizon is not None and horizon < work_budget:
-                    work_budget = horizon
-                k = ticks_until_work_expiry(work_budget, rate_dt)
-                if k is not None:
-                    if k < n:
-                        n = k
-                    if n < _MIN_BUSY_LEAP_TICKS:
-                        return False
-                    guards.append((process, process.work_done, work_budget, rate_dt))
+            if horizon is not None and horizon < work_budget:
+                work_budget = horizon
+            k = ticks_until_work_expiry(work_budget, rate_dt)
+            if k is not None:
+                if k < n:
+                    n = k
+                if n < _MIN_BUSY_LEAP_TICKS:
+                    return self._no_leap("work_expiry", probed)
+                guards.append((process, process.work_done, work_budget, rate_dt))
             ops.append((True, process, "work_done", rate_dt))
-            cpu_time = 0.0
-            for slot, thread, activity in zip(slots, slot_threads, perf.activities):
-                used = activity * slot.share
-                busy_fraction[slot.hw_thread_id] = (
-                    busy_fraction.get(slot.hw_thread_id, 0.0) + used
-                )
-                app_busy_on_core.setdefault(slot.core_id, {})
-                app_busy_on_core[slot.core_id][pid] = (
-                    app_busy_on_core[slot.core_id].get(pid, 0.0) + used
-                )
+            cpu_by_type = process.cpu_time_by_type
+            for thread, act_share, core_type, slot_time in slots:
                 pelt_threads.append(thread)
-                pelt_gains.append((activity * slot.share) * gain_scale)
-                slot_time = used * dt
-                cpu_time += slot_time
-                ops.append(
-                    (False, process.cpu_time_by_type, slot.core_type, slot_time)
-                )
-            ops.append((False, self.perf._instructions, pid, perf.ips * dt))
-            ops.append((False, self.perf._cpu_time, pid, cpu_time))
-
-        package_power, core_util, stat_busy, stat_energy, acc_ops = (
-            self._power_tick(busy_fraction, app_busy_on_core, freqs)
-        )
-        # Frequency stability: the stretch utilization must reproduce the
-        # stretch frequencies, else tick 2 would run at different clocks.
-        # Exact dict equality is intended — any moved frequency breaks
-        # bit parity.
-        if self.governor.select_all(core_util) != freqs:
-            return False
+                pelt_gains.append(act_share * gain_scale)
+                ops.append((False, cpu_by_type, core_type, slot_time))
+            ops.append((False, self.perf._instructions, process.pid, ips * dt))
+            ops.append((False, self.perf._cpu_time, process.pid, cpu_time))
         ops.extend(acc_ops)
 
         # -- commit: replay n identical ticks ---------------------------------
@@ -514,22 +503,25 @@ class EventWorld(World):
         )
         self.tick_index += n
         self._core_util = core_util
-        if not placement_hit:
-            self._remember_placement(sig, placement)
 
         if obs_on:
             handles = self._obs_hot()
             handles[1].inc(n)
             handles[2].observe(OBS.walltime() - t0_wall)
-            if placement_hit:
-                handles[3].inc(n)
-            else:
-                handles[4].inc()
-                if n > 1:
-                    handles[3].inc(n - 1)
+            if n > 1:  # the probe counted the first tick's placement
+                handles[3].inc(n - 1)
             OBS.counter("sim.busy_leaps").inc()
             OBS.counter("sim.busy_leap_ticks").inc(n)
+            OBS.counter("sim.busy_probe", result="leap").inc()
         return True
+
+    def _no_leap(self, result: str, probed: tuple | None = None) -> bool:
+        """End a busy probe without leaping: count the vetoing check in
+        ``sim.busy_probe{result}`` and hand ``probed`` to the step."""
+        self._probed_tick = probed
+        if OBS.enabled:
+            OBS.counter("sim.busy_probe", result=result).inc()
+        return False
 
 
 def make_world(

@@ -20,6 +20,7 @@ from repro.analysis.scenarios import make_platform, resolve_model
 from repro.core.manager import HarpManager, ManagerConfig
 from repro.fault import Fault, FaultKind, FaultPlan, SimFaultInjector
 from repro.obs import OBS
+from repro.platform.dvfs import make_governor
 from repro.sim import (
     CfsScheduler,
     EasScheduler,
@@ -216,6 +217,61 @@ class TestObsBitIdentity:
             OBS.reset()
         assert observed == baseline
         assert hits > 0 and misses > 0
+
+    def test_obs_on_off_managed_busy_probes(self) -> None:
+        """A managed event-engine run under ``powersave``: busy probes
+        both leap and fail the governor fixpoint, obs on and off stay
+        ``==``, and each cache counter still counts once per tick —
+        ``sim.placement_cache`` per simulated tick, ``sim.pattern_cache``
+        per stepped one — also when a step takes over a vetoed probe."""
+
+        def run() -> tuple[dict, int]:
+            platform = make_platform("odroid")
+            world = make_world(
+                platform, CfsScheduler(),
+                governor=make_governor("powersave", platform),
+                engine="event", seed=4,
+            )
+            exit_order: list[int] = []
+            world.on_process_exit.append(lambda p: exit_order.append(p.pid))
+            manager = HarpManager(
+                world, config=ManagerConfig(epoch_window_s=0.02)
+            )
+            for i, app in enumerate(["ep.C", "is.C"]):
+                model = replace(resolve_model(app))
+                model.total_work = 3.0 + i
+                world.spawn(model, nthreads=2, managed=True)
+            world.run_for(6.0)
+            manager.shutdown()
+            return _fingerprint(world, exit_order), world.tick_index
+
+        baseline = run()
+        OBS.reset()
+        OBS.enable()
+        try:
+            observed = run()
+            counts: dict[tuple, float] = {}
+            for counter in OBS.counters():
+                key = (counter.name, counter.labels.get("result"))
+                counts[key] = counter.value
+        finally:
+            OBS.disable()
+            OBS.reset()
+        assert observed == baseline
+        assert counts[("sim.busy_probe", "leap")] > 0
+        assert counts[("sim.busy_probe", "governor")] > 0
+        ticks = observed[1]
+        assert sum(
+            counts.get(("sim.placement_cache", result), 0.0)
+            for result in ("hit", "miss")
+        ) == ticks
+        leapt = counts.get(("sim.leap_ticks", None), 0.0) + counts.get(
+            ("sim.busy_leap_ticks", None), 0.0
+        )
+        assert sum(
+            counts.get(("sim.pattern_cache", result), 0.0)
+            for result in ("hit", "miss", "uncacheable")
+        ) == ticks - leapt
 
     def test_obs_handles_survive_registry_reset(self) -> None:
         world, _ = _build_world(0, "tick")

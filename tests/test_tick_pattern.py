@@ -8,6 +8,11 @@ targeted case also checks that the memory was actually used, so a
 passing comparison is not vacuous.  Each targeted case guards one part
 of the pattern key or one bypass rule; dropping that part from
 ``World._remembered_pattern`` makes the case fail.
+
+The event engine's busy-leap probe evaluates its tick through the same
+memories and hands a tick it does not leap to that tick's step; the
+oracle also turns that hand-off off, and ``TestBusyProbe`` checks that
+the probe evaluates each tick at most once.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from repro.analysis.scenarios import make_platform, resolve_model
 from repro.apps.base import ApplicationModel
 from repro.apps.kpn import REPLICAS_KNOB, KpnApplicationModel, KpnStage
 from repro.apps.npb import npb_model
-from repro.core.manager import HarpManager, ManagerConfig
+from repro.core.manager import HarpManager, ManagerConfig, RmDaemonModel
 from repro.ext.dvfs import FREQ_SCALE_KNOB, CappedGovernor, DvfsAwareManager
 from repro.ext.phases import Phase, PhasedApplicationModel
 from repro.fault import Fault, FaultKind, FaultPlan, SimFaultInjector
@@ -31,7 +36,7 @@ from repro.obs import OBS
 from repro.platform.dvfs import make_governor
 from repro.scenario.driver import TraceDriver
 from repro.scenario.generator import SessionPlan
-from repro.sim import CfsScheduler, PinnedScheduler, World
+from repro.sim import CfsScheduler, PinnedScheduler, World, make_world
 from repro.sim.process import SimProcess
 
 from test_eventsim import _build_world, _fingerprint, _run_instance
@@ -42,9 +47,11 @@ ENGINES = ("tick", "event")
 def _run(monkeypatch, scenario, cache: bool = True):
     """Run ``scenario()`` with the memories on, or forced to miss.
 
-    Returns ``(result, served)``: ``served`` lists, for every tick served
-    from the pattern memory, its tick index and the processes whose
-    increments it applied.
+    Forced to miss, the busy-leap probe also evaluates afresh and hands
+    nothing to the step, which evaluates the tick again.  Returns
+    ``(result, served)``: ``served`` lists, for every tick served from
+    the pattern memory (by a step or a probe), its tick index and the
+    processes whose increments it applied.
     """
     served: list[tuple[int, list[SimProcess]]] = []
     lookup = World._remembered_pattern
@@ -61,6 +68,9 @@ def _run(monkeypatch, scenario, cache: bool = True):
         m.setattr(World, "_remembered_pattern", remembered)
         if not cache:
             m.setattr(World, "_remembered_placement", lambda self, sig: None)
+            m.setattr(World, "_probed_tick", property(
+                lambda self: None, lambda self, probed: None
+            ))
         result = scenario()
     return result, served
 
@@ -439,3 +449,125 @@ class TestMemoryHygiene:
         assert hits + misses + uncacheable == world.tick_index
         assert hits > 0 and misses > 0
         assert uncacheable >= 1  # the completion tick
+
+
+# -- the busy-leap probe shares the step's evaluation (event engine) -------------
+
+
+class _Counting(ApplicationModel):
+    """A slot-pure model that logs the tick index of every ``perf()``."""
+
+    def perf(self, slots, process):
+        self.calls.append(self.world.tick_index)
+        return super().perf(slots, process)
+
+
+def _counting(world: World, name: str, total_work: float) -> _Counting:
+    model = _Counting(name=name, total_work=total_work, serial_fraction=0.05)
+    model.calls = []
+    model.world = world
+    return model
+
+
+def _probe_results(run) -> dict[str, float]:
+    """Run a callable under obs; return ``sim.busy_probe`` by result."""
+    OBS.reset()
+    OBS.enable()
+    try:
+        run()
+        return {
+            counter.labels["result"]: counter.value
+            for counter in OBS.counters()
+            if counter.name == "sim.busy_probe"
+        }
+    finally:
+        OBS.disable()
+        OBS.reset()
+
+
+class TestBusyProbe:
+    def test_each_tick_evaluated_once_under_powersave(self) -> None:
+        """A probe that does not leap — here at the governor fixpoint
+        check, also on the blip's completion tick, which no memory
+        keeps — hands its evaluated tick to the step, which must not
+        call ``perf()`` for it again."""
+        platform = make_platform("intel")
+        world = make_world(
+            platform, CfsScheduler(),
+            governor=make_governor("powersave", platform),
+            engine="event", seed=0,
+        )
+        models = [
+            _counting(world, "short", 0.3),
+            _counting(world, "long", 40.0),
+            _counting(world, "blip", 0.005),
+        ]
+        short = world.spawn(models[0], nthreads=2)
+        world.spawn(models[1], nthreads=2)
+        blips = []
+        world.schedule(100, lambda w: blips.append(w.spawn(models[2])))
+        results = _probe_results(lambda: world.run_for(2.0))
+        assert short.finished and blips[0].finished
+        assert models[2].calls == [100]  # done on its first tick
+        assert results.get("governor", 0) > 0 and results.get("leap", 0) > 0
+        for model in models:
+            assert model.calls
+            assert len(model.calls) == len(set(model.calls))
+
+    def test_remembered_stretch_leaps_without_perf(self) -> None:
+        platform = make_platform("intel")
+        world = make_world(platform, CfsScheduler(), engine="event", seed=0)
+        model = _counting(world, "steady", 1e4)
+        world.spawn(model, nthreads=2)
+        world.run_for(0.1)
+        evaluated = len(model.calls)
+        assert evaluated > 0
+
+        def stretches() -> None:
+            for _ in range(5):
+                world.run_for(0.1)
+
+        assert _probe_results(stretches) == {"leap": 5}
+        assert len(model.calls) == evaluated
+        assert world.tick_index == 60
+
+    def test_stateful_model_same_perf_calls_on_both_engines(
+        self, monkeypatch
+    ) -> None:
+        """The RM daemon's ``perf()`` burns its pending time, so the
+        probe must veto it before calling ``perf()``: both engines call
+        it exactly as often."""
+        calls: list[int] = []
+        burn = RmDaemonModel.perf
+
+        def counted(self, slots, process):
+            calls.append(len(slots))
+            return burn(self, slots, process)
+
+        monkeypatch.setattr(RmDaemonModel, "perf", counted)
+
+        def run(engine: str) -> tuple:
+            platform = make_platform("intel")
+            world = make_world(platform, CfsScheduler(), engine=engine, seed=1)
+            daemon = RmDaemonModel()
+            world.spawn(daemon, nthreads=1, daemon=True)
+            world.spawn(_ep(), nthreads=2)
+
+            def charge(w: World) -> None:
+                if w.tick_index % 9 == 0:
+                    daemon.charge(0.015)
+                w.request_wakeup(w.tick_index + 9 - w.tick_index % 9)
+
+            world.on_event.append(charge)
+            world.request_wakeup(9)
+            results = _probe_results(lambda: world.run_for(1.5))
+            fingerprint = _fingerprint(world, [])
+            n_calls = len(calls)
+            calls.clear()
+            return fingerprint, n_calls, results
+
+        tick, tick_calls, _ = run("tick")
+        event, event_calls, results = run("event")
+        assert event == tick
+        assert event_calls == tick_calls > 0
+        assert results.get("stateful", 0) > 0 and results.get("leap", 0) > 0
