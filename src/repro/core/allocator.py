@@ -272,9 +272,6 @@ class LagrangianAllocator:
         self._last_greedy: dict[int, tuple] | None = None
         self._greedy_env: tuple | None = None
         # Static platform maps, paid once instead of per placement.
-        self._core_of_hw = {
-            t.thread_id: t.core_id for t in platform.hw_threads
-        }
         self._core_thread_ids = {
             c.core_id: [t.thread_id for t in c.hw_threads]
             for c in platform.cores
@@ -918,7 +915,7 @@ class LagrangianAllocator:
 
         # Co-allocation: share the least-loaded cores of the demanded types.
         if pending_co:
-            core_of_hw = self._core_of_hw
+            core_of_hw = self.platform.core_of_hw_thread
             usage: dict[int, int] = {c.core_id: 0 for c in self.platform.cores}
             for sel in selections.values():
                 for hw_id in sel.hw_threads:

@@ -16,18 +16,11 @@ reproducing the §6.6 overhead experiment.
 from __future__ import annotations
 
 import contextlib
-import enum
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.core.allocator import (
-    AllocationRequest,
-    AllocationResult,
-    LagrangianAllocator,
-    Selection,
-)
+from repro.core.allocator import LagrangianAllocator
 from repro.core.energy import EnergyAttributor
+from repro.core.epoch import EpochDecision, plan_epoch
 from repro.core.exploration import ExplorationPlanner
 from repro.core.monitor import SystemMonitor
 from repro.core.operating_point import (
@@ -205,9 +198,6 @@ class AppSession:
     # session (simulated seconds), modelling a slow reply channel.
     reply_delay_s: float = 0.0
 
-    def stage(self) -> MaturityStage:
-        return self.table.stage
-
 
 class HarpManager:
     """Event-driven orchestration of allocation, exploration, monitoring."""
@@ -251,19 +241,13 @@ class HarpManager:
         # Deadlines are ticks, converted once from seconds by world.ticks_in.
         self._next_sample_tick = 0
         # Batched-epoch state: the tick the pending epoch is due (None = no
-        # epoch pending) and how many triggers folded into it so far.
+        # epoch pending) and how many triggers folded into one so far.
         self._epoch_due_tick: int | None = None
-        self._epoch_pending_events = 0
         self.epoch_coalesced_events = 0
         # Robustness counters and fault hooks (docs/robustness.md).
         self.sessions_reaped = 0
         self.solver_fallbacks = 0
         self.push_failures = 0
-        # Fault hook: the next N allocator solves raise, exercising the
-        # fair-share degradation path.
-        self.fault_solver_failures = 0
-        self._reallocating = False
-        self._reap_during_realloc = False
         self._shut_down = False
         # Session state carried over from a restored snapshot, keyed by
         # pid, consumed by adopt_running().
@@ -357,12 +341,7 @@ class HarpManager:
         self._request_reallocation(urgent=True)
 
     def _on_process_exit(self, process: SimProcess) -> None:
-        session = self.sessions.pop(process.pid, None)
-        if session is None:
-            return
-        self.monitor.forget(process.pid)
-        self._charge(self.config.cost_per_message_s)
-        if self.sessions:
+        if self._drop_session(process.pid) is not None and self.sessions:
             self._request_reallocation()
 
     def _on_event(self, world: World) -> None:
@@ -378,7 +357,8 @@ class HarpManager:
                 message = session.pending_activation
                 session.pending_activation = None
                 session.activation_due_tick = None
-                self._push_activation(session, message)
+                if not self._push_activation(session, message):
+                    self._reap_session(session.pid, reason="push-failure")
         if self._epoch_due_tick is not None and now >= self._epoch_due_tick:
             self.flush()
         if now >= self._next_sample_tick:
@@ -427,19 +407,26 @@ class HarpManager:
             if now - session.last_seen_tick > lease:
                 self._reap_session(session.pid, reason="lease-expired")
 
-    def _reap_session(self, pid: int, reason: str) -> None:
+    def _drop_session(self, pid: int) -> AppSession | None:
+        """Forget a session that exited or was reaped; its cores return
+        to the pool by its absence from the next epoch."""
+        session = self.sessions.pop(pid, None)
+        if session is not None:
+            self.monitor.forget(pid)
+            self._charge(self.config.cost_per_message_s)
+        return session
+
+    def _reap_session(self, pid: int, reason: str, replan: bool = True) -> None:
         """Tear down a dead/hung/unreachable session and reclaim its cores.
 
-        The session's cores return to the pool simply by the session no
-        longer appearing in the next allocation epoch, which is triggered
-        here so the remaining applications expand immediately.
+        With ``replan`` an epoch is requested here, so the remaining
+        applications expand immediately; an epoch that reaps while it
+        executes plans again itself (``reallocate``).
         """
-        session = self.sessions.pop(pid, None)
+        session = self._drop_session(pid)
         if session is None:
             return
-        self.monitor.forget(pid)
         self.sessions_reaped += 1
-        self._charge(self.config.cost_per_message_s)
         if OBS.enabled:
             OBS.counter("rm.sessions_reaped", reason=reason).inc()
             OBS.counter("rm.faults_detected", kind=reason).inc()
@@ -449,11 +436,7 @@ class HarpManager:
             )
         with contextlib.suppress(ProtocolError):
             session.transport.close()
-        if self._reallocating:
-            # Reaped from inside an allocation epoch (push failure):
-            # defer the re-run until the current epoch unwinds.
-            self._reap_during_realloc = True
-        elif self.sessions:
+        if replan and self.sessions:
             self._request_reallocation()
 
     # -- monitoring & exploration progress -------------------------------------------
@@ -562,9 +545,7 @@ class HarpManager:
 
     # -- the allocation epoch -----------------------------------------------------------
 
-    def _request_reallocation(
-        self, urgent: bool = False
-    ) -> AllocationResult | None:
+    def _request_reallocation(self, urgent: bool = False) -> EpochDecision | None:
         """Ask for an allocation epoch, coalescing under the epoch window.
 
         With ``epoch_window_s == 0`` this *is* ``reallocate()`` — the
@@ -581,7 +562,6 @@ class HarpManager:
             return self.reallocate()
         now = self.world.tick_index
         due = now if urgent else now + self.world.ticks_in(window)
-        self._epoch_pending_events += 1
         if self._epoch_due_tick is None:
             self._epoch_due_tick = due
         else:
@@ -592,7 +572,7 @@ class HarpManager:
         self._wake_deadlines()
         return None
 
-    def flush(self) -> AllocationResult | None:
+    def flush(self) -> EpochDecision | None:
         """Run any pending batched epoch now; no-op when none is pending.
 
         Tests (and shutdown paths) use this to drain the epoch window
@@ -600,328 +580,79 @@ class HarpManager:
         """
         if self._epoch_due_tick is None:
             return None
-        self._epoch_due_tick = None
-        self._epoch_pending_events = 0
         return self.reallocate()
 
-    def reallocate(self) -> AllocationResult | None:
-        """Run the two-stage algorithm of §5.3: allocate, then explore."""
-        if self._reallocating:
-            # Re-entered from inside an epoch (a push failure reaped a
-            # session): run again once the current epoch unwinds.
-            self._reap_during_realloc = True
-            return None
-        # A directly invoked epoch serves any pending batched triggers too.
-        self._epoch_due_tick = None
-        self._epoch_pending_events = 0
-        sessions = [
-            s for s in self.sessions.values() if not s.process.finished
-        ]
-        if not sessions:
-            return None
-        self.allocation_epochs += 1
-        self._reallocating = True
-        try:
-            if not OBS.enabled:
-                result = self._reallocate(sessions)
-            else:
-                with OBS.span(
-                    "rm.reallocate", track="rm",
-                    epoch=self.allocation_epochs, sessions=len(sessions),
-                ):
-                    result = self._reallocate(sessions)
-        finally:
-            self._reallocating = False
-        if self._reap_during_realloc:
-            self._reap_during_realloc = False
-            if self.sessions:
-                self.reallocate()
-        # An epoch can defer activations (reply latency); announce them.
-        self._wake_deadlines()
-        return result
+    def reallocate(self) -> EpochDecision | None:
+        """Run the two-stage algorithm of §5.3: plan the epoch, execute it.
 
-    def _reallocate(self, sessions: list[AppSession]) -> AllocationResult:
+        Executing can reap a session (a failed push); the survivors are
+        then planned again at once.  Returns the last executed decision,
+        or None when no session is live.
+        """
+        decision = None
+        while True:
+            # A directly invoked epoch serves any pending batched triggers too.
+            self._epoch_due_tick = None
+            sessions = [
+                s for s in self.sessions.values() if not s.process.finished
+            ]
+            if not sessions:
+                break
+            self.allocation_epochs += 1
+            span = OBS.span(
+                "rm.reallocate", track="rm",
+                epoch=self.allocation_epochs, sessions=len(sessions),
+            ) if OBS.enabled else contextlib.nullcontext()
+            with span:
+                decision, reaped = self._run_epoch(sessions)
+            if not reaped:
+                break
+        if decision is not None:
+            # An epoch can defer activations (reply latency); announce them.
+            self._wake_deadlines()
+        return decision
+
+    def _run_epoch(
+        self, sessions: list[AppSession]
+    ) -> tuple[EpochDecision, bool]:
+        """Plan and execute one epoch; True when a failed push reaped a
+        session, which leaves its planned cores unused."""
         self._charge(self.config.cost_per_allocation_s)
-        reserve = self.config.background_reserve or {}
-        capacity = [
-            max(0, cap - reserve.get(ct.name, 0))
-            for cap, ct in zip(
-                self.world.platform.capacity_vector(),
-                self.world.platform.core_types,
-            )
-        ]
-        type_names = [ct.name for ct in self.world.platform.core_types]
-
-        explorers = [
-            s
-            for s in sessions
-            if self.config.explore
-            and self.planner.stage_of(s.table) is not MaturityStage.STABLE
-        ]
-        stable = [s for s in sessions if s not in explorers]
-
-        requests: list[AllocationRequest] = []
-        fair_erv = self._fair_share_erv(len(sessions))
-        for session in explorers:
-            requests.append(
-                AllocationRequest(
-                    pid=session.pid,
-                    points=[OperatingPoint(erv=fair_erv, utility=1.0, power=1.0)],
-                    mandatory=True,
-                )
-            )
-        for session in stable:
-            if self.config.explore:
-                # Complete the table with regression approximations for
-                # not-yet-explored configurations (§5, challenge 2).  In
-                # offline mode the description table is authoritative.
-                self.planner.predict_missing(
-                    session.table, self.layout.index().ervs
-                )
-            points = self._allocatable_points(session.table, capacity)
-            if not points:
-                points = [OperatingPoint(erv=fair_erv, utility=1.0, power=1.0)]
-            requests.append(
-                AllocationRequest(
-                    pid=session.pid,
-                    points=points,
-                    max_utility=session.table.max_utility(),
-                    preferred_erv=session.current_erv,
-                )
-            )
-
-        try:
-            if self.fault_solver_failures > 0:
-                self.fault_solver_failures -= 1
-                raise RuntimeError("injected solver failure")
-            result = self.allocator.allocate(
-                requests,
-                self.world.platform.capacity_vector(),
-                reserved=reserve or None,
-            )
-        except Exception as exc:
-            # Graceful degradation (docs/robustness.md): a failed MMKP
-            # solve must not leave the system without an allocation.  Fall
-            # back to the fair-share split used during exploration and
-            # place it with the solver's deterministic placement phase.
+        decision = plan_epoch(
+            sessions,
+            self.planner,
+            self.allocator,
+            self.world.platform,
+            self.config.background_reserve or {},
+            explore=self.config.explore,
+            measurements_per_point=self.config.measurements_per_point,
+        )
+        if decision.solver_error is not None:
             self.solver_fallbacks += 1
             if OBS.enabled:
                 OBS.counter("rm.solver_fallbacks").inc()
                 OBS.event(
-                    "rm.solver_fallback", track="rm", error=str(exc),
-                    sessions=len(sessions),
+                    "rm.solver_fallback", track="rm",
+                    error=decision.solver_error, sessions=len(sessions),
                 )
-            result = self._fair_share_result(sessions, reserve)
-
-        # Stage 2: exploration within assigned bounds plus the free cores
-        # (excluding any background reservation).
-        assigned_cores = self._assigned_core_ids(result)
-        free_by_type = {}
-        for name in type_names:
-            pool = self.world.platform.cores_of_type(name)
-            hold_back = reserve.get(name, 0)
-            if hold_back:
-                pool = pool[: max(0, len(pool) - hold_back)]
-            free_by_type[name] = [
-                c for c in pool if c.core_id not in assigned_cores
-            ]
-        explorer_regions = self._split_free_cores(result, explorers, free_by_type)
-
-        for session in sessions:
-            if session.pid not in self.sessions:
+        reaped = False
+        for app in decision.apps:
+            session = self.sessions.get(app.pid)
+            if session is None:
                 continue  # reaped earlier in this epoch (push failure)
-            selection = result.selections[session.pid]
-            session.co_allocated = selection.co_allocated
-            if session in explorers:
-                self._advance_exploration(session, explorer_regions[session.pid])
-            else:
-                self._activate(
-                    session,
-                    selection.point.erv,
-                    selection.point.knobs,
-                    selection.hw_threads,
-                )
-        return result
+            session.co_allocated = app.co_allocated
+            if app.erv is None:
+                session.current_erv = None
+                continue
+            if app.new_point:
+                session.samples_at_current = 0
+                session.explored.add(app.erv)
+            if not self._activate(session, app.erv, app.knobs, app.hw_threads):
+                self._reap_session(app.pid, reason="push-failure", replan=False)
+                reaped = True
+        return decision, reaped
 
-    # -- helpers ------------------------------------------------------------------------
-
-    def _allocatable_points(
-        self, table: OperatingPointTable, capacity: list[int]
-    ) -> list[OperatingPoint]:
-        """The table's points the allocator may select, in table order:
-        non-empty, within ``capacity``, and measured or predicted useful."""
-        rows = table.index_rows()
-        cores = table.layout.index().cores[rows]
-        points = table.points
-        useful = np.fromiter(
-            (p.measured or p.utility > 0 for p in points),
-            dtype=bool, count=len(points),
-        )
-        keep = (
-            useful
-            & (cores.sum(axis=1) > 0)
-            & np.all(cores <= capacity, axis=1)
-        )
-        return [points[i] for i in np.flatnonzero(keep).tolist()]
-
-    def _exploration_candidates(
-        self, capacity: list[int]
-    ) -> list[ExtendedResourceVector]:
-        """Every ERV of the space within ``capacity``, in index order."""
-        index = self.layout.index()
-        fits = np.all(index.cores[: len(index)] <= capacity, axis=1)
-        return [index.ervs[i] for i in np.flatnonzero(fits).tolist()]
-
-    def _fair_share_erv(self, n_sessions: int) -> ExtendedResourceVector:
-        """An even split of the machine used while exploring (§5.3)."""
-        reserve = self.config.background_reserve or {}
-        counts: dict[tuple[str, int], int] = {}
-        any_core = False
-        for ct in self.world.platform.core_types:
-            available = max(
-                0, self.world.platform.count_of_type(ct.name) - reserve.get(ct.name, 0)
-            )
-            share = available // max(1, n_sessions)
-            if share > 0:
-                counts[(ct.name, ct.smt)] = share
-                any_core = True
-        if not any_core:
-            # More applications than cores: ask for a single core of the
-            # most plentiful type and let co-allocation handle the rest.
-            biggest = max(
-                self.world.platform.core_types,
-                key=lambda ct: self.world.platform.count_of_type(ct.name),
-            )
-            counts[(biggest.name, biggest.smt)] = 1
-        return self.layout.from_counts(counts)
-
-    def _fair_share_result(
-        self, sessions: list[AppSession], reserve: dict[str, int]
-    ) -> AllocationResult:
-        """Degraded allocation: every application gets the fair share.
-
-        Built without the solver, then placed through the allocator's
-        deterministic phase-3 placement (co-allocation overflow included),
-        so the degraded epoch obeys the same disjointness and
-        background-reserve rules as a normal one.
-        """
-        fair_erv = self._fair_share_erv(len(sessions))
-        selections = {
-            s.pid: Selection(
-                pid=s.pid,
-                point=OperatingPoint(erv=fair_erv, utility=1.0, power=1.0),
-            )
-            for s in sessions
-        }
-        self.allocator.place_selections(
-            selections,
-            self.world.platform.capacity_vector(),
-            reserved=reserve or None,
-        )
-        return AllocationResult(
-            selections=selections,
-            feasible=not any(s.co_allocated for s in selections.values()),
-        )
-
-    def _assigned_core_ids(self, result: AllocationResult) -> set[int]:
-        core_of_hw = {
-            t.thread_id: t.core_id for t in self.world.platform.hw_threads
-        }
-        return {
-            core_of_hw[hw_id]
-            for sel in result.selections.values()
-            for hw_id in sel.hw_threads
-        }
-
-    def _split_free_cores(
-        self,
-        result: AllocationResult,
-        explorers: list[AppSession],
-        free_by_type: dict[str, list],
-    ) -> dict[int, list]:
-        """Give each explorer its assigned cores plus an even cut of the rest."""
-        regions: dict[int, list] = {}
-        if not explorers:
-            return regions
-        core_by_id = {c.core_id: c for c in self.world.platform.cores}
-        core_of_hw = {
-            t.thread_id: t.core_id for t in self.world.platform.hw_threads
-        }
-        for session in explorers:
-            own = {
-                core_of_hw[hw_id]
-                for hw_id in result.selections[session.pid].hw_threads
-            }
-            regions[session.pid] = [core_by_id[cid] for cid in sorted(own)]
-        index = 0
-        ordered = sorted(explorers, key=lambda s: s.pid)
-        for name, cores in free_by_type.items():
-            for core in cores:
-                regions[ordered[index % len(ordered)].pid].append(core)
-                index += 1
-        return regions
-
-    def _region_capacity(self, cores: list) -> dict[str, int]:
-        capacity: dict[str, int] = {}
-        for core in cores:
-            capacity[core.core_type.name] = capacity.get(core.core_type.name, 0) + 1
-        return capacity
-
-    def _advance_exploration(self, session: AppSession, region: list) -> None:
-        """Pick (or keep) the exploration point and place it in the region."""
-        region_cap = self._region_capacity(region)
-        capacity_vec = [
-            region_cap.get(ct.name, 0) for ct in self.world.platform.core_types
-        ]
-        candidates = self._exploration_candidates(capacity_vec)
-        if not candidates:
-            session.current_erv = None
-            return
-        # The candidates are the whole space within the region, and the
-        # region never exceeds the platform: membership is this test.
-        current = session.current_erv
-        keep_current = (
-            current is not None
-            and session.samples_at_current < self.config.measurements_per_point
-            and not current.is_empty()
-            and current.fits(capacity_vec)
-        )
-        if keep_current:
-            erv = session.current_erv
-        else:
-            erv = self.planner.next_point(session.table, candidates)
-            if erv is None:
-                # Everything reachable is measured; re-measure the best.
-                erv = max(
-                    candidates,
-                    key=lambda c: (
-                        session.table.get(c).utility
-                        if session.table.get(c)
-                        else 0.0
-                    ),
-                )
-            session.samples_at_current = 0
-            session.explored.add(erv)
-        hw_threads = self._place_in_region(erv, region)
-        self._activate(session, erv, {}, hw_threads)
-
-    def _place_in_region(
-        self, erv: ExtendedResourceVector, region: list
-    ) -> frozenset[int]:
-        pools: dict[str, list] = {}
-        for core in region:
-            pools.setdefault(core.core_type.name, []).append(core)
-        hw_ids: list[int] = []
-        for comp, count in zip(erv.layout.components, erv.counts):
-            pool = pools.get(comp.core_type, [])
-            for _ in range(count):
-                if not pool:
-                    break
-                core = pool.pop(0)
-                hw_ids.extend(
-                    t.thread_id for t in core.hw_threads[: comp.threads_used]
-                )
-        return frozenset(hw_ids)
+    # -- execution -----------------------------------------------------------------------
 
     def _activate(
         self,
@@ -929,9 +660,10 @@ class HarpManager:
         erv: ExtendedResourceVector,
         knobs: dict,
         hw_threads: frozenset[int],
-    ) -> None:
+    ) -> bool:
+        """Apply a decision to a session; False when its push failed."""
         if not hw_threads:
-            return
+            return True
         changed = (
             erv != session.current_erv or hw_threads != session.current_hw
         )
@@ -948,7 +680,7 @@ class HarpManager:
         session.current_knobs = dict(knobs)
         session.current_hw = hw_threads
         if not changed:
-            return
+            return True
         # Initial activation is deferred by the registration/communication
         # latency; later pushes apply immediately (unless a fault-injected
         # reply delay is active on the session).
@@ -961,27 +693,26 @@ class HarpManager:
             if self.world.tick_index >= session.activation_due_tick:
                 session.pending_activation = None
                 session.activation_due_tick = None
-                self._push_activation(session, message)
-            else:
-                session.pending_activation = message
+                return self._push_activation(session, message)
+            session.pending_activation = message
         elif session.reply_delay_s > 0:
             session.pending_activation = message
             session.activation_due_tick = self.world.tick_index + self.world.ticks_in(
                 session.reply_delay_s
             )
         else:
-            self._push_activation(session, message)
+            return self._push_activation(session, message)
+        return True
 
     def _push_activation(
         self, session: AppSession, message: ActivateOperatingPoint
     ) -> bool:
-        """Push an activation; returns False (and tears the session down)
-        when delivery failed.
+        """Push an activation; returns False when delivery failed.
 
         An application that cannot receive activations is unmanageable:
         the RM would keep accounting cores to a configuration the
-        application never applied, so a failed push escalates to session
-        teardown and the cores are reclaimed.
+        application never applied, so callers escalate a failed push to
+        session teardown and the cores are reclaimed.
         """
         self._charge(self.config.cost_per_message_s)
         if OBS.enabled:
@@ -1007,9 +738,7 @@ class HarpManager:
                 OBS.counter(
                     "rm.push_failures", app=session.table.app_name
                 ).inc()
-            self._reap_session(session.pid, reason="push-failure")
-            return False
-        return True
+        return delivered
 
     def _charge(self, seconds: float) -> None:
         if self._rm_model is not None:
@@ -1130,7 +859,6 @@ class HarpManager:
             return
         self._shut_down = True
         self._epoch_due_tick = None
-        self._epoch_pending_events = 0
         for callbacks, cb in (
             (self.world.on_process_start, self._on_process_start),
             (self.world.on_process_exit, self._on_process_exit),

@@ -83,15 +83,6 @@ class SystemMonitor:
         self._last_cpu: dict[int, dict[str, float]] = {}
         self._last_time = world.time_s
 
-    @property
-    def last_sample_time_s(self) -> float:
-        """Sim time of the previous measurement boundary.
-
-        Lets the RM (and tests) verify samples only happen at scheduled
-        epoch boundaries, never at leap-internal ticks.
-        """
-        return self._last_time
-
     def sample(
         self,
         pids: list[int],

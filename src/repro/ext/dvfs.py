@@ -14,7 +14,7 @@ touching the core machinery:
 * :class:`DvfsAwareManager` applies the selected point's cap to the
   allocated cores on activation (a RM-side knob — frequency is an OS
   control, not an application one) and releases the caps when the
-  application exits.
+  application exits or its session is reaped.
 
 Memory-bandwidth-bound applications are the natural winners: capping the
 clock on their cores cuts power roughly cubically while the bandwidth
@@ -113,7 +113,7 @@ class DvfsAwareManager(HarpManager):
 
     Requires the world's governor to be a :class:`CappedGovernor`; the
     manager installs the selected point's cap on the application's cores
-    at activation time and lifts it on exit.
+    at activation time and lifts it when the session ends (exit or reap).
     """
 
     def __init__(self, world, *args, **kwargs):
@@ -126,22 +126,20 @@ class DvfsAwareManager(HarpManager):
 
     def _push_activation(
         self, session: AppSession, message: ActivateOperatingPoint
-    ) -> None:
+    ) -> bool:
         governor: CappedGovernor = self.world.governor
-        previous = self._capped_cores.pop(session.pid, [])
-        governor.clear_caps(previous)
+        governor.clear_caps(self._capped_cores.pop(session.pid, []))
         scale = float(message.knobs.get(FREQ_SCALE_KNOB, 1.0))
-        core_of_hw = {
-            t.thread_id: t.core_id for t in self.world.platform.hw_threads
-        }
-        cores = sorted({core_of_hw[hw] for hw in message.hw_threads})
         if scale < 1.0:
+            core_of = self.world.platform.core_of_hw_thread
+            cores = sorted({core_of[hw] for hw in message.hw_threads})
             for core_id in cores:
                 governor.set_cap(core_id, scale)
             self._capped_cores[session.pid] = cores
-        super()._push_activation(session, message)
+        return super()._push_activation(session, message)
 
-    def _on_process_exit(self, process) -> None:
-        governor: CappedGovernor = self.world.governor
-        governor.clear_caps(self._capped_cores.pop(process.pid, []))
-        super()._on_process_exit(process)
+    def _drop_session(self, pid: int) -> AppSession | None:
+        # Exit or reap (a failed push included): the cores go back to
+        # the pool, so their caps must go too.
+        self.world.governor.clear_caps(self._capped_cores.pop(pid, []))
+        return super()._drop_session(pid)

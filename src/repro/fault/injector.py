@@ -7,15 +7,16 @@ tick is announced as a wakeup, so a leap never skips an injection point
 and the firing tick matches the tick engine exactly.  All faults act
 through the same deterministic surfaces the production code exposes —
 ``World.kill``, the in-process transport's fault hooks, the manager's
-forced-solver-failure budget, and snapshot/restore — so a faulted run
-stays bit-exact reproducible for a given (workload seed, plan seed)
-pair.
+``allocator`` (wrapped so its next solves raise), and snapshot/restore —
+so a faulted run stays bit-exact reproducible for a given (workload
+seed, plan seed) pair.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+from repro.core.allocator import AllocationResult, LagrangianAllocator
 from repro.core.manager import HarpManager
 from repro.fault.plan import Fault, FaultKind, FaultPlan
 from repro.ipc.messages import Message, UtilityReply, UtilityRequest
@@ -102,7 +103,10 @@ class SimFaultInjector:
     def _apply(self, fault: Fault) -> tuple[bool, int | None]:
         if fault.kind is FaultKind.SOLVER_FAILURE:
             count = int(fault.params.get("count", 1))
-            self.manager.fault_solver_failures += count
+            allocator = self.manager.allocator
+            if not isinstance(allocator, _FailingSolves):
+                allocator = self.manager.allocator = _FailingSolves(allocator)
+            allocator.failures += count
             # Force an epoch so the degradation is exercised now, not
             # whenever the next natural reallocation happens to land.
             self.manager.reallocate()
@@ -172,6 +176,24 @@ class SimFaultInjector:
             if fault.target is None or session.table.app_name == fault.target:
                 return pid
         return None
+
+
+class _FailingSolves:
+    """An allocator whose next ``failures`` solves raise; placement,
+    stats and caches stay the wrapped allocator's."""
+
+    def __init__(self, allocator: LagrangianAllocator):
+        self.allocator = allocator
+        self.failures = 0
+
+    def allocate(self, *args, **kwargs) -> AllocationResult:
+        if self.failures > 0:
+            self.failures -= 1
+            raise RuntimeError("injected solver failure")
+        return self.allocator.allocate(*args, **kwargs)
+
+    def __getattr__(self, name: str):
+        return getattr(self.allocator, name)
 
 
 def _drop_utility_polls(message: Message) -> bool:

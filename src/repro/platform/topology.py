@@ -19,6 +19,7 @@ follow published measurements for these parts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -174,6 +175,11 @@ class Platform:
     def hw_threads(self) -> list[HwThread]:
         """All hardware threads in thread-id order."""
         return [t for core in self.cores for t in core.hw_threads]
+
+    @cached_property
+    def core_of_hw_thread(self) -> dict[int, int]:
+        """Core id of each hardware thread id (built on first use)."""
+        return {t.thread_id: t.core_id for t in self.hw_threads}
 
     @property
     def n_cores(self) -> int:

@@ -152,7 +152,6 @@ class World:
         self._hw_by_id = {t.thread_id: t for t in platform.hw_threads}
         self._hw_ids = [t.thread_id for t in platform.hw_threads]
         self._n_hw_threads = platform.n_hw_threads
-        self._core_by_id = {c.core_id: c for c in platform.cores}
         # Two-entry placement memory, keyed by the scheduler's signature:
         # ``_placement_sig``/``_placement_cache`` is the most recent entry,
         # ``_placement_prev`` the one before it.  And the matching tick-
@@ -888,13 +887,6 @@ class World:
     def total_energy_j(self) -> float:
         """Noisy package energy since start (what RAPL would report)."""
         return self.package_sensor.read_energy_j()
-
-    def hw_threads_of_cores(self, core_ids: list[int]) -> frozenset[int]:
-        """All hardware-thread ids belonging to the given cores."""
-        ids = []
-        for core_id in core_ids:
-            ids.extend(t.thread_id for t in self._core_by_id[core_id].hw_threads)
-        return frozenset(ids)
 
 
 class SchedulerProtocol:

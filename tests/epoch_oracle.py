@@ -6,17 +6,19 @@ replaced, as the reference the array paths must equal with ``==``:
 
 * :func:`measured_points` — the full-table scan behind
   ``OperatingPointTable.measured_points()``/``measured_count()``;
-* :func:`allocatable_points` — the stable-app point filter of
-  ``HarpManager._reallocate``;
-* :func:`exploration_candidates` — the region filter of
-  ``HarpManager._advance_exploration``;
+* :func:`allocatable_points` — the stable-app point filter,
+  ``repro.core.epoch.allocatable_points``;
+* :func:`exploration_candidates` — the region filter,
+  ``repro.core.epoch.exploration_candidates``;
 * :class:`PerPointPlanner` — the planner's measured set, regression
   features, furthest-point search and table completion;
 * :class:`PerPointRowsAllocator` — the allocator's request keys, cost
-  rows, resource rows and pruning mask;
-* :class:`PerPointManager` — all of the above wired into one manager, so
-  whole runs can be compared epoch by epoch.
-"""
+  rows, resource rows and pruning mask.
+
+Whole runs compare a plain ``HarpManager`` against one given the
+per-point planner and allocator, with the two filters swapped into
+``repro.core.epoch`` (``tests/test_epoch_arrays.py``): their
+``EpochDecision``s must be equal epoch by epoch."""
 
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ import numpy as np
 from repro.core.allocator import LagrangianAllocator
 from repro.core.cost import batch_costs
 from repro.core.exploration import ExplorationPlanner
-from repro.core.manager import HarpManager
 from repro.core.operating_point import MaturityStage, OperatingPoint
 from repro.core.pareto import dominated_mask
 from repro.core.regression import make_model
@@ -218,52 +219,3 @@ def request_rows(req, layout: ErvLayout):
         keep = np.flatnonzero(~dominated)
         costs, res_mat = costs[keep], res_mat[keep]
     return costs, res_mat, keep
-
-
-class PerPointManager(HarpManager):
-    """A HarpManager whose epoch table work is all per-point Python."""
-
-    def __init__(self, world, config=None, **kwargs):
-        kwargs.setdefault(
-            "allocator",
-            PerPointRowsAllocator(world.platform, ErvLayout(world.platform)),
-        )
-        super().__init__(world, config, **kwargs)
-        self._all_ervs = self.layout.enumerate_all()
-        self.planner = PerPointPlanner(
-            self.layout, stable_after=self.planner.stable_after
-        )
-
-    def _allocatable_points(self, table, capacity):
-        return allocatable_points(table, capacity)
-
-    def _advance_exploration(self, session, region):
-        region_cap = self._region_capacity(region)
-        capacity_vec = [
-            region_cap.get(ct.name, 0) for ct in self.world.platform.core_types
-        ]
-        candidates = exploration_candidates(self._all_ervs, capacity_vec)
-        if not candidates:
-            session.current_erv = None
-            return
-        keep_current = (
-            session.current_erv is not None
-            and session.samples_at_current < self.config.measurements_per_point
-            and session.current_erv in set(candidates)
-        )
-        if keep_current:
-            erv = session.current_erv
-        else:
-            erv = self.planner.next_point(session.table, candidates)
-            if erv is None:
-                erv = max(
-                    candidates,
-                    key=lambda c: (
-                        session.table.get(c).utility
-                        if session.table.get(c)
-                        else 0.0
-                    ),
-                )
-            session.samples_at_current = 0
-            session.explored.add(erv)
-        self._activate(session, erv, {}, self._place_in_region(erv, region))

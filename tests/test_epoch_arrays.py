@@ -3,15 +3,20 @@
 ``tests/epoch_oracle.py`` keeps the per-point Python that the
 ``ErvIndex``-based code replaced.  Random seeded tables on the Intel
 (764 ERVs) and Odroid (24 ERVs) layouts pin each array path to it, and
-whole Fig. 6 runs on both engines pin the per-epoch selections and the
-energy.
+whole Fig. 6 runs on both engines pin the per-epoch ``EpochDecision``s
+and the energy.  ``plan_epoch`` itself is checked to be a plan: run
+twice on the same inputs it decides the same, pushing nothing and
+changing no session.
 """
+
+import copy
+import dataclasses
+
 
 import numpy as np
 import pytest
 
 from epoch_oracle import (
-    PerPointManager,
     PerPointPlanner,
     PerPointRowsAllocator,
     allocatable_points,
@@ -20,6 +25,7 @@ from epoch_oracle import (
     request_rows,
 )
 from repro.analysis.scenarios import make_platform, resolve_model
+from repro.core import epoch
 from repro.core.allocator import AllocationRequest, LagrangianAllocator
 from repro.core.exploration import ExplorationPlanner
 from repro.core.manager import HarpManager, ManagerConfig
@@ -76,10 +82,6 @@ def _random_capacity(layout, rng):
     ]
 
 
-def _manager(platform):
-    return HarpManager(World(platform, PinnedScheduler()), ManagerConfig())
-
-
 @pytest.mark.parametrize("layout_name", LAYOUTS)
 class TestErvIndex:
     def test_rows_match_counts_and_core_vectors(self, layout_name, request):
@@ -102,14 +104,13 @@ class TestErvIndex:
 class TestEpochArrays:
     def test_exploration_candidates(self, layout_name, seed, request):
         layout = request.getfixturevalue(layout_name)
-        manager = _manager(layout.platform)
         rng = np.random.default_rng(seed)
         space = layout.enumerate_all()
         for _ in range(5):
             cap = _random_capacity(layout, rng)
             want = exploration_candidates(space, cap)
-            assert manager._exploration_candidates(cap) == want
-            # _advance_exploration's keep-current test is this membership.
+            assert epoch.exploration_candidates(layout, cap) == want
+            # plan_epoch's keep-current test is this membership.
             members = set(want)
             for erv in space + _outside_ervs(layout):
                 fits = not erv.is_empty() and erv.fits(cap)
@@ -117,13 +118,12 @@ class TestEpochArrays:
 
     def test_allocatable_points(self, layout_name, seed, request):
         layout = request.getfixturevalue(layout_name)
-        manager = _manager(layout.platform)
         table = _random_table(layout, seed)
         rng = np.random.default_rng(seed + 100)
         for cap in [layout.platform.capacity_vector()] + [
             _random_capacity(layout, rng) for _ in range(4)
         ]:
-            got = manager._allocatable_points(table, cap)
+            got = epoch.allocatable_points(table, cap)
             want = allocatable_points(table, cap)
             assert [id(p) for p in got] == [id(p) for p in want]
 
@@ -292,37 +292,49 @@ class TestMeasuredCache:
 APPS = ("ep.C", "mg.C", "ft.C", "cg.C")
 
 
-def _node_run(manager_cls, world_cls):
+def _node_run(world_cls, monkeypatch=None):
     """Warm-up rounds until every table is STABLE, then one more round.
 
-    Returns the per-epoch selections (with each table's measured count)
-    and the energy of every round.
+    With ``monkeypatch``, the manager runs the per-point planner,
+    allocator and filters.  Returns every epoch's decision (with each
+    table's measured count) and the energy of every round.
     """
     platform = make_platform("intel")
     world = world_cls(
         platform, PinnedScheduler(),
         governor=make_governor("powersave", platform), seed=0,
     )
-    manager = manager_cls(world, ManagerConfig(), seed=0)
+    if monkeypatch is None:
+        manager = HarpManager(world, ManagerConfig(), seed=0)
+    else:
+        manager = HarpManager(
+            world, ManagerConfig(), seed=0,
+            allocator=PerPointRowsAllocator(platform, ErvLayout(platform)),
+        )
+        manager.planner = PerPointPlanner(
+            manager.layout, stable_after=manager.planner.stable_after
+        )
+        space = manager.layout.enumerate_all()
+        monkeypatch.setattr(epoch, "allocatable_points", allocatable_points)
+        monkeypatch.setattr(
+            epoch, "exploration_candidates",
+            lambda layout, cap: exploration_candidates(space, cap),
+        )
     epochs = []
     solve = manager.reallocate
 
     def recorded():
-        result = solve()
-        if result is not None:
+        decision = solve()
+        if decision is not None:
             epochs.append((
                 world.tick_index,
-                sorted(
-                    (pid, sel.point.erv.counts, sel.point.utility,
-                     sel.point.power, sorted(sel.hw_threads), sel.co_allocated)
-                    for pid, sel in result.selections.items()
-                ),
+                decision,
                 sorted(
                     (s.pid, len(measured_points(s.table)), s.table.measured_count())
                     for s in manager.sessions.values()
                 ),
             ))
-        return result
+        return decision
 
     manager.reallocate = recorded
     energies = []
@@ -343,15 +355,70 @@ def _node_run(manager_cls, world_cls):
 
 
 @pytest.mark.parametrize("world_cls", [World, EventWorld], ids=["tick", "event"])
-def test_node_runs_match_per_point_reference(world_cls):
-    got = _node_run(HarpManager, world_cls)
-    want = _node_run(PerPointManager, world_cls)
+def test_node_runs_match_per_point_reference(world_cls, monkeypatch):
+    got = _node_run(world_cls)
+    want = _node_run(world_cls, monkeypatch)
     epochs, energies, by_type = got
     assert any(
         count >= 25 for _, _, counts in epochs for _, count, _ in counts
     ), "no table reached the stable stage"
+    assert any(app.new_point for _, d, _ in epochs for app in d.apps)
     for _, _, counts in epochs:
         assert all(scan == cached for _, scan, cached in counts)
     assert epochs == want[0]
     assert energies == want[1]
     assert by_type == want[2]
+
+
+def test_plan_epoch_is_a_plan(monkeypatch):
+    """Twice on the same inputs: equal decisions, no push, no session
+    field changed (the tables' predictions and stages may be rewritten)."""
+    platform = make_platform("intel")
+    world = World(
+        platform, PinnedScheduler(),
+        governor=make_governor("powersave", platform), seed=0,
+    )
+    manager = HarpManager(world, ManagerConfig(), seed=0)
+    # One app starts from a stable table, the others explore.
+    manager.table_store["ep.C"] = _random_table(manager.layout, 3, name="ep.C")
+    for name in APPS:
+        world.spawn(resolve_model(name), managed=True)
+    world.run_for(1.0)
+    sessions = list(manager.sessions.values())
+    stages = {s.table.app_name: s.table.stage for s in sessions}
+    assert stages["ep.C"] is MaturityStage.STABLE
+    assert MaturityStage.STABLE not in {stages[n] for n in APPS[1:]}
+
+    def no_push(message):
+        raise AssertionError(f"plan_epoch pushed {message!r}")
+
+    for session in sessions:
+        monkeypatch.setattr(session.transport, "push", no_push)
+    before = [
+        {f.name: getattr(s, f.name) for f in dataclasses.fields(s)}
+        for s in sessions
+    ]
+    copies = [copy.deepcopy({
+        name: value for name, value in fields.items()
+        if isinstance(value, (set, dict, list))
+    }) for fields in before]
+    tick, epochs = world.tick_index, manager.allocation_epochs
+
+    def plan():
+        return epoch.plan_epoch(
+            sessions, manager.planner,
+            LagrangianAllocator(platform, manager.layout),
+            platform, {},
+        )
+
+    first, second = plan(), plan()
+    assert first == second
+    assert [app.pid for app in first.apps] == [s.pid for s in sessions]
+    assert first.solver_error is None
+    assert any(app.erv is not None and app.hw_threads for app in first.apps)
+    for session, fields, copied in zip(sessions, before, copies):
+        for name, value in fields.items():
+            assert getattr(session, name) is value, name
+        for name, value in copied.items():
+            assert getattr(session, name) == value, name
+    assert (world.tick_index, manager.allocation_epochs) == (tick, epochs)

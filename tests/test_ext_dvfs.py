@@ -136,6 +136,25 @@ class TestDvfsAwareManager:
         world.run_until_all_finished()
         assert all(governor.cap_of(cid) == 1.0 for cid in e_core_ids)
 
+    def test_failed_push_releases_caps(self, intel):
+        """A session reaped for a failed push leaves no core capped."""
+        governor = CappedGovernor(make_governor("powersave", intel))
+        world = World(intel, PinnedScheduler(), governor=governor, seed=0)
+        points = [
+            {"erv": [0, 0, 16], "utility": 6.0, "power": 40.0,
+             "knobs": {FREQ_SCALE_KNOB: 0.7}, "measured": True, "samples": 1},
+        ]
+        config = ManagerConfig(explore=False, startup_delay_s=0.02)
+        manager = DvfsAwareManager(
+            world, config, offline_tables={"mg.C": points}
+        )
+        proc = world.spawn(npb_model("mg.C"), managed=True)
+        manager.sessions[proc.pid].transport.push_filter = lambda message: False
+        world.run_for(0.3)
+        assert manager.push_failures == 1
+        assert proc.pid not in manager.sessions
+        assert all(governor.cap_of(c.core_id) == 1.0 for c in intel.cores)
+
     def test_end_to_end_energy_win_on_memory_bound(self, intel, intel_layout):
         """DVFS-aware offline tables beat frequency-blind ones on mg."""
         from repro.analysis.scenarios import run_scenario

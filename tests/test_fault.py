@@ -148,11 +148,36 @@ class TestSimFaultMatrix:
         plan = FaultPlan(
             [Fault(at_s=0.5, kind=FaultKind.PUSH_LOSS, target="ep.C")]
         )
-        world, _, inj, victim, survivor = _build(plan=plan)
+        world, manager, inj, victim, survivor = _build(plan=plan)
+        # Here ep.C (``survivor``) loses its pushes and vgg (``victim``)
+        # is the application that must keep its cores.
+        lost, kept = survivor, victim
+        replans = []
+        solve = manager.reallocate
+
+        def recorded():
+            failures = manager.push_failures
+            decision = solve()
+            if manager.push_failures > failures:
+                replans.append((decision, manager.sessions[kept.pid].current_hw))
+            return decision
+
+        manager.reallocate = recorded
         _run(world)
         assert inj.manager.push_failures >= 1
         assert inj.manager.sessions_reaped >= 1
         assert victim.finished
+        # The push failed inside an epoch: reallocate() reaped ep.C and
+        # returned the re-planned decision, which gives its cores to vgg.
+        assert len(replans) == 1
+        decision, kept_hw = replans[0]
+        assert lost.pid not in {app.pid for app in decision.apps}
+        (app,) = decision.apps
+        assert app.pid == kept.pid and app.hw_threads == kept_hw
+        assert kept_hw
+        # One epoch for the failed plan, one for the re-plan: the same
+        # count as the recursive re-run this loop replaced.
+        assert manager.allocation_epochs == 38
 
     def test_solver_failure_falls_back_to_fair_share(self):
         plan = FaultPlan(
