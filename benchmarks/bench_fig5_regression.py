@@ -55,8 +55,18 @@ def test_fig5_regression_models(benchmark):
     # Degree-2 polynomial converges by ~20 points (the paper's pick).
     assert row("poly2", mid)["mape_ips"] < 15.0
     assert row("poly2", mid)["common_ratio"] > 0.6
-    # Degree 3 needs more data than degree 2 at small training sizes.
+    # poly2's MAPE(IPS) falls from the smallest to the largest training set.
     small = sizes[0]
+    assert (
+        row("poly2", small)["mape_ips"]
+        > row("poly2", mid)["mape_ips"]
+        > row("poly2", big)["mape_ips"]
+    )
+    # At ~20 points poly2 shares the most Pareto points of all five models.
+    assert row("poly2", mid)["common_ratio"] > max(
+        row(m, mid)["common_ratio"] for m in ("poly1", "poly3", "nn", "svm")
+    )
+    # Degree 3 needs more data than degree 2 at small training sizes.
     assert row("poly3", small)["mape_ips"] > row("poly2", big)["mape_ips"]
     # Degree 1 never aligns with the front as well as degree 2 at scale.
     assert row("poly2", big)["igd"] <= row("poly1", big)["igd"] * 1.2

@@ -24,16 +24,15 @@ HL012    time-units         sim-seconds, wall-seconds, and ticks never meet in
 HL010 and HL011 are *whole-program* rules: they walk a project-wide
 symbol table and call graph (``repro.lint.symbols``,
 ``repro.lint.callgraph``) and propagate facts interprocedurally with the
-fixpoint engine in ``repro.lint.dataflow``.  Inspect the resolved graph
-with ``python -m repro.lint --dump-callgraph``.
+fixpoint engine in ``repro.lint.dataflow``.
 
 Run ``python -m repro.lint src tests benchmarks examples`` or the
-``harplint`` console script.  Suppress a finding inline with
-``# harplint: disable=HL001 -- reason`` (HL007 flags the comment once
-the finding stops firing; ``--fix-suppressions`` removes such comments
-mechanically).  Escape hatches for the whole-program rules:
-``# harplint: pure-wall-time`` on a function (HL010) and
-``# harplint: unit=<u>`` on a conversion line (HL012).
+``harplint`` console script (``--format json`` for the CI report,
+``--stats`` for per-rule timing, ``--list-rules`` for the table above).
+Suppress a finding inline with ``# harplint: disable=HL001 -- reason``;
+HL007 flags the comment once the finding stops firing.  HL010 has one
+escape hatch: ``# harplint: pure-wall-time`` on a function whose wall
+clock reads are measurement only.
 """
 
 from repro.lint.diagnostics import Diagnostic

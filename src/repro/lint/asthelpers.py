@@ -63,10 +63,13 @@ def walk_scope(body: list[ast.stmt]) -> Iterator[ast.AST]:
 
 
 def function_scopes(
-    tree: ast.Module,
+    tree: ast.Module, nodes: list[ast.AST]
 ) -> Iterator[tuple[ast.AST, list[ast.stmt]]]:
-    """Yield (scope node, scope body) for the module and every function."""
+    """Yield (scope node, scope body) for the module and every function.
+
+    ``nodes`` is the module's full walk (:attr:`SourceFile.nodes`).
+    """
     yield tree, tree.body
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node, node.body

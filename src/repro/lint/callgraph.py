@@ -31,7 +31,7 @@ import ast
 from dataclasses import dataclass
 
 from repro.lint.asthelpers import annotation_name, dotted_name
-from repro.lint.symbols import ClassInfo, FunctionInfo, ModuleInfo, SymbolTable
+from repro.lint.symbols import ClassInfo, FunctionInfo, SymbolTable
 
 
 @dataclass(frozen=True)
@@ -87,36 +87,6 @@ class CallGraph:
 
     def callers(self, qname: str) -> list[CallSite]:
         return self.reverse.get(qname, [])
-
-    def to_json(self) -> dict:
-        """JSON-compatible dump (``harplint --dump-callgraph``)."""
-        functions = sorted(self.symbols.functions)
-        edges = sorted(
-            (site for sites in self.edges.values() for site in sites),
-            key=lambda s: (s.caller, s.line, s.col, s.callee),
-        )
-        return {
-            "functions": [
-                {
-                    "qname": qname,
-                    "module": self.symbols.functions[qname].module,
-                    "path": self.symbols.functions[qname].file.path,
-                    "line": self.symbols.functions[qname].node.lineno,
-                }
-                for qname in functions
-            ],
-            "edges": [
-                {
-                    "caller": s.caller,
-                    "callee": s.callee,
-                    "line": s.line,
-                    "col": s.col,
-                }
-                for s in edges
-            ],
-            "n_functions": len(functions),
-            "n_edges": len(edges),
-        }
 
     # -- construction --------------------------------------------------------
 
@@ -220,8 +190,6 @@ class CallGraph:
         if isinstance(resolved, ClassInfo):
             # Constructor call: edge into __init__ when the project has it.
             return self.symbols.resolve_method(resolved.qname, "__init__")
-        if isinstance(resolved, ModuleInfo):
-            return None
         return None
 
     def _walk_method_chain(

@@ -1,8 +1,7 @@
 """The ``harplint`` command line (also ``python -m repro.lint``).
 
-Exit status: 0 when the tree is clean (or ``--list-rules``,
-``--dump-callgraph``, ``--fix-suppressions``), 1 when any non-suppressed
-diagnostic remains, 2 on usage errors.
+Exit status: 0 when the tree is clean (or ``--list-rules``), 1 when any
+non-suppressed diagnostic remains, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -12,8 +11,8 @@ import json
 import sys
 from typing import Sequence
 
-from repro.lint.registry import select_rules
-from repro.lint.runner import RunStats, lint_paths, load_project, run
+from repro.lint.registry import all_rules
+from repro.lint.runner import RunStats, lint_paths
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,37 +38,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="diagnostic output format",
     )
     parser.add_argument(
-        "--select",
-        metavar="CODES",
-        help="comma-separated rule codes to run (default: all)",
-    )
-    parser.add_argument(
-        "--no-suppressions",
-        action="store_true",
-        help="report diagnostics even on '# harplint: disable' lines",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule table and exit",
     )
     parser.add_argument(
-        "--dump-callgraph",
-        action="store_true",
-        help="print the resolved whole-program call graph as JSON and exit",
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
         help="print per-rule timing and index build cost to stderr",
-    )
-    parser.add_argument(
-        "--fix-suppressions",
-        action="store_true",
-        help=(
-            "rewrite files in place, removing suppressions whose "
-            "diagnostic no longer fires (full-registry run)"
-        ),
     )
     return parser
 
@@ -98,50 +74,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.list_rules:
-        for rule in select_rules(None):
+        for rule in all_rules():
             print(f"{rule.code}  {rule.name}")
             print(f"       {rule.rationale}")
         return 0
 
-    if args.dump_callgraph:
-        try:
-            project = load_project(args.paths)
-        except OSError as exc:
-            print(f"harplint: {exc}", file=sys.stderr)
-            return 2
-        print(json.dumps(project.index().callgraph.to_json(), indent=2))
-        return 0
-
-    if args.fix_suppressions:
-        from repro.lint.rules.suppressions import fix_project
-
-        try:
-            project = load_project(args.paths)
-        except OSError as exc:
-            print(f"harplint: {exc}", file=sys.stderr)
-            return 2
-        raw = run(project, apply_suppressions=False)
-        results = fix_project(project, raw)
-        for path, removed in sorted(results.items()):
-            print(f"harplint: {path}: removed {removed} stale suppression(s)")
-        if not results:
-            print("harplint: no stale suppressions")
-        return 0
-
-    codes = None
-    if args.select:
-        codes = [c for c in args.select.split(",") if c.strip()]
     stats = RunStats() if args.stats else None
     try:
-        diagnostics = lint_paths(
-            args.paths,
-            codes=codes,
-            apply_suppressions=not args.no_suppressions,
-            stats=stats,
-        )
-    except KeyError as exc:
-        print(f"harplint: {exc.args[0]}", file=sys.stderr)
-        return 2
+        diagnostics = lint_paths(args.paths, stats=stats)
     except OSError as exc:
         print(f"harplint: {exc}", file=sys.stderr)
         return 2

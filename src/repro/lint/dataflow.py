@@ -21,7 +21,7 @@ wall-clock taint, and a function that bounds its sockets with
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.lint.callgraph import CallGraph
 
@@ -102,18 +102,3 @@ def propagate(
                 worklist.append(caller)
     return facts
 
-
-def facts_of(
-    facts: dict[str, dict[tuple[str, str], Fact]],
-    qname: str,
-    kinds: Iterable[str] | None = None,
-) -> list[Fact]:
-    """The facts attached to one function, optionally kind-filtered."""
-    bucket = facts.get(qname)
-    if not bucket:
-        return []
-    out = list(bucket.values())
-    if kinds is not None:
-        wanted = set(kinds)
-        out = [f for f in out if f.kind in wanted]
-    return sorted(out, key=lambda f: (f.kind, f.origin, f.line))

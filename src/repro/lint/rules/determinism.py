@@ -20,6 +20,7 @@ break that contract:
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.lint.asthelpers import dotted_name
@@ -30,6 +31,75 @@ from repro.lint.source import SourceFile
 # np.random attributes that are part of the seedable Generator API and
 # therefore fine to reference.
 _NP_RANDOM_OK = {"default_rng", "Generator", "SeedSequence", "BitGenerator", "PCG64"}
+
+#: The kinds :func:`entropy_source` returns.  HL001 reports them at the
+#: line; HL010 only reports them when they arrive through a call chain.
+LOCAL_KINDS = frozenset({"rng", "stdlib-random", "wall-clock-hl001"})
+
+
+@dataclass(frozen=True)
+class EntropySource:
+    """One entropy-reading call, as both determinism rules see it."""
+
+    kind: str  #: HL010 fact kind (one of :data:`LOCAL_KINDS`)
+    detail: str  #: HL010's short description of the source
+    message: str  #: HL001's diagnostic
+
+
+def imports_stdlib_random(file: SourceFile) -> bool:
+    """Does the module ``import random`` (so ``random.x()`` is stdlib)?"""
+    return any(
+        isinstance(node, ast.Import)
+        and any(alias.name == "random" for alias in node.names)
+        for node in file.nodes
+    )
+
+
+def entropy_source(
+    call: ast.Call, name: str, imports_random: bool
+) -> EntropySource | None:
+    """The shared entropy table: unseeded ``default_rng()``,
+    ``time.time``, ``datetime.now``-style reads, and stdlib ``random.*``.
+
+    ``name`` is the dotted callee; ``imports_random`` comes from
+    :func:`imports_stdlib_random` for the call's module.
+    """
+    parts = name.split(".")
+    leaf = parts[-1]
+    if leaf == "default_rng":
+        if call.args or call.keywords:
+            return None
+        return EntropySource(
+            "rng",
+            "unseeded np.random.default_rng()",
+            "np.random.default_rng() without a seed draws OS entropy; pass "
+            "an explicit seed",
+        )
+    if name in ("time.time", "time.time_ns"):
+        return EntropySource(
+            "wall-clock-hl001",
+            f"wall-clock {name}()",
+            "wall-clock time.time() in simulation/analysis code makes "
+            "results depend on when the run happened; thread the "
+            "simulated clock or an explicit timestamp through instead",
+        )
+    if leaf in ("now", "utcnow", "today") and len(parts) >= 2 and (
+        parts[-2] in ("datetime", "date")
+    ):
+        return EntropySource(
+            "wall-clock-hl001",
+            f"wall-clock {name}()",
+            f"wall-clock {name}() is nondeterministic; pass timestamps "
+            "in explicitly",
+        )
+    if imports_random and parts[0] == "random" and len(parts) == 2:
+        return EntropySource(
+            "stdlib-random",
+            f"stdlib random.{leaf}()",
+            f"stdlib 'random.{leaf}' uses unseeded process-global "
+            "state; use a seeded np.random.default_rng(seed)",
+        )
+    return None
 
 
 @register
@@ -43,12 +113,8 @@ class DeterminismRule(FileRule):
 
     def check_file(self, file: SourceFile) -> Iterator[Diagnostic]:
         assert file.tree is not None
-        imports_random = any(
-            isinstance(node, ast.Import)
-            and any(alias.name == "random" for alias in node.names)
-            for node in ast.walk(file.tree)
-        )
-        for node in ast.walk(file.tree):
+        imports_random = imports_stdlib_random(file)
+        for node in file.nodes:
             if isinstance(node, ast.ImportFrom) and node.module == "random":
                 yield self.diag(
                     file,
@@ -72,22 +138,17 @@ class DeterminismRule(FileRule):
         name: str,
         imports_random: bool,
     ) -> Iterator[Diagnostic]:
-        leaf = name.split(".")[-1]
-        if leaf == "default_rng":
-            if not node.args and not node.keywords:
-                yield self.diag(
-                    file,
-                    node.lineno,
-                    node.col_offset,
-                    "np.random.default_rng() without a seed draws OS "
-                    "entropy; pass an explicit seed",
-                )
-            else:
-                yield from self._check_seed_exprs(
-                    file, list(node.args) + [kw.value for kw in node.keywords]
-                )
+        source = entropy_source(node, name, imports_random)
+        if source is not None:
+            yield self.diag(file, node.lineno, node.col_offset, source.message)
             return
         parts = name.split(".")
+        leaf = parts[-1]
+        if leaf == "default_rng":
+            yield from self._check_seed_exprs(
+                file, list(node.args) + [kw.value for kw in node.keywords]
+            )
+            return
         if len(parts) >= 2 and parts[-2] == "random" and parts[0] != "random":
             # np.random.<legacy> (module-global numpy RNG).
             if leaf not in _NP_RANDOM_OK:
@@ -98,36 +159,6 @@ class DeterminismRule(FileRule):
                     f"legacy global numpy RNG 'np.random.{leaf}'; use a "
                     "seeded np.random.default_rng(seed) generator",
                 )
-            return
-        if imports_random and parts[0] == "random" and len(parts) == 2:
-            yield self.diag(
-                file,
-                node.lineno,
-                node.col_offset,
-                f"stdlib 'random.{leaf}' uses unseeded process-global "
-                "state; use a seeded np.random.default_rng(seed)",
-            )
-            return
-        if name in ("time.time", "time.time_ns"):
-            yield self.diag(
-                file,
-                node.lineno,
-                node.col_offset,
-                "wall-clock time.time() in simulation/analysis code makes "
-                "results depend on when the run happened; thread the "
-                "simulated clock or an explicit timestamp through instead",
-            )
-            return
-        if leaf in ("now", "utcnow", "today") and len(parts) >= 2 and (
-            parts[-2] in ("datetime", "date")
-        ):
-            yield self.diag(
-                file,
-                node.lineno,
-                node.col_offset,
-                f"wall-clock {name}() is nondeterministic; pass timestamps "
-                "in explicitly",
-            )
             return
         for kw in node.keywords:
             if kw.arg == "seed":

@@ -48,7 +48,7 @@ class FloatEqualityRule(FileRule):
 
     def check_file(self, file: SourceFile) -> Iterator[Diagnostic]:
         assert file.tree is not None
-        for node in ast.walk(file.tree):
+        for node in file.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]

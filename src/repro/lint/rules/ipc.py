@@ -31,9 +31,9 @@ _REGISTRY_MARK = "MESSAGE_TYPES"
 _CODEC_FUNCS = {"encode_message", "decode_message"}
 
 
-def _message_subclasses(tree: ast.Module) -> list[ast.ClassDef]:
+def _message_subclasses(nodes: list[ast.AST]) -> list[ast.ClassDef]:
     out = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, ast.ClassDef):
             continue
         for base in node.bases:
@@ -64,11 +64,11 @@ def _type_tag(cls: ast.ClassDef) -> str | None:
     return None
 
 
-def _registry_names(tree: ast.Module) -> tuple[set[str], bool]:
+def _registry_names(nodes: list[ast.AST]) -> tuple[set[str], bool]:
     """(class names referenced from registry assignments, registry found)."""
     names: set[str] = set()
     found = False
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, (ast.Assign, ast.AnnAssign)):
             continue
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -84,10 +84,10 @@ def _registry_names(tree: ast.Module) -> tuple[set[str], bool]:
     return names, found
 
 
-def _defined_functions(tree: ast.Module) -> set[str]:
+def _defined_functions(nodes: list[ast.AST]) -> set[str]:
     return {
         node.name
-        for node in ast.walk(tree)
+        for node in nodes
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
 
@@ -108,17 +108,15 @@ class IpcConformanceRule(Rule):
             by_dir.setdefault(str(Path(file.path).parent), []).append(file)
 
         for file in lintable:
-            assert file.tree is not None
-            subclasses = _message_subclasses(file.tree)
+            subclasses = _message_subclasses(file.nodes)
             if not subclasses:
                 continue
             siblings = by_dir[str(Path(file.path).parent)]
 
-            registry, found = _registry_names(file.tree)
+            registry, found = _registry_names(file.nodes)
             if not found:
                 for sibling in siblings:
-                    assert sibling.tree is not None
-                    names, sib_found = _registry_names(sibling.tree)
+                    names, sib_found = _registry_names(sibling.nodes)
                     if sib_found:
                         registry |= names
                         found = True
@@ -170,8 +168,7 @@ class IpcConformanceRule(Rule):
             if found:
                 codec_funcs: set[str] = set()
                 for sibling in siblings:
-                    assert sibling.tree is not None
-                    codec_funcs |= _defined_functions(sibling.tree)
+                    codec_funcs |= _defined_functions(sibling.nodes)
                 missing = _CODEC_FUNCS - codec_funcs
                 if missing:
                     yield self.diag(

@@ -56,21 +56,20 @@ class MutationSafetyRule(FileRule):
         assert file.tree is not None
         defined_here = {
             node.name
-            for node in ast.walk(file.tree)
+            for node in file.nodes
             if isinstance(node, ast.ClassDef) and node.name in GUARDED_CLASSES
         }
         guarded = GUARDED_CLASSES - defined_here
-        if not guarded and not _CACHE_FIELDS:
-            return
-        for scope, body in function_scopes(file.tree):
-            typed = self._typed_names(scope, body, guarded)
-            for node in walk_scope(body):
+        for scope, body in function_scopes(file.tree, file.nodes):
+            nodes = list(walk_scope(body))
+            typed = self._typed_names(scope, nodes, guarded)
+            for node in nodes:
                 yield from self._check_stmt(file, node, typed, defined_here)
 
     # -- scope typing ---------------------------------------------------------
 
     def _typed_names(
-        self, scope: ast.AST, body: list[ast.stmt], guarded: set[str]
+        self, scope: ast.AST, nodes: list[ast.AST], guarded: set[str]
     ) -> dict[str, str]:
         """Names in this scope statically typed as a guarded class."""
         typed: dict[str, str] = {}
@@ -85,7 +84,7 @@ class MutationSafetyRule(FileRule):
                 cls = annotation_name(arg.annotation)
                 if cls in guarded:
                     typed[arg.arg] = cls
-        for node in walk_scope(body):
+        for node in nodes:
             if isinstance(node, ast.AnnAssign) and isinstance(
                 node.target, ast.Name
             ):

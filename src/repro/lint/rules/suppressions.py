@@ -8,48 +8,20 @@ that line.  This rule runs *after* every other rule in the invocation,
 against the raw (pre-suppression) diagnostic stream, and flags:
 
 * a ``disable=<code>`` whose code produced no diagnostic on that line;
-* a ``disable-file=<code>`` whose code produced no diagnostic anywhere
-  in the file;
 * a suppression naming a code no registered rule owns (typo'd codes
   otherwise suppress nothing forever, without complaint).
 
-Staleness is only judged for codes whose rule actually ran — a
-``--select HL001`` invocation says nothing about an HL003 suppression —
-and ``disable=all`` is only judged when the full registry ran.
-
-``harplint --fix-suppressions`` rewrites the tree: stale codes are
-dropped from each comment, comments left with no codes are removed, and
-comment-only lines that become empty are deleted.  Justifications
-(``-- reason``) survive as long as any code does.
+Staleness is only judged for codes whose rule actually ran — a run that
+isolates HL001 says nothing about an HL003 suppression.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
 from typing import Iterator
 
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.registry import Rule, register
-from repro.lint.source import Project, SourceFile
-
-#: Matches the full suppression comment for rewriting, including the
-#: optional justification tail.
-_REWRITE_RE = re.compile(
-    r"#\s*harplint:\s*(disable|disable-file)\s*=\s*"
-    r"(?P<codes>[A-Za-z0-9_,\s]+?)\s*(?:--\s*(?P<reason>.*))?$"
-)
-
-
-@dataclass(frozen=True)
-class StaleSuppression:
-    """One stale (or unknown-code) suppression occurrence."""
-
-    path: str
-    line: int
-    code: str  # the stale code token, e.g. "HL003" or "ALL"
-    file_level: bool
-    reason: str  # "stale" | "unknown-code"
+from repro.lint.registry import Rule, all_rules, register
+from repro.lint.source import Project
 
 
 @register
@@ -73,186 +45,25 @@ class StaleSuppressionRule(Rule):
         project: Project,
         raw: list[Diagnostic],
         checked_codes: set[str],
-        full_run: bool,
     ) -> Iterator[Diagnostic]:
-        for stale in find_stale(project, raw, checked_codes, full_run):
-            if stale.reason == "unknown-code":
-                message = (
-                    f"suppression names unknown rule '{stale.code}'; it "
-                    "suppresses nothing — fix the code or remove it"
-                )
-            elif stale.file_level:
-                message = (
-                    f"file-level suppression of {stale.code} matches no "
-                    "diagnostic anywhere in this file; remove it (or run "
-                    "harplint --fix-suppressions)"
-                )
-            else:
-                message = (
-                    f"suppression of {stale.code} matches no diagnostic "
-                    "on this line; remove it (or run "
-                    "harplint --fix-suppressions)"
-                )
-            yield Diagnostic(
-                path=stale.path,
-                line=stale.line,
-                col=0,
-                code=self.code,
-                message=message,
-            )
-
-
-def find_stale(
-    project: Project,
-    raw: list[Diagnostic],
-    checked_codes: set[str],
-    full_run: bool,
-) -> list[StaleSuppression]:
-    """Every stale/unknown suppression, judged against the raw stream."""
-    from repro.lint.registry import all_rules
-
-    known = {r.code for r in all_rules()}
-    by_line: dict[tuple[str, int], set[str]] = {}
-    by_file: dict[str, set[str]] = {}
-    for diag in raw:
-        if diag.code == "HL007":
-            continue
-        by_line.setdefault((diag.path, diag.line), set()).add(diag.code)
-        by_file.setdefault(diag.path, set()).add(diag.code)
-
-    out: list[StaleSuppression] = []
-    for file in project.files:
-        for line, codes in sorted(file.suppressions.items()):
-            fired = by_line.get((file.path, line), set())
-            for code in sorted(codes):
-                out.extend(
-                    _judge(file, line, code, fired, checked_codes, full_run, False)
-                )
-        for line, code in _file_level_sites(file):
-            fired_any = by_file.get(file.path, set())
-            out.extend(
-                _judge(file, line, code, fired_any, checked_codes, full_run, True)
-            )
-    # Unknown-code detection is independent of which rules ran (a typo'd
-    # code is never in ``checked_codes``, so ``_judge`` stays silent).
-    known_or_all = known | {"ALL"}
-    out += [
-        StaleSuppression(file.path, line, code, file_level, "unknown-code")
-        for file in project.files
-        for line, code, file_level in _all_sites(file)
-        if code not in known_or_all
-    ]
-    seen: set[tuple[str, int, str, bool]] = set()
-    deduped: list[StaleSuppression] = []
-    for s in sorted(out, key=lambda s: (s.path, s.line, s.code)):
-        key = (s.path, s.line, s.code, s.file_level)
-        if key in seen:
-            continue
-        seen.add(key)
-        deduped.append(s)
-    return deduped
-
-
-def _judge(
-    file: SourceFile,
-    line: int,
-    code: str,
-    fired: set[str],
-    checked_codes: set[str],
-    full_run: bool,
-    file_level: bool,
-) -> Iterator[StaleSuppression]:
-    if code == "ALL":
-        if full_run and not fired:
-            yield StaleSuppression(file.path, line, code, file_level, "stale")
-        return
-    if code not in checked_codes:
-        return
-    if code not in fired:
-        yield StaleSuppression(file.path, line, code, file_level, "stale")
-
-
-def _file_level_sites(file: SourceFile) -> list[tuple[int, str]]:
-    """(line, code) for each ``disable-file`` token.
-
-    Read from the parse-time comment scan (never from raw text lines —
-    the lint suite's own tests carry suppression text inside strings).
-    """
-    return sorted(
-        (line, code)
-        for line, codes in file.file_suppression_sites.items()
-        for code in codes
-    )
-
-
-def _all_sites(file: SourceFile) -> list[tuple[int, str, bool]]:
-    out = [
-        (line, code, False)
-        for line, codes in file.suppressions.items()
-        for code in codes
-    ]
-    out += [(line, code, True) for line, code in _file_level_sites(file)]
-    return out
-
-
-# -- --fix-suppressions -------------------------------------------------------
-
-
-def rewrite_text(text: str, stale_at: dict[int, set[str]]) -> tuple[str, int]:
-    """Drop stale codes from suppression comments; returns (text, n_removed).
-
-    ``stale_at`` maps line numbers to the stale code tokens on that line.
-    """
-    lines = text.splitlines(keepends=True)
-    removed = 0
-    for idx, raw_line in enumerate(lines):
-        lineno = idx + 1
-        stale = stale_at.get(lineno)
-        if not stale:
-            continue
-        match = _REWRITE_RE.search(raw_line)
-        if match is None:
-            continue
-        kind = match.group(1)
-        codes = [c.strip() for c in match.group("codes").split(",") if c.strip()]
-        kept = [c for c in codes if c.upper() not in stale]
-        removed += len(codes) - len(kept)
-        ending = "\n" if raw_line.endswith("\n") else ""
-        prefix = raw_line[: match.start()].rstrip()
-        if kept:
-            reason = match.group("reason")
-            tail = f" -- {reason.strip()}" if reason else ""
-            comment = f"# harplint: {kind}={','.join(kept)}{tail}"
-            lines[idx] = (
-                f"{prefix}  {comment}{ending}" if prefix else f"{comment}{ending}"
-            )
-        elif prefix:
-            lines[idx] = prefix + ending
-        else:
-            lines[idx] = None  # comment-only line, now empty: delete it
-    return "".join(l for l in lines if l is not None), removed
-
-
-def fix_project(project: Project, raw: list[Diagnostic]) -> dict[str, int]:
-    """Apply ``rewrite_text`` to every file with stale suppressions.
-
-    Returns ``path -> codes removed`` for the CLI report.  Only called on
-    full-registry runs, so every stale verdict is trustworthy.
-    """
-    from repro.lint.registry import all_rules
-
-    checked = {r.code for r in all_rules()}
-    stale = find_stale(project, raw, checked, full_run=True)
-    per_file: dict[str, dict[int, set[str]]] = {}
-    for s in stale:
-        per_file.setdefault(s.path, {}).setdefault(s.line, set()).add(s.code)
-    results: dict[str, int] = {}
-    for path, stale_at in sorted(per_file.items()):
-        file = next(f for f in project.files if f.path == path)
-        new_text, removed = rewrite_text(file.text, stale_at)
-        if removed and new_text != file.text:
-            from pathlib import Path
-
-            Path(path).write_text(new_text, encoding="utf-8")
-            results[path] = removed
-    return results
+        known = {r.code for r in all_rules()}
+        fired = {(d.path, d.line, d.code) for d in raw}
+        for file in project.files:
+            for line, codes in sorted(file.suppressions.items()):
+                for code in sorted(codes):
+                    if code not in known:
+                        message = (
+                            f"suppression names unknown rule '{code}'; it "
+                            "suppresses nothing — fix the code or remove it"
+                        )
+                    elif (
+                        code in checked_codes
+                        and (file.path, line, code) not in fired
+                    ):
+                        message = (
+                            f"suppression of {code} matches no diagnostic "
+                            "on this line; remove it"
+                        )
+                    else:
+                        continue
+                    yield self.diag(file, line, 0, message)

@@ -11,13 +11,15 @@ to the protected state owners — ``repro.sim.*``, ``repro.scenario.*``,
 or ``repro.core.allocator`` — that calls into a tainted function is
 flagged at the call site, with the full chain down to the source.
 
-Sources, beyond HL001's local set:
+Sources are the table HL001 shares
+(:func:`repro.lint.rules.determinism.entropy_source`: unseeded
+``np.random.default_rng()``, ``time.time()``, ``datetime.now()`` and the
+stdlib ``random`` module), plus two kinds of HL010's own:
 
-* wall-clock reads including the monotonic family —
-  ``time.perf_counter``/``time.monotonic`` (and ``_ns`` variants) are
-  deterministic *per run* but differ across runs, which is exactly what
-  breaks bit-parity replay when they leak into state or seeds;
-* unseeded ``np.random.default_rng()`` and the stdlib ``random`` module;
+* the monotonic clocks — ``time.perf_counter``/``time.monotonic`` (and
+  ``_ns`` variants) are deterministic *per run* but differ across runs,
+  which is exactly what breaks bit-parity replay when they leak into
+  state or seeds;
 * filesystem iteration order — ``os.listdir``/``os.scandir``,
   ``glob.glob``/``glob.iglob``, ``Path.iterdir()`` — whose order is
   platform- and history-dependent unless sorted.
@@ -29,9 +31,9 @@ influence simulated state; it neither seeds nor forwards taint.  The
 scenario sweep driver's wall-clock summary timer is the sanctioned
 in-repo example.
 
-Direct sources in protected code are flagged too, for the kinds HL001
-does not already police (the monotonic family and iteration order), so
-the two rules never double-report one line.
+Direct sources in protected code are flagged too, for HL010's own kinds
+only; a shared-table source is HL001's finding at that line, so the two
+rules never double-report one line.
 """
 
 from __future__ import annotations
@@ -45,9 +47,12 @@ from repro.lint.callgraph import own_body_nodes
 from repro.lint.dataflow import Fact, propagate
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.registry import Rule, register
+from repro.lint.rules.determinism import (
+    LOCAL_KINDS,
+    entropy_source,
+    imports_stdlib_random,
+)
 from repro.lint.source import ROLE_FIXTURE, ROLE_SRC, Project
-
-PRAGMA_PURE_WALL_TIME = "pure-wall-time"
 
 #: Modules whose state the determinism contract protects.
 _PROTECTED_PREFIXES = ("repro.sim", "repro.scenario")
@@ -58,19 +63,15 @@ _PROTECTED_EXACT = frozenset({"repro.core.allocator"})
 #: corpus is self-contained.
 _FIXTURE_MARKER = re.compile(r"sim|alloc|scenario")
 
-_WALL_CLOCK_CALLS = {
-    "time.time": "wall-clock time.time()",
-    "time.time_ns": "wall-clock time.time_ns()",
+#: HL010's own sources, on top of the shared table in
+#: :func:`repro.lint.rules.determinism.entropy_source`; HL001 polices
+#: neither kind.
+_MONOTONIC_CLOCKS = {
     "time.monotonic": "wall-clock time.monotonic()",
     "time.monotonic_ns": "wall-clock time.monotonic_ns()",
     "time.perf_counter": "wall-clock time.perf_counter()",
     "time.perf_counter_ns": "wall-clock time.perf_counter_ns()",
 }
-
-#: Sources HL001 already flags at the offending line; HL010 only reports
-#: these when they arrive *interprocedurally*.
-_LOCAL_RULE_KINDS = frozenset({"rng", "stdlib-random", "wall-clock-hl001"})
-
 _FS_ITERATION_CALLS = {
     "os.listdir": "filesystem order os.listdir()",
     "os.scandir": "filesystem order os.scandir()",
@@ -93,77 +94,29 @@ def is_protected_module(module: str, role: str, path: str) -> bool:
     )
 
 
-def _direct_sources(fn) -> list[Fact]:
+def _direct_sources(fn, imports_random: bool) -> list[Fact]:
     """Entropy sources appearing literally in a function body."""
     facts: list[Fact] = []
     for node in own_body_nodes(fn.node):
         if not isinstance(node, ast.Call):
             continue
         name = dotted_name(node.func)
-        if name is None:
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "iterdir"
-            ):
-                facts.append(
-                    Fact(
-                        kind="fs-order",
-                        detail="filesystem order .iterdir()",
-                        origin=fn.qname,
-                        line=node.lineno,
-                    )
-                )
-            continue
-        leaf = name.split(".")[-1]
-        wall = _WALL_CLOCK_CALLS.get(name)
-        if wall is not None:
-            kind = (
-                "wall-clock-hl001"
-                if leaf in ("time", "time_ns")
-                else "wall-clock"
-            )
+        shared = name and entropy_source(node, name, imports_random)
+        if shared:
+            facts.append(Fact(shared.kind, shared.detail, fn.qname, node.lineno))
+        elif name in _MONOTONIC_CLOCKS:
             facts.append(
-                Fact(kind=kind, detail=wall, origin=fn.qname, line=node.lineno)
+                Fact("wall-clock", _MONOTONIC_CLOCKS[name], fn.qname, node.lineno)
             )
-            continue
-        fs = _FS_ITERATION_CALLS.get(name)
-        if fs is None and leaf == "iterdir":
-            fs = "filesystem order .iterdir()"
-        if fs is not None:
+        elif name in _FS_ITERATION_CALLS:
             facts.append(
-                Fact(kind="fs-order", detail=fs, origin=fn.qname, line=node.lineno)
+                Fact("fs-order", _FS_ITERATION_CALLS[name], fn.qname, node.lineno)
             )
-            continue
-        if leaf == "default_rng" and not node.args and not node.keywords:
+        elif (
+            isinstance(node.func, ast.Attribute) and node.func.attr == "iterdir"
+        ) or name == "iterdir":
             facts.append(
-                Fact(
-                    kind="rng",
-                    detail="unseeded np.random.default_rng()",
-                    origin=fn.qname,
-                    line=node.lineno,
-                )
-            )
-            continue
-        parts = name.split(".")
-        if parts[0] == "random" and len(parts) == 2:
-            facts.append(
-                Fact(
-                    kind="stdlib-random",
-                    detail=f"stdlib random.{leaf}()",
-                    origin=fn.qname,
-                    line=node.lineno,
-                )
-            )
-        if leaf in ("now", "utcnow", "today") and len(parts) >= 2 and (
-            parts[-2] in ("datetime", "date")
-        ):
-            facts.append(
-                Fact(
-                    kind="wall-clock-hl001",
-                    detail=f"wall-clock {name}()",
-                    origin=fn.qname,
-                    line=node.lineno,
-                )
+                Fact("fs-order", "filesystem order .iterdir()", fn.qname, node.lineno)
             )
     return facts
 
@@ -187,13 +140,16 @@ class DeterminismTaintRule(Rule):
 
         def pure(qname: str) -> bool:
             fn = symbols.functions.get(qname)
-            return fn is not None and PRAGMA_PURE_WALL_TIME in fn.pragmas
+            return fn is not None and fn.pure_wall_time
 
+        imports_random: dict[str, bool] = {}
         seeds: dict[str, list[Fact]] = {}
         for qname, fn in symbols.functions.items():
             if fn.file.role not in (ROLE_SRC, ROLE_FIXTURE):
                 continue
-            sources = _direct_sources(fn)
+            if fn.file.path not in imports_random:
+                imports_random[fn.file.path] = imports_stdlib_random(fn.file)
+            sources = _direct_sources(fn, imports_random[fn.file.path])
             if sources:
                 seeds[qname] = sources
 
@@ -209,7 +165,7 @@ class DeterminismTaintRule(Rule):
                 continue
             # Direct sources of the kinds HL001 does not police.
             for fact in seeds.get(qname, []):
-                if fact.kind in _LOCAL_RULE_KINDS:
+                if fact.kind in LOCAL_KINDS:
                     continue
                 yield self.diag(
                     file,

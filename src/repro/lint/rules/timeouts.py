@@ -65,7 +65,7 @@ class BoundedBlockingRule(FileRule):
         assert file.tree is not None
         calls = [
             node
-            for node in ast.walk(file.tree)
+            for node in file.nodes
             if isinstance(node, ast.Call)
         ]
         has_settimeout = any(

@@ -14,12 +14,10 @@ operand it can and flags additive arithmetic (``+``, ``-``, ``+=``,
 
 Unit inference, in priority order:
 
-1. ``# harplint: unit=<u>`` pragma on an assignment line binds the
-   assigned name to ``<u>`` for the rest of the function (and exempts
-   that line itself — it is the sanctioned conversion point);
-2. assignment provenance — a name assigned from an expression of known
-   unit carries that unit (flow-insensitive, last writer wins);
-3. naming — identifier/attribute/call leaves ending ``_sim_s`` /
+1. assignment provenance — a name assigned from an expression of known
+   unit carries that unit (flow-insensitive; the first assignment of
+   known unit wins);
+2. naming — identifier/attribute/call leaves ending ``_sim_s`` /
    ``_wall_s`` / ``_s`` / ``_ticks`` / ``_tick`` / ``_us`` / ``_ms`` /
    ``_ns`` (plus the names ``ticks``, ``tick_index`` and ``ticks_in``,
    and the ``time.perf_counter``/``monotonic``/``time`` wall-clock
@@ -46,8 +44,6 @@ from repro.lint.diagnostics import Diagnostic
 from repro.lint.registry import FileRule, register
 from repro.lint.source import SourceFile
 
-PRAGMA_UNIT_PREFIX = "unit="
-
 #: Checked longest-suffix-first so ``_sim_s`` is not read as ``_s``.
 _SUFFIX_UNITS: tuple[tuple[str, str], ...] = (
     ("_sim_s", "sim_s"),
@@ -59,8 +55,6 @@ _SUFFIX_UNITS: tuple[tuple[str, str], ...] = (
     ("_ns", "ns"),
     ("_s", "s"),
 )
-
-_KNOWN_UNITS = frozenset(u for _, u in _SUFFIX_UNITS)
 
 _WALL_CLOCK_CALLS = frozenset(
     {
@@ -132,7 +126,7 @@ class TimeUnitRule(FileRule):
         # per-scope AST passes entirely.
         if _PREFILTER.search(file.text) is None:
             return
-        for _, body in function_scopes(file.tree):
+        for _, body in function_scopes(file.tree, file.nodes):
             yield from self._check_scope(file, body)
 
     # -- per-scope -----------------------------------------------------------
@@ -140,13 +134,12 @@ class TimeUnitRule(FileRule):
     def _check_scope(
         self, file: SourceFile, body: list[ast.stmt]
     ) -> Iterator[Diagnostic]:
-        env = self._build_env(file, body)
-        for node in walk_scope(body):
+        nodes = list(walk_scope(body))
+        env = self._build_env(nodes)
+        for node in nodes:
             if isinstance(node, ast.BinOp) and isinstance(
                 node.op, _ADDITIVE_OPS
             ):
-                if self._exempt(file, node.lineno):
-                    continue
                 left = self._unit(node.left, env)
                 right = self._unit(node.right, env)
                 if left and right and not compatible(left, right):
@@ -157,14 +150,11 @@ class TimeUnitRule(FileRule):
                         f"mixing time units: {_render(node.left)} [{left}] "
                         f"{'+' if isinstance(node.op, ast.Add) else '-'} "
                         f"{_render(node.right)} [{right}]; convert "
-                        "explicitly (mark the conversion line "
-                        "'# harplint: unit=<u>' once converted)",
+                        "explicitly",
                     )
             elif isinstance(node, ast.AugAssign) and isinstance(
                 node.op, _ADDITIVE_OPS
             ):
-                if self._exempt(file, node.lineno):
-                    continue
                 left = self._unit(node.target, env)
                 right = self._unit(node.value, env)
                 if left and right and not compatible(left, right):
@@ -178,8 +168,6 @@ class TimeUnitRule(FileRule):
                         "explicitly before accumulating",
                     )
             elif isinstance(node, ast.Compare):
-                if self._exempt(file, node.lineno):
-                    continue
                 operands = [node.left] + list(node.comparators)
                 units = [self._unit(o, env) for o in operands]
                 for (a_node, a), (b_node, b), op in zip(
@@ -198,22 +186,14 @@ class TimeUnitRule(FileRule):
                             "meaningless without an explicit conversion",
                         )
 
-    def _exempt(self, file: SourceFile, line: int) -> bool:
-        """A ``unit=<u>`` pragma marks the line as a sanctioned conversion."""
-        return any(
-            p.startswith(PRAGMA_UNIT_PREFIX) for p in file.pragmas.get(line, ())
-        )
-
-    def _build_env(
-        self, file: SourceFile, body: list[ast.stmt]
-    ) -> dict[str, str]:
-        """name -> unit from pragma'd and unit-typed assignments."""
+    def _build_env(self, nodes: list[ast.AST]) -> dict[str, str]:
+        """name -> unit from unit-typed assignments in one scope."""
         env: dict[str, str] = {}
         # Two passes so provenance can chain through suffix-less names
         # regardless of statement order (flow-insensitive fixpoint would
         # be overkill for straight-line timing code).
         for _ in range(2):
-            for node in walk_scope(body):
+            for node in nodes:
                 target: ast.expr | None = None
                 value: ast.expr | None = None
                 if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -222,22 +202,10 @@ class TimeUnitRule(FileRule):
                     target, value = node.target, node.value
                 if not isinstance(target, ast.Name):
                     continue
-                pragma_unit = self._pragma_unit(file, node.lineno)
-                if pragma_unit is not None:
-                    env[target.id] = pragma_unit
-                    continue
                 unit = self._unit(value, env) if value is not None else None
                 if unit is not None:
                     env.setdefault(target.id, unit)
         return env
-
-    def _pragma_unit(self, file: SourceFile, line: int) -> str | None:
-        for pragma in file.pragmas.get(line, ()):
-            if pragma.startswith(PRAGMA_UNIT_PREFIX):
-                unit = pragma[len(PRAGMA_UNIT_PREFIX):]
-                if unit in _KNOWN_UNITS:
-                    return unit
-        return None
 
     def _unit(self, node: ast.expr, env: dict[str, str]) -> str | None:
         """Inferred unit of an expression, or None for unknown."""

@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.registry import Rule, all_rules, select_rules
+from repro.lint.registry import Rule, all_rules
 from repro.lint.source import Project, SourceFile
 
 # Directory segments never scanned when expanding a directory argument.
@@ -87,7 +87,7 @@ def run(
     to collect per-rule wall time and the shared index build cost.
     """
     t_start = time.perf_counter()
-    rule_list = list(rules) if rules is not None else select_rules(None)
+    rule_list = list(rules) if rules is not None else all_rules()
     diagnostics: list[Diagnostic] = []
     files_by_path = {f.path: f for f in project.files}
     for file in project.files:
@@ -133,14 +133,9 @@ def run(
     checked_codes = {
         r.code for r in rule_list if not getattr(r, "needs_raw", False)
     }
-    full_run = checked_codes >= {
-        r.code for r in all_rules() if not getattr(r, "needs_raw", False)
-    }
     for rule in raw_rules:
         t0 = time.perf_counter()
-        found = list(
-            rule.check_raw(project, diagnostics, checked_codes, full_run)
-        )
+        found = list(rule.check_raw(project, diagnostics, checked_codes))
         diagnostics.extend(found)
         if stats is not None:
             stats.rules.append(
@@ -172,21 +167,13 @@ def load_project(paths: Sequence[str | Path]) -> Project:
 
 
 def lint_paths(
-    paths: Sequence[str | Path],
-    codes: Sequence[str] | None = None,
-    apply_suppressions: bool = True,
-    stats: RunStats | None = None,
+    paths: Sequence[str | Path], stats: RunStats | None = None
 ) -> list[Diagnostic]:
-    """Convenience wrapper: collect, parse, and lint in one call."""
+    """Collect, parse, and lint with every rule, suppressions applied."""
     t0 = time.perf_counter()
     project = load_project(paths)
     parse_seconds = time.perf_counter() - t0
-    diagnostics = run(
-        project,
-        rules=select_rules(codes),
-        apply_suppressions=apply_suppressions,
-        stats=stats,
-    )
+    diagnostics = run(project, stats=stats)
     if stats is not None:
         stats.parse_seconds = parse_seconds
         stats.total_seconds += parse_seconds

@@ -9,43 +9,33 @@ Rules operate on a :class:`Project` — the set of parsed files plus their
 * ``fixture`` — lint test fixtures, treated like ``src`` so each rule's
   positive/negative cases can live in ordinary files.
 
-Suppressions are inline comments::
+A suppression is an inline comment naming the codes it silences on its
+own line::
 
     rng = np.random.default_rng()  # harplint: disable=HL001 -- CI jitter probe
 
-A bare ``disable=all`` silences every rule on that line.  A
-``# harplint: disable-file=<code>`` comment anywhere in a file silences
-the code for the whole file (reserved for generated code; the policy in
-``docs/static_analysis.md`` requires a justification after ``--``).
+The one other directive is HL010's ``# harplint: pure-wall-time`` pragma
+on a function header.  Any other ``harplint:`` comment is ignored.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import os
 import re
 import tokenize
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-
-#: path -> ((mtime_ns, size, role), SourceFile); see :meth:`SourceFile.load`.
-_FILE_CACHE: dict[str, tuple[tuple, "SourceFile"]] = {}
 
 ROLE_SRC = "src"
 ROLE_TEST = "test"
 ROLE_FIXTURE = "fixture"
 
 _SUPPRESS_RE = re.compile(
-    r"#\s*harplint:\s*(disable|disable-file)\s*=\s*([A-Za-z0-9_,\s]+?)\s*(?:--|$)"
+    r"#\s*harplint:\s*disable\s*=\s*([A-Za-z0-9_,\s]+?)\s*(?:--|$)"
 )
-
-#: Non-suppression directives: escape hatches and declarations consumed by
-#: the whole-program rules (``pure-wall-time`` for HL010, ``unit=<u>`` for
-#: HL012).  Kept deliberately narrow — an unknown directive is ignored.
-_PRAGMA_RE = re.compile(
-    r"#\s*harplint:\s*(pure-wall-time|unit\s*=\s*[A-Za-z_][A-Za-z0-9_]*)"
-)
+_PURE_WALL_TIME_RE = re.compile(r"#\s*harplint:\s*pure-wall-time")
 
 
 def classify_role(path: str | Path) -> str:
@@ -76,44 +66,29 @@ def _comments(text: str) -> list[tuple[int, str]]:
         ]
 
 
-def _parse_directives(
-    comments: list[tuple[int, str]],
-) -> tuple[dict[int, set[str]], set[str], dict[int, set[str]], dict[int, set[str]]]:
-    """Split harplint comments into suppressions and pragmas.
+def _parse_directives(text: str) -> tuple[dict[int, set[str]], set[int]]:
+    """``(line -> {suppressed codes}, pure-wall-time pragma lines)``.
 
-    Returns ``(line -> {codes}, file_codes, file_sites, line ->
-    {pragmas})`` where ``file_sites`` maps the line each ``disable-file``
-    comment sits on to its codes (HL007 points its diagnostics there).
-    The special suppression token ``all`` is kept verbatim and matches
-    every code.  Pragmas are normalized (whitespace around ``=``
-    stripped).
+    Only files mentioning ``harplint`` can hold a directive, so the rest
+    skip tokenizing entirely.
     """
     per_line: dict[int, set[str]] = {}
-    file_level: set[str] = set()
-    file_sites: dict[int, set[str]] = {}
-    pragmas: dict[int, set[str]] = {}
-    for lineno, comment in comments:
+    pure_wall_time: set[int] = set()
+    if "harplint" not in text:
+        return per_line, pure_wall_time
+    for lineno, comment in _comments(text):
         match = _SUPPRESS_RE.search(comment)
         if match:
-            kind, raw = match.groups()
-            codes = {c.strip().upper() for c in raw.split(",") if c.strip()}
-            if kind == "disable-file":
-                file_level |= codes
-                file_sites.setdefault(lineno, set()).update(codes)
-            else:
-                per_line.setdefault(lineno, set()).update(codes)
-            continue
-        pmatch = _PRAGMA_RE.search(comment)
-        if pmatch:
-            token = re.sub(r"\s*=\s*", "=", pmatch.group(1))
-            pragmas.setdefault(lineno, set()).add(token)
-    return per_line, file_level, file_sites, pragmas
+            codes = {c.strip().upper() for c in match.group(1).split(",")}
+            per_line.setdefault(lineno, set()).update(codes - {""})
+        elif _PURE_WALL_TIME_RE.search(comment):
+            pure_wall_time.add(lineno)
+    return per_line, pure_wall_time
 
 
-def parse_suppressions(text: str) -> tuple[dict[int, set[str]], set[str]]:
-    """Extract per-line and file-level suppressed codes from comments."""
-    per_line, file_level, _, _ = _parse_directives(_comments(text))
-    return per_line, file_level
+def parse_suppressions(text: str) -> dict[int, set[str]]:
+    """``line -> {codes}`` for every ``disable=`` comment in ``text``."""
+    return _parse_directives(text)[0]
 
 
 @dataclass
@@ -127,38 +102,15 @@ class SourceFile:
     parse_error: str | None = None
     parse_error_line: int = 1
     suppressions: dict[int, set[str]] = field(default_factory=dict)
-    file_suppressions: set[str] = field(default_factory=set)
-    #: ``line -> {codes}`` for the ``disable-file`` comments themselves.
-    file_suppression_sites: dict[int, set[str]] = field(default_factory=dict)
-    #: ``line -> {directive}`` for non-suppression harplint comments
-    #: (``pure-wall-time``, ``unit=<u>``), consumed by HL010/HL012.
-    pragmas: dict[int, set[str]] = field(default_factory=dict)
+    #: Lines carrying a ``# harplint: pure-wall-time`` pragma (HL010).
+    pure_wall_time_lines: set[int] = field(default_factory=set)
 
     @classmethod
     def load(cls, path: str | Path, role: str | None = None) -> "SourceFile":
-        """Load and parse ``path``, via the process-local AST cache.
-
-        Parsing and tokenizing the ~200-file tree dominates a lint run, so
-        repeated runs in one process (the test suite runs the CLI over the
-        whole tree several times) reuse the parsed file as long as the
-        (mtime, size) stat signature is unchanged.  Cached entries are
-        treated as immutable — rules never mutate a SourceFile.
-        """
-        path = str(path)
-        try:
-            stat = os.stat(path)
-            sig = (stat.st_mtime_ns, stat.st_size, role)
-        except OSError:
-            sig = None
-        if sig is not None:
-            cached = _FILE_CACHE.get(path)
-            if cached is not None and cached[0] == sig:
-                return cached[1]
-        text = Path(path).read_text(encoding="utf-8")
-        file = cls.from_text(path, text, role=role)
-        if sig is not None:
-            _FILE_CACHE[path] = (sig, file)
-        return file
+        """Read and parse ``path``."""
+        return cls.from_text(
+            str(path), Path(path).read_text(encoding="utf-8"), role=role
+        )
 
     @classmethod
     def from_text(
@@ -174,9 +126,7 @@ class SourceFile:
         except SyntaxError as exc:
             error = exc.msg or "syntax error"
             error_line = exc.lineno or 1
-        per_line, file_level, file_sites, pragmas = _parse_directives(
-            _comments(text)
-        )
+        suppressions, pure_wall_time = _parse_directives(text)
         return cls(
             path=path,
             text=text,
@@ -184,18 +134,19 @@ class SourceFile:
             role=role,
             parse_error=error,
             parse_error_line=error_line,
-            suppressions=per_line,
-            file_suppressions=file_level,
-            file_suppression_sites=file_sites,
-            pragmas=pragmas,
+            suppressions=suppressions,
+            pure_wall_time_lines=pure_wall_time,
         )
 
+    @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the parsed tree in ``ast.walk`` order: walked once,
+        shared by the per-file rules."""
+        assert self.tree is not None
+        return list(ast.walk(self.tree))
+
     def is_suppressed(self, code: str, line: int) -> bool:
-        code = code.upper()
-        if code in self.file_suppressions or "ALL" in self.file_suppressions:
-            return True
-        codes = self.suppressions.get(line, set())
-        return code in codes or "ALL" in codes
+        return code.upper() in self.suppressions.get(line, ())
 
 
 class Project:
@@ -217,10 +168,6 @@ class Project:
 
             self._index = ProjectIndex.build(self)
         return self._index
-
-    @classmethod
-    def load(cls, paths: list[str | Path]) -> "Project":
-        return cls([SourceFile.load(p) for p in paths])
 
     def lintable_files(self) -> list[SourceFile]:
         """Files the hazard rules walk: src and fixture roles, parsed OK."""

@@ -17,16 +17,14 @@ leak`` inside a fixture finds ``tests.fixtures.lint.hl010_helpers`` and
 ``from repro.obs import OBS`` finds the real package module.
 
 The :class:`ProjectIndex` bundles the symbol table with the call graph
-(:mod:`repro.lint.callgraph`); :meth:`Project.index` memoizes one per
-project and a small process-level cache keyed by file content reuses the
-index across runs in the same process (the CLI tests lint the full tree
-several times).
+(:mod:`repro.lint.callgraph`); :meth:`Project.index` builds one per
+project.
 """
 
 from __future__ import annotations
 
 import ast
-import zlib
+import time
 from dataclasses import dataclass, field
 from pathlib import PurePath
 
@@ -67,18 +65,18 @@ class FunctionInfo:
     class_qname: str | None = None
 
     @property
-    def pragmas(self) -> set[str]:
-        """Directives attached to this function's ``def`` header.
+    def pure_wall_time(self) -> bool:
+        """Does the ``def`` header carry ``# harplint: pure-wall-time``?
 
-        A pragma comment counts when it sits on the line before the
-        ``def``, on the ``def`` line itself, or on any header line up to
-        the first statement (covers multi-line signatures).
+        The pragma counts when it sits on the line before the ``def``, on
+        the ``def`` line itself, or on any header line up to the first
+        statement (covers multi-line signatures).
         """
-        out: set[str] = set()
         first = self.node.body[0].lineno if self.node.body else self.node.lineno
-        for line in range(self.node.lineno - 1, first + 1):
-            out |= self.file.pragmas.get(line, set())
-        return out
+        return any(
+            line in self.file.pure_wall_time_lines
+            for line in range(self.node.lineno - 1, first + 1)
+        )
 
 
 @dataclass
@@ -121,6 +119,9 @@ class SymbolTable:
         self.modules: dict[str, ModuleInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
+        #: Suffix-match memo for :meth:`resolve_module`; resolution only
+        #: starts once every module is in the table.
+        self._by_suffix: dict[str, ModuleInfo | None] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -292,9 +293,13 @@ class SymbolTable:
         module = self.modules.get(dotted)
         if module is not None:
             return module
-        suffix = "." + dotted
-        matches = [m for name, m in self.modules.items() if name.endswith(suffix)]
-        return matches[0] if len(matches) == 1 else None
+        if dotted not in self._by_suffix:
+            suffix = "." + dotted
+            matches = [
+                m for name, m in self.modules.items() if name.endswith(suffix)
+            ]
+            self._by_suffix[dotted] = matches[0] if len(matches) == 1 else None
+        return self._by_suffix[dotted]
 
     def resolve_dotted(
         self, dotted: str, from_module: str
@@ -396,50 +401,22 @@ class SymbolTable:
 
 @dataclass
 class ProjectIndex:
-    """Symbol table + call graph, built once per project and cached."""
+    """Symbol table + call graph, built once per project."""
 
     symbols: SymbolTable
     callgraph: "object"  # repro.lint.callgraph.CallGraph
+    #: Build cost, reported by ``harplint --stats``.
     build_seconds: float = 0.0
 
     @classmethod
     def build(cls, project: Project) -> "ProjectIndex":
-        import time
-
         from repro.lint.callgraph import CallGraph
 
-        key = _index_key(project)
-        if key is not None:
-            cached = _INDEX_CACHE.get(key)
-            if cached is not None:
-                return cached
         t0 = time.perf_counter()
         symbols = SymbolTable.build(project)
         callgraph = CallGraph.build(symbols)
-        index = cls(
+        return cls(
             symbols=symbols,
             callgraph=callgraph,
             build_seconds=time.perf_counter() - t0,
         )
-        if key is not None:
-            if len(_INDEX_CACHE) >= 8:  # tiny LRU: drop the oldest entry
-                _INDEX_CACHE.pop(next(iter(_INDEX_CACHE)))
-            _INDEX_CACHE[key] = index
-        return index
-
-
-def _index_key(project: Project) -> tuple | None:
-    """Content signature of a project, for the cross-run index cache."""
-    try:
-        return tuple(
-            sorted(
-                (f.path, f.role, zlib.crc32(f.text.encode("utf-8")))
-                for f in project.files
-            )
-        )
-    except Exception:
-        return None
-
-
-#: content signature -> ProjectIndex; see :func:`_index_key`.
-_INDEX_CACHE: dict[tuple, ProjectIndex] = {}

@@ -23,11 +23,13 @@ def elapsed(t0):
     return time.perf_counter() - t0
 
 
-def pragma_binding(raw_window, epoch_ticks):
-    window = raw_window  # harplint: unit=ticks
+def untyped_binding(raw_window, epoch_ticks):
+    # A suffix-less name bound to an unknown value stays unknown.
+    window = raw_window
     return window - epoch_ticks
 
 
-def sanctioned_rebase(t_wall_s, offset_sim_s):
-    t_sim_s = t_wall_s + offset_sim_s  # harplint: unit=sim_s -- clock re-base
+def explicit_rebase(t_wall_s, wall_to_sim):
+    # A clock re-base goes through a conversion, not a bare addition.
+    t_sim_s = wall_to_sim(t_wall_s)
     return t_sim_s

@@ -4,14 +4,16 @@ Covers the symbol table (module naming, import aliasing, MRO), the call
 graph (method dispatch, annotated receivers, nested functions,
 constructors), the dataflow fixpoint engine, and the interprocedural
 rules: HL010 determinism-taint, HL011 lock-discipline, HL012 time-unit
-discipline, and HL007 stale-suppression (including
-``--fix-suppressions``).
+discipline, and HL007 stale-suppression.  The real-tree tests parse
+``src/`` once per module (the ``src_files`` fixture).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+import pytest
 
 from repro.lint import Project, SourceFile, run, select_rules
 from repro.lint.callgraph import CallGraph
@@ -22,6 +24,12 @@ from repro.lint.symbols import SymbolTable, module_name_for
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "tests" / "fixtures" / "lint"
+
+
+@pytest.fixture(scope="module")
+def src_files() -> dict[Path, SourceFile]:
+    """Every file under ``src/``, parsed once for this module's tests."""
+    return {p: SourceFile.load(p) for p in sorted((REPO / "src").rglob("*.py"))}
 
 
 def project_of(files: dict[str, str]) -> Project:
@@ -231,19 +239,18 @@ class TestCallGraph:
             "repro.zoo.base.Engine.step",
         ) in edges
 
-    def test_to_json_shape(self):
-        project = fixture_project(["hl010_util.py", "hl010_sim_positive.py"])
-        payload = project.index().callgraph.to_json()
-        assert set(payload) == {
-            "functions", "edges", "n_functions", "n_edges",
-        }
-        assert payload["n_functions"] == len(payload["functions"])
-        assert payload["n_edges"] == len(payload["edges"])
-        qnames = {f["qname"] for f in payload["functions"]}
-        assert "tests.fixtures.lint.hl010_util.chained" in qnames
+    def test_fixture_chain_edges(self):
+        edges = edges_of(
+            fixture_project(["hl010_util.py", "hl010_sim_positive.py"])
+        )
+        assert len(edges) >= 3
+        assert (
+            "tests.fixtures.lint.hl010_util.chained",
+            "tests.fixtures.lint.hl010_util.jittery_delay",
+        ) in edges
         assert any(
-            e["caller"].endswith("hl010_sim_positive.step_world")
-            for e in payload["edges"]
+            caller.endswith("hl010_sim_positive.step_world")
+            for caller, _ in edges
         )
 
 
@@ -332,12 +339,31 @@ class TestDeterminismTaint:
         )
         assert diags == []
 
-    def test_real_scenario_layer_is_clean(self):
+    def test_shared_sources_split_exactly_with_hl001(self):
+        """A shared-table source is HL001's at the line and HL010's only
+        through a call; HL010's own kinds are reported at the line."""
+        project = project_of(
+            {
+                "src/repro/sim/clocky.py": (
+                    "import time\n"
+                    "def stamp():\n"
+                    "    return time.time()\n"
+                    "def elapsed():\n"
+                    "    return time.perf_counter()\n"
+                    "def step():\n"
+                    "    return stamp()\n"
+                )
+            }
+        )
+        diags = run(project, rules=select_rules(["HL001", "HL010"]))
+        assert [(d.code, d.line) for d in diags] == [
+            ("HL001", 3), ("HL010", 5), ("HL010", 7),
+        ]
+
+    def test_real_scenario_layer_is_clean(self, src_files):
         """Regression for the run_trace pure-wall-time annotation."""
         diags = run(
-            Project([SourceFile.load(p) for p in sorted(
-                (REPO / "src").rglob("*.py"))]),
-            rules=select_rules(["HL010"]),
+            Project(list(src_files.values())), rules=select_rules(["HL010"])
         )
         assert diags == []
 
@@ -367,12 +393,12 @@ class TestLockDiscipline:
         )
         assert diags == []
 
-    def test_real_ipc_and_obs_are_disciplined(self):
+    def test_real_ipc_and_obs_are_disciplined(self, src_files):
         """Regression for the narrowed IPC/registry critical sections."""
         files = [
-            SourceFile.load(p)
-            for p in sorted((REPO / "src" / "repro" / "ipc").glob("*.py"))
-            + sorted((REPO / "src" / "repro" / "obs").glob("*.py"))
+            file
+            for path, file in src_files.items()
+            if path.parent.name in ("ipc", "obs")
         ]
         assert run(Project(files), rules=select_rules(["HL011"])) == []
 
@@ -430,14 +456,15 @@ class TestTimeUnits:
 
 
 class TestStaleSuppressions:
-    def test_stale_unknown_and_file_level_flagged(self):
+    def test_stale_and_unknown_codes_flagged(self):
         diags = run(fixture_project(["hl007_stale.py"]))
         hl007 = [d for d in diags if d.code == "HL007"]
-        assert len(hl007) == 3
+        assert [d.line for d in hl007] == [3, 4, 5]
         messages = " ".join(d.message for d in hl007)
         assert "matches no diagnostic on this line" in messages
         assert "unknown rule 'HL099'" in messages
-        assert "file-level suppression of HL005" in messages
+        # ``disable=all`` is not a suppression form: it names no rule.
+        assert "unknown rule 'ALL'" in messages
 
     def test_live_suppression_not_flagged(self):
         diags = run(fixture_project(["hl007_live.py"]))
@@ -445,63 +472,20 @@ class TestStaleSuppressions:
 
     def test_staleness_only_judged_for_rules_that_ran(self):
         # HL003 did not run, so the HL003 suppression cannot be judged;
-        # the unknown-code finding is independent of rule selection.
+        # the unknown-code findings are independent of rule selection.
         diags = run(
             fixture_project(["hl007_stale.py"]),
             rules=select_rules(["HL001", "HL007"]),
         )
         messages = [d.message for d in diags if d.code == "HL007"]
-        assert len(messages) == 1
-        assert "HL099" in messages[0]
-
-    def test_fix_suppressions_rewrites_tree(self, tmp_path, capsys):
-        stale = tmp_path / "stale.py"
-        live = tmp_path / "live.py"
-        stale.write_text((FIXTURES / "hl007_stale.py").read_text())
-        live.write_text((FIXTURES / "hl007_live.py").read_text())
-        assert main(["--fix-suppressions", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "removed 3 stale suppression(s)" in out
-        fixed = stale.read_text()
-        assert "harplint" not in fixed  # all three comments dropped
-        assert "x = 1.0" in fixed and "y = 2" in fixed
-        # The live suppression (real HL003 finding behind it) survives.
-        assert "disable=HL003" in live.read_text()
-
-    def test_fix_preserves_live_codes_on_shared_comment(self, tmp_path):
-        target = tmp_path / "mixed.py"
-        target.write_text(
-            "def f(x):\n"
-            "    return x == 0.5  # harplint: disable=HL003,HL005 -- boundary\n"
-        )
-        assert main(["--fix-suppressions", str(target)]) == 0
-        text = target.read_text()
-        assert "disable=HL003 -- boundary" in text
-        assert "HL005" not in text
+        assert len(messages) == 2
+        assert all("unknown rule" in m for m in messages)
 
 
 # -- CLI ------------------------------------------------------------------------
 
 
 class TestWholeProgramCli:
-    def test_dump_callgraph(self, capsys, monkeypatch):
-        monkeypatch.chdir(REPO)
-        rc = main(
-            [
-                "--dump-callgraph",
-                "tests/fixtures/lint/hl010_util.py",
-                "tests/fixtures/lint/hl010_sim_positive.py",
-            ]
-        )
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["n_edges"] >= 3
-        edges = {(e["caller"], e["callee"]) for e in payload["edges"]}
-        assert (
-            "tests.fixtures.lint.hl010_util.chained",
-            "tests.fixtures.lint.hl010_util.jittery_delay",
-        ) in edges
-
     def test_stats_output(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO)
         rc = main(["--stats", "tests/fixtures/lint/hl012_negative.py"])
@@ -516,7 +500,6 @@ class TestWholeProgramCli:
         rc = main(
             [
                 "--format", "json",
-                "--select", "HL012",
                 "tests/fixtures/lint/hl012_positive.py",
             ]
         )
