@@ -37,7 +37,7 @@ plane exploits that (docs/performance.md, "Scaling the control plane"):
 * **Warm-started solves** — the Lagrange multiplier vector λ of the last
   solve is persisted and reused as the starting iterate of the next
   one; warm solves run a shorter subgradient schedule
-  (``warm_iterations``) and stop early once the iterate is feasible and
+  (``_WARM_ITERS``) and stop early once the iterate is feasible and
   stable.  Primal recovery repairs the last iterate *and* a greedy
   choice seeded from the previous epoch, then keeps the cheapest
   feasible candidate; a seeded solve that strays too far above the
@@ -75,6 +75,10 @@ from repro.platform.topology import Platform
 logger = logging.getLogger(__name__)
 
 
+#: Cost factor of an application's currently active configuration.
+HYSTERESIS = 0.85
+
+
 @dataclass
 class AllocationRequest:
     """One application's input to the allocator."""
@@ -86,10 +90,9 @@ class AllocationRequest:
     # share) pin the selection to a single mandatory point.
     mandatory: bool = False
     # The application's currently active configuration, if any.  Its cost
-    # receives a hysteresis discount so near-tied alternatives do not make
-    # the allocation flip-flop (reconfigurations are not free).
+    # receives the ``HYSTERESIS`` discount so near-tied alternatives do not
+    # make the allocation flip-flop (reconfigurations are not free).
     preferred_erv: "ExtendedResourceVector | None" = None
-    hysteresis: float = 0.85
 
     def __post_init__(self) -> None:
         if not self.points:
@@ -177,7 +180,6 @@ class _RequestKey(NamedTuple):
     pid: int
     mandatory: bool
     max_utility: float
-    hysteresis: float
     preferred_row: int  # -1: no current configuration
     rows: bytes  # intp ErvIndex row per point
     utility: bytes  # float64 per point
@@ -224,13 +226,16 @@ class LagrangianAllocator:
     """Subgradient MMKP solver with greedy repair and placement.
 
     Args:
-        iterations: subgradient budget of a cold solve.
-        step0: initial subgradient step, in cost-per-core units.
         cache_size: number of memoized solves to retain (0 disables).
-        warm_iterations: subgradient budget for solves warm-started from
-            the previous solve's multipliers.
     """
 
+    #: Subgradient budget of a cold solve.
+    _COLD_ITERS = 60
+    #: Subgradient budget of a solve warm-started from the previous
+    #: solve's multipliers.
+    _WARM_ITERS = 20
+    #: Initial subgradient step, in cost-per-core units.
+    _STEP0 = 1.0
     #: Consecutive feasible, unchanged iterates after which a warm-started
     #: subgradient loop stops early.
     _WARM_STABLE_ITERS = 3
@@ -242,17 +247,11 @@ class LagrangianAllocator:
         self,
         platform: Platform,
         layout: ErvLayout,
-        iterations: int = 60,
-        step0: float = 1.0,
         cache_size: int = 128,
-        warm_iterations: int = 20,
     ):
         self.platform = platform
         self.layout = layout
-        self.iterations = iterations
-        self.step0 = step0
         self.cache_size = cache_size
-        self.warm_iterations = warm_iterations
         self.stats = AllocatorStats()
         self._cache: OrderedDict[tuple, tuple] = OrderedDict()
         # Per-request candidate rows (cost vector, resource matrix, kept
@@ -502,7 +501,6 @@ class LagrangianAllocator:
             req.pid,
             req.mandatory,
             req.max_utility,
-            req.hysteresis,
             preferred,
             rows.tobytes(),
             np.array([p.utility for p in points], dtype=float).tobytes(),
@@ -579,7 +577,7 @@ class LagrangianAllocator:
             req.max_utility,
         )
         if req_key.preferred_row >= 0:
-            cost_vec[rows == req_key.preferred_row] *= req.hysteresis
+            cost_vec[rows == req_key.preferred_row] *= HYSTERESIS
         index = self.layout.index()
         res_mat = index.cores[rows]
         keep = np.arange(len(rows))
@@ -657,7 +655,7 @@ class LagrangianAllocator:
         """Run phase 1+2; returns (choices, final λ, iterations, greedy).
 
         ``lam0`` warm-starts the subgradient loop; warm solves run the
-        shorter ``warm_iterations`` schedule and stop early once the
+        shorter ``_WARM_ITERS`` schedule and stop early once the
         iterate has been feasible and unchanged for
         ``_WARM_STABLE_ITERS`` consecutive iterations.  Cold solves
         (``lam0 is None``) keep the original fixed schedule bit-for-bit.
@@ -674,7 +672,7 @@ class LagrangianAllocator:
         rows, mandatory = problem.rows, problem.mandatory
         warm = lam0 is not None
         lam = np.array(lam0, dtype=float) if warm else np.zeros(len(capacity))
-        max_iters = self.warm_iterations if warm else self.iterations
+        max_iters = self._WARM_ITERS if warm else self._COLD_ITERS
         cost_scale = self._cost_scale(problem.costs)
         total_cores = float(max(capacity.sum(), 1.0))
         best_cost = np.inf
@@ -696,7 +694,7 @@ class LagrangianAllocator:
                 if total < best_cost:
                     best_cost = total
                     best_choice = choice.copy()
-            step = self.step0 * cost_scale / (total_cores * (1 + it))
+            step = self._STEP0 * cost_scale / (total_cores * (1 + it))
             lam = np.maximum(0.0, lam + step * violation)
             stable = (
                 stable + 1

@@ -47,20 +47,14 @@ def poly_feature_count(n_inputs: int, degree: int = 2) -> int:
 class ExplorationPlanner:
     """Implements the stage logic and point-selection heuristics."""
 
-    def __init__(
-        self,
-        layout: ErvLayout,
-        model_name: str = "poly2",
-        initial_threshold: int | None = None,
-        stable_after: int = 25,
-    ):
+    #: The regression behind predictions and refinement (§5.3).
+    _MODEL_NAME = "poly2"
+
+    def __init__(self, layout: ErvLayout, stable_after: int = 25):
         self.layout = layout
-        self.model_name = model_name
-        if initial_threshold is None:
-            # A preliminary model needs at least as many measurements as
-            # the regression has coefficients.
-            initial_threshold = poly_feature_count(len(layout), degree=2)
-        self.initial_threshold = initial_threshold
+        # A preliminary model needs at least as many measurements as the
+        # regression has coefficients.
+        self.initial_threshold = poly_feature_count(len(layout), degree=2)
         self.stable_after = stable_after
 
     # -- stages -----------------------------------------------------------------
@@ -111,8 +105,8 @@ class ExplorationPlanner:
             x = np.vstack([x, zero])
             y_u = np.append(y_u, 0.0)
             y_p = np.append(y_p, 0.0)
-        model_u = make_model(self.model_name).fit(x, y_u)
-        model_p = make_model(self.model_name).fit(x, y_p)
+        model_u = make_model(self._MODEL_NAME).fit(x, y_u)
+        model_p = make_model(self._MODEL_NAME).fit(x, y_p)
         if OBS.enabled:
             OBS.counter(
                 "exploration.model_refits",

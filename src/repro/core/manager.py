@@ -114,40 +114,40 @@ class RmDaemonModel(ApplicationModel):
 
 # -- configuration ---------------------------------------------------------------------
 
+#: Monitoring period: one utility/power sample every 50 ms (§5.3).
+MEASURE_INTERVAL_S = 0.05
+#: A stable table is re-assessed every this many measurements (§5.3).
+STABLE_REALLOC_MEASUREMENTS = 100
+#: RM work accounting: seconds of daemon CPU per operation (§6.6).
+COST_PER_SAMPLE_S = 0.00015
+COST_PER_ALLOCATION_S = 0.0015
+COST_PER_MESSAGE_S = 0.00008
+#: Liveness (docs/robustness.md): a session whose process has not been
+#: observed alive for this long (simulated seconds) is considered crashed
+#: and reaped.  Healthy sessions refresh the lease on every monitoring
+#: sample, so it must span at least three measure intervals: then it never
+#: expires for a live process.
+LEASE_S = 0.5
+#: Consecutive unanswered utility polls after which a utility-providing
+#: application counts as hung (feedback starvation) and is reaped.
+UTILITY_MISS_LIMIT = 3
+
 
 @dataclass
 class ManagerConfig:
     """Tunables of the RM; defaults follow the paper's evaluation (§5.3, §6)."""
 
-    measure_interval_s: float = 0.05
     measurements_per_point: int = 20
     stable_after: int = 25
-    stable_realloc_measurements: int = 100
     ema_alpha: float = 0.1
     adaptation: AdaptationMode = AdaptationMode.FULL
     explore: bool = True
-    utility_polling: bool = True
     startup_delay_s: float = 0.25
-    model_overhead: bool = True
-    # RM work accounting (seconds of daemon CPU per operation).
-    cost_per_sample_s: float = 0.00015
-    cost_per_allocation_s: float = 0.0015
-    cost_per_message_s: float = 0.00008
     # Cores per type withheld from managed applications for background and
     # system tasks — the production deployment model of §4.3 (the paper's
     # evaluation variant leaves this empty and lets background work
     # time-share with the managed applications).
     background_reserve: dict[str, int] | None = None
-    # Liveness (docs/robustness.md): a session whose process has not been
-    # observed alive for this long (simulated seconds) is considered
-    # crashed and reaped.  Healthy sessions refresh the lease on every
-    # monitoring sample, so the effective lease is clamped to at least
-    # three measure intervals and never expires for a live process.
-    lease_s: float = 0.5
-    # Consecutive unanswered utility polls after which a
-    # utility-providing application counts as hung (feedback starvation)
-    # and is reaped.
-    utility_miss_limit: int = 3
     # Batched reallocation epochs (docs/performance.md, "Scaling the
     # control plane"): registrations, deregistrations, reaps, and
     # measurement-driven triggers arriving within this window (simulated
@@ -208,7 +208,6 @@ class HarpManager:
         config: ManagerConfig | None = None,
         offline_tables: dict[str, list[dict]] | None = None,
         allocator: LagrangianAllocator | None = None,
-        attributor: EnergyAttributor | None = None,
         seed: int = 0,
     ):
         self.world = world
@@ -225,9 +224,7 @@ class HarpManager:
             self.layout,
             stable_after=min(self.config.stable_after, space_size),
         )
-        self.monitor = SystemMonitor(
-            world, attributor or EnergyAttributor(world.platform)
-        )
+        self.monitor = SystemMonitor(world, EnergyAttributor(world.platform))
         self.offline_tables = dict(offline_tables or {})
         self.sessions: dict[int, AppSession] = {}
         # Profile store (§4.3): tables persist across application runs and
@@ -252,13 +249,8 @@ class HarpManager:
         # Session state carried over from a restored snapshot, keyed by
         # pid, consumed by adopt_running().
         self._session_backlog: dict[int, dict] = {}
-        self._rm_model: RmDaemonModel | None = None
-        self._rm_process: SimProcess | None = None
-        if self.config.model_overhead:
-            self._rm_model = RmDaemonModel(tick_hint_s=world.tick_s)
-            self._rm_process = world.spawn(
-                self._rm_model, nthreads=1, daemon=True
-            )
+        self._rm_model = RmDaemonModel(tick_hint_s=world.tick_s)
+        self._rm_process = world.spawn(self._rm_model, nthreads=1, daemon=True)
         world.on_process_start.append(self._on_process_start)
         world.on_process_exit.append(self._on_process_exit)
         # The RM listens on the engine's event hook: fired every tick on
@@ -273,7 +265,7 @@ class HarpManager:
 
     def handle_request(self, message: Message) -> Message:
         """Dispatch one libharp request; usable behind a socket server too."""
-        self._charge(self.config.cost_per_message_s)
+        self._charge(COST_PER_MESSAGE_S)
         if OBS.enabled:
             OBS.counter("rm.requests", type=message.TYPE).inc()
         # Any request from a known application refreshes its liveness lease.
@@ -335,7 +327,7 @@ class HarpManager:
         if not self.config.explore:
             # Offline mode: the description table is authoritative.
             session.table.stage = MaturityStage.STABLE
-        self._charge(self.config.cost_per_message_s * 2)
+        self._charge(COST_PER_MESSAGE_S * 2)
         # Urgent: the new session has no allocation yet, so the epoch
         # window must not delay its first activation.
         self._request_reallocation(urgent=True)
@@ -362,7 +354,7 @@ class HarpManager:
         if self._epoch_due_tick is not None and now >= self._epoch_due_tick:
             self.flush()
         if now >= self._next_sample_tick:
-            self._next_sample_tick = now + world.ticks_in(self.config.measure_interval_s)
+            self._next_sample_tick = now + world.ticks_in(MEASURE_INTERVAL_S)
             self._sample_all()
         self._check_leases(now)
         self._wake_deadlines()
@@ -396,10 +388,9 @@ class HarpManager:
     # -- liveness (docs/robustness.md) ------------------------------------------------
 
     def _lease_ticks(self) -> int:
-        """Effective lease: never shorter than three monitoring intervals,
+        """The lease in ticks: ``LEASE_S`` spans ten monitoring intervals,
         so a healthy session cannot expire between samples."""
-        lease_s = max(self.config.lease_s, 3.0 * self.config.measure_interval_s)
-        return self.world.ticks_in(lease_s)
+        return self.world.ticks_in(LEASE_S)
 
     def _check_leases(self, now: int) -> None:
         lease = self._lease_ticks()
@@ -413,7 +404,7 @@ class HarpManager:
         session = self.sessions.pop(pid, None)
         if session is not None:
             self.monitor.forget(pid)
-            self._charge(self.config.cost_per_message_s)
+            self._charge(COST_PER_MESSAGE_S)
         return session
 
     def _reap_session(self, pid: int, reason: str, replan: bool = True) -> None:
@@ -449,32 +440,31 @@ class HarpManager:
         ]
         if not sessions:
             return
-        self._charge(self.config.cost_per_sample_s * len(sessions))
+        self._charge(COST_PER_SAMPLE_S * len(sessions))
         utilities: dict[int, float | None] = {}
         starved: list[int] = []
-        if self.config.utility_polling:
-            for session in sessions:
-                if not session.provides_utility:
-                    continue
-                try:
-                    reply = session.transport.push(
-                        UtilityRequest(pid=session.pid)
-                    )
-                except ProtocolError:
-                    reply = None
-                self._charge(self.config.cost_per_message_s)
-                if isinstance(reply, UtilityReply):
-                    utilities[session.pid] = reply.utility
-                    session.utility_misses = 0
-                else:
-                    # Unanswered poll: the application is alive (it burns
-                    # CPU) but its feedback loop is starved — after a few
-                    # consecutive misses, treat it as hung.
-                    session.utility_misses += 1
-                    if OBS.enabled:
-                        OBS.counter("rm.utility_misses").inc()
-                    if session.utility_misses >= self.config.utility_miss_limit:
-                        starved.append(session.pid)
+        for session in sessions:
+            if not session.provides_utility:
+                continue
+            try:
+                reply = session.transport.push(
+                    UtilityRequest(pid=session.pid)
+                )
+            except ProtocolError:
+                reply = None
+            self._charge(COST_PER_MESSAGE_S)
+            if isinstance(reply, UtilityReply):
+                utilities[session.pid] = reply.utility
+                session.utility_misses = 0
+            else:
+                # Unanswered poll: the application is alive (it burns
+                # CPU) but its feedback loop is starved — after a few
+                # consecutive misses, treat it as hung.
+                session.utility_misses += 1
+                if OBS.enabled:
+                    OBS.counter("rm.utility_misses").inc()
+                if session.utility_misses >= UTILITY_MISS_LIMIT:
+                    starved.append(session.pid)
         samples = self.monitor.sample(
             [s.pid for s in sessions], app_utilities=utilities
         )
@@ -526,7 +516,7 @@ class HarpManager:
                 )
                 if (
                     session.measurements_total
-                    % self.config.stable_realloc_measurements
+                    % STABLE_REALLOC_MEASUREMENTS
                     == 0
                 ):
                     needs_reallocation = True
@@ -617,7 +607,7 @@ class HarpManager:
     ) -> tuple[EpochDecision, bool]:
         """Plan and execute one epoch; True when a failed push reaped a
         session, which leaves its planned cores unused."""
-        self._charge(self.config.cost_per_allocation_s)
+        self._charge(COST_PER_ALLOCATION_S)
         decision = plan_epoch(
             sessions,
             self.planner,
@@ -714,7 +704,7 @@ class HarpManager:
         application never applied, so callers escalate a failed push to
         session teardown and the cores are reclaimed.
         """
-        self._charge(self.config.cost_per_message_s)
+        self._charge(COST_PER_MESSAGE_S)
         if OBS.enabled:
             app = session.table.app_name
             OBS.counter("rm.activations", app=app).inc()
@@ -741,8 +731,7 @@ class HarpManager:
         return delivered
 
     def _charge(self, seconds: float) -> None:
-        if self._rm_model is not None:
-            self._rm_model.charge(seconds)
+        self._rm_model.charge(seconds)
 
     # -- RM crash recovery (docs/robustness.md) ------------------------------------------
 
@@ -870,9 +859,7 @@ class HarpManager:
             with contextlib.suppress(ProtocolError):
                 session.transport.close()
         self.sessions.clear()
-        if self._rm_process is not None:
-            self.world.kill(self._rm_process.pid, silent=True)
-            self._rm_process = None
+        self.world.kill(self._rm_process.pid, silent=True)
         if OBS.enabled:
             OBS.counter("rm.shutdowns").inc()
             OBS.event("rm.shutdown", track="rm")

@@ -14,8 +14,6 @@ seed, plan seed) pair.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.core.allocator import AllocationResult, LagrangianAllocator
 from repro.core.manager import HarpManager
 from repro.fault.plan import Fault, FaultKind, FaultPlan
@@ -32,22 +30,15 @@ class SimFaultInjector:
         world: the simulation to break.
         manager: the RM under test; replaced in-place on RM_RESTART.
         plan: what to break and when.
-        manager_factory: builds the replacement RM for RM_RESTART faults;
-            defaults to a fresh :class:`HarpManager` with the same config
-            and offline tables as the current one.
+
+    An RM_RESTART fault replaces the RM with a fresh :class:`HarpManager`
+    that has the same config and offline tables as the current one.
     """
 
-    def __init__(
-        self,
-        world: World,
-        manager: HarpManager,
-        plan: FaultPlan,
-        manager_factory: Callable[[], HarpManager] | None = None,
-    ):
+    def __init__(self, world: World, manager: HarpManager, plan: FaultPlan):
         self.world = world
         self.manager = manager
         self.plan = plan
-        self.manager_factory = manager_factory
         #: Audit trail: one record per scheduled fault, in firing order.
         self.log: list[dict] = []
         self._next = 0
@@ -154,14 +145,9 @@ class SimFaultInjector:
         old = self.manager
         snapshot = old.snapshot()
         old.shutdown()
-        factory = self.manager_factory or (
-            lambda: HarpManager(
-                self.world,
-                config=old.config,
-                offline_tables=old.offline_tables,
-            )
+        new = HarpManager(
+            self.world, config=old.config, offline_tables=old.offline_tables
         )
-        new = factory()
         new.restore(snapshot)
         new.adopt_running()
         self.manager = new

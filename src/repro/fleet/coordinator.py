@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.fleet.link import NodeLink
+from repro.fleet.link import DEFAULT_FLEET_TIMEOUT_S, NodeLink
 from repro.fleet.spec import FleetAppSpec
 from repro.ipc.messages import (
     Ack,
@@ -59,8 +59,6 @@ class CoordinatorConfig:
 
     #: Fleet epochs a node may stay silent before it is reaped.
     node_lease_epochs: int = 2
-    #: Bound on synchronous coordinator → node exchanges.
-    rpc_timeout_s: float = 5.0
 
 
 @dataclass
@@ -372,7 +370,7 @@ class Coordinator:
             return False
         try:
             reply = source.link.rpc(
-                MigrateOut(app_id=app_id), timeout=self.config.rpc_timeout_s
+                MigrateOut(app_id=app_id), timeout=DEFAULT_FLEET_TIMEOUT_S
             )
         except ProtocolError:
             return False
@@ -388,7 +386,7 @@ class Coordinator:
             try:
                 ack = target.link.rpc(
                     MigrateIn(snapshot=snapshot),
-                    timeout=self.config.rpc_timeout_s,
+                    timeout=DEFAULT_FLEET_TIMEOUT_S,
                 )
                 if isinstance(ack, Ack) and ack.ok:
                     rec.node_id = target_node
@@ -422,7 +420,7 @@ class Coordinator:
         try:
             ack = source.link.rpc(
                 MigrateIn(snapshot=snapshot),
-                timeout=self.config.rpc_timeout_s,
+                timeout=DEFAULT_FLEET_TIMEOUT_S,
             )
             if isinstance(ack, Ack) and ack.ok:
                 rec.placed_epoch = self.epoch
@@ -529,7 +527,7 @@ class Coordinator:
             try:
                 reply = link.rpc(
                     NodeAdoptQuery(epoch=self.epoch),
-                    timeout=self.config.rpc_timeout_s,
+                    timeout=DEFAULT_FLEET_TIMEOUT_S,
                 )
             except ProtocolError:
                 record.alive = False

@@ -85,7 +85,7 @@ class FleetFaultInjector:
             node.link.partitioned = True
             duration_s = float(
                 fault.params.get(
-                    "duration_s", 3.0 * self.fleet.epoch_s
+                    "duration_s", 3.0 * self.fleet.EPOCH_S
                 )
             )
             self._heals.append((now_s + duration_s, node_id))

@@ -54,13 +54,18 @@ from repro.sim.process import SimProcess
 from repro.sim.schedulers.pinned import PinnedScheduler
 
 
-def node_platform(node_id: int, p_cores: int = 2, e_cores: int = 4) -> Platform:
+#: Cores per type of a node machine.
+NODE_P_CORES = 2
+NODE_E_CORES = 4
+
+
+def node_platform(node_id: int) -> Platform:
     """A small Raptor-Lake-shaped node machine."""
     reference = raptor_lake_i9_13900k()
     p_core, e_core = reference.core_types
     return Platform.build(
         f"node-{node_id}",
-        [(p_core, p_cores), (e_core, e_cores)],
+        [(p_core, NODE_P_CORES), (e_core, NODE_E_CORES)],
         uncore_power_w=reference.uncore_power_w,
     )
 
@@ -94,16 +99,14 @@ class NodeManager:
         self,
         node_id: int,
         link: NodeLink,
-        platform: Platform | None = None,
         engine: str = "tick",
         seed: int = 0,
         manager_config: ManagerConfig | None = None,
-        capacity_slots: int | None = None,
     ):
         self.node_id = node_id
         self.link = link
         self.engine = engine
-        platform = platform or node_platform(node_id)
+        platform = node_platform(node_id)
         self.world = make_world(
             platform,
             PinnedScheduler(),
@@ -114,9 +117,7 @@ class NodeManager:
         self.manager = HarpManager(
             self.world, config=manager_config or ManagerConfig()
         )
-        self.capacity_slots = (
-            capacity_slots if capacity_slots is not None else platform.n_cores
-        )
+        self.capacity_slots = platform.n_cores
         self.apps: dict[str, NodeApp] = {}
         self.state = NodeState.ATTACHED
         self.report_epoch = 0

@@ -18,7 +18,7 @@ from repro.fault.plan import FaultPlan
 from repro.fleet.coordinator import Coordinator, CoordinatorConfig
 from repro.fleet.faults import FleetFaultInjector
 from repro.fleet.link import NodeLink
-from repro.fleet.node import NodeManager, NodeState, node_platform
+from repro.fleet.node import NodeManager, NodeState
 from repro.fleet.spec import FleetAppSpec
 from repro.obs import OBS
 
@@ -30,26 +30,23 @@ _NODE_SEED_STRIDE = 7919
 class FleetSim:
     """A simulated fleet: one coordinator over N node managers."""
 
+    #: Fleet epoch length (simulated seconds).
+    EPOCH_S = 0.25
+
     def __init__(
         self,
         n_nodes: int = 4,
         apps: list[FleetAppSpec] | None = None,
         engine: str = "tick",
         seed: int = 0,
-        epoch_s: float = 0.25,
         plan: FaultPlan | None = None,
         coordinator_config: CoordinatorConfig | None = None,
         manager_config: ManagerConfig | None = None,
-        node_p_cores: int = 2,
-        node_e_cores: int = 4,
     ):
         if n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
-        if epoch_s <= 0:
-            raise ValueError("epoch_s must be > 0")
         self.engine = engine
         self.seed = seed
-        self.epoch_s = epoch_s
         self.epoch = 0
         self.time_s = 0.0
         self.coordinator = Coordinator(coordinator_config)
@@ -62,9 +59,6 @@ class FleetSim:
             self.nodes[node_id] = NodeManager(
                 node_id,
                 link,
-                platform=node_platform(
-                    node_id, p_cores=node_p_cores, e_cores=node_e_cores
-                ),
                 engine=engine,
                 seed=seed + _NODE_SEED_STRIDE * (node_id + 1),
                 manager_config=manager_config,
@@ -90,7 +84,7 @@ class FleetSim:
         if self.injector is not None:
             self.injector.fire_due(self.time_s)
         self.epoch += 1
-        target = self.epoch * self.epoch_s
+        target = self.epoch * self.EPOCH_S
         for node_id in sorted(self.nodes):
             self.nodes[node_id].advance_to(target)
         self.time_s = target

@@ -10,7 +10,7 @@ Hardening contract (docs/robustness.md): every request carries an
 explicit timeout (``RequestTimeout`` instead of blocking forever on a
 hung RM), ``close()`` is idempotent, and ``reconnect()`` re-establishes a
 dropped request connection so :class:`repro.libharp.client.LibHarpClient`
-can retry-with-backoff and re-register.  The in-process transport exposes
+can retry and re-register.  The in-process transport exposes
 deterministic fault hooks (``push_filter``, ``fail_next_requests``) that
 the fault-injection subsystem (``repro.fault``) uses to model push loss,
 utility starvation, and flaky request paths without threads or clocks.
@@ -26,6 +26,7 @@ from typing import Callable
 
 from repro.ipc.messages import Ack, Message
 from repro.ipc.protocol import (
+    THREAD_JOIN_TIMEOUT_S,
     ProtocolError,
     RequestTimeout,
     recv_message,
@@ -71,12 +72,10 @@ class HarpSocketClient(Transport):
         rm_socket_path: str,
         push_socket_path: str,
         timeout: float = DEFAULT_REQUEST_TIMEOUT_S,
-        join_timeout_s: float = 2.0,
     ):
         self.rm_socket_path = rm_socket_path
         self.push_socket_path = push_socket_path
         self.timeout = timeout
-        self.join_timeout_s = join_timeout_s
         self._push_handler: PushHandler | None = None
         self._request_lock = threading.Lock()
         self._closed = False
@@ -161,7 +160,7 @@ class HarpSocketClient(Transport):
             self._push_listener.close()
         with contextlib.suppress(FileNotFoundError):
             os.unlink(self.push_socket_path)
-        self._push_thread.join(timeout=self.join_timeout_s)
+        self._push_thread.join(timeout=THREAD_JOIN_TIMEOUT_S)
         if self._push_thread.is_alive() and OBS.enabled:
             OBS.counter("ipc.thread_join_timeouts", role="client").inc()
 

@@ -16,6 +16,9 @@ from repro.obs import OBS
 
 _HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 16 * 1024 * 1024
+#: Bound on joining a transport's background thread at close/stop; a
+#: thread still alive after it is counted, not waited on.
+THREAD_JOIN_TIMEOUT_S = 2.0
 
 
 class ProtocolError(RuntimeError):

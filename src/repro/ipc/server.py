@@ -42,6 +42,7 @@ from typing import Callable
 
 from repro.ipc.messages import Ack, ErrorReply, Message
 from repro.ipc.protocol import (
+    THREAD_JOIN_TIMEOUT_S,
     FrameCodec,
     FrameIntegrityError,
     MessageDecodeError,
@@ -85,15 +86,9 @@ class _Conn:
 class HarpSocketServer:
     """The RM's request socket plus per-application push connections."""
 
-    def __init__(
-        self,
-        socket_path: str,
-        handler: Handler,
-        join_timeout_s: float = 2.0,
-    ):
+    def __init__(self, socket_path: str, handler: Handler):
         self.socket_path = socket_path
         self.handler = handler
-        self.join_timeout_s = join_timeout_s
         self._listener: socket.socket | None = None
         self._thread: threading.Thread | None = None
         #: Write end of a socketpair the loop selects on: one byte wakes
@@ -158,7 +153,7 @@ class HarpSocketServer:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(self.socket_path)
         if self._thread is not None:
-            self._thread.join(timeout=self.join_timeout_s)
+            self._thread.join(timeout=THREAD_JOIN_TIMEOUT_S)
             if self._thread.is_alive() and OBS.enabled:
                 OBS.counter("ipc.thread_join_timeouts", role="server").inc()
             self._thread = None

@@ -8,21 +8,15 @@
 4. Answer utility polls with the application-specific metric.
 
 Requests are hardened per docs/robustness.md: every request carries an
-explicit timeout and runs under a bounded retry loop with exponential
-backoff.  After a transport failure the client reconnects and — when it
-had already completed the handshake — transparently re-registers with the
+explicit timeout and is tried at most ``MAX_ATTEMPTS`` times.  After a
+transport failure the client reconnects at once and — when it had
+already completed the handshake — transparently re-registers with the
 RM (sessions are keyed by PID, so a restarted RM simply sees the
-application again).  ``sleeper`` is injectable and defaults to no sleep,
-keeping the deterministic in-process simulation free of wall-clock
-dependencies; real socket deployments pass ``time.sleep``.
+application again).  Retries never sleep, which keeps the deterministic
+in-process simulation free of wall-clock dependencies.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 from repro.ipc.client import Transport
 from repro.ipc.messages import (
@@ -41,45 +35,16 @@ from repro.ipc.protocol import ProtocolError
 from repro.libharp.adaptivity import ApplicationAdapter
 from repro.obs import OBS
 
+#: Operating-point granularity announced at registration (§4.1.1).
+GRANULARITY = "coarse"
+#: Bound on each request to the RM.
+REQUEST_TIMEOUT_S = 5.0
+#: Tries per request: the first plus two after reconnecting.
+MAX_ATTEMPTS = 3
+
 
 class RegistrationError(RuntimeError):
     """The RM rejected or failed the registration handshake."""
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded-retry configuration for libharp requests.
-
-    ``jitter`` spreads each backoff delay uniformly over
-    ``[delay * (1 - jitter), delay]`` to de-synchronize reconnect storms,
-    but from a *seeded* generator: the jitter sequence is a pure function
-    of ``seed``, so a retried recovery path replays bit-identically
-    (HL001 applies to the recovery path like to everything else).
-    """
-
-    max_attempts: int = 3
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    jitter: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-
-    def delays(self) -> list[float]:
-        """Backoff delay before each retry (``max_attempts - 1`` entries)."""
-        base = [
-            self.backoff_base_s * self.backoff_factor**i
-            for i in range(self.max_attempts - 1)
-        ]
-        if self.jitter <= 0.0 or not base:
-            return base
-        rng = np.random.default_rng(self.seed)
-        scale = 1.0 - self.jitter * rng.random(len(base))
-        return [d * float(s) for d, s in zip(base, scale)]
 
 
 class LibHarpClient:
@@ -90,18 +55,10 @@ class LibHarpClient:
         adapter: ApplicationAdapter,
         transport: Transport,
         description_points: list[dict] | None = None,
-        granularity: str = "coarse",
-        retry: RetryPolicy | None = None,
-        request_timeout_s: float = 5.0,
-        sleeper: Callable[[float], None] | None = None,
     ):
         self.adapter = adapter
         self.transport = transport
         self.description_points = list(description_points or [])
-        self.granularity = granularity
-        self.retry = retry or RetryPolicy()
-        self.request_timeout_s = request_timeout_s
-        self._sleep = sleeper or (lambda _s: None)
         self.session_id: int | None = None
         self.activations = 0
         self.last_activation: ActivateOperatingPoint | None = None
@@ -114,18 +71,15 @@ class LibHarpClient:
     # -- hardened request path ------------------------------------------------------
 
     def _request_once(self, message: Message) -> Message:
-        reply = self.transport.request(
-            message, timeout=self.request_timeout_s
-        )
+        reply = self.transport.request(message, timeout=REQUEST_TIMEOUT_S)
         if isinstance(reply, ErrorReply):
             raise ProtocolError(f"RM error reply: {reply.error}")
         return reply
 
     def _request_with_retry(self, message: Message) -> Message:
-        """Send under the retry policy; reconnect + re-register between tries."""
-        delays = self.retry.delays()
+        """Send with bounded retries; reconnect + re-register between tries."""
         last_exc: Exception | None = None
-        for attempt in range(self.retry.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             try:
                 return self._request_once(message)
             except (ProtocolError, OSError) as exc:
@@ -134,12 +88,11 @@ class LibHarpClient:
                     OBS.counter(
                         "libharp.request_failures", type=message.TYPE
                     ).inc()
-                if attempt >= self.retry.max_attempts - 1:
+                if attempt >= MAX_ATTEMPTS - 1:
                     break
                 self.retries += 1
                 if OBS.enabled:
                     OBS.counter("libharp.retries", type=message.TYPE).inc()
-                self._sleep(delays[attempt])
                 self.reconnects += 1
                 if OBS.enabled:
                     OBS.counter("libharp.reconnects", type=message.TYPE).inc()
@@ -180,7 +133,7 @@ class LibHarpClient:
         return RegisterRequest(
             pid=self.adapter.pid,
             app_name=self.adapter.app_name,
-            granularity=self.granularity,
+            granularity=GRANULARITY,
             adaptivity=self.adapter.adaptivity.value,
             provides_utility=self.adapter.provides_utility,
             push_socket=self._push_socket,

@@ -17,8 +17,11 @@ Design constraints, in order:
    never touches RNG state, and never feeds back into allocation or
    simulation decisions; obs-on and obs-off runs with the same seeds
    produce bit-identical allocation sequences (enforced by a test).
-3. **Thread safe.**  The IPC socket server serves each connection from a
-   dedicated thread; all mutation happens under one registry lock.
+3. **Thread safe.**  Three threads can record at once: the IPC socket
+   server's selector loop (the requests it serves), the caller's thread
+   (pushes and client requests), and a libharp client's push listener
+   (the RM pushes it answers).  All registry mutation happens under one
+   registry lock.
 
 Timestamps come from a pluggable ``clock`` callable returning simulated
 seconds — :class:`repro.sim.engine.World` installs its own clock on the
@@ -62,8 +65,8 @@ class Counter:
     """A monotonically increasing value.
 
     Increments take a per-instrument lock: ``+=`` on a float spans several
-    bytecodes, and the IPC socket server increments from one thread per
-    connection.
+    bytecodes, and the IPC server's selector loop, the caller's thread and
+    the libharp push listener can increment the same counter at once.
     """
 
     __slots__ = ("name", "labels", "value", "_lock")

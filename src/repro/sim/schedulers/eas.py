@@ -7,8 +7,8 @@ saturates a LITTLE core — up to the big island (§3.1).  We reproduce this
 decision structure:
 
 * each task carries a PELT-style utilization (maintained by the engine);
-* a task whose scaled demand exceeds ``misfit_threshold`` of LITTLE
-  capacity is a misfit and must run big;
+* a task whose scaled demand exceeds 80% of LITTLE capacity is a misfit
+  and must run big;
 * remaining tasks are placed on the core (within capacity) with the lowest
   estimated energy per unit of work, i.e. LITTLE first;
 * like CFS, idle cores are preferred over stacking.
@@ -32,11 +32,8 @@ class EasScheduler(Scheduler):
     """PELT-driven energy-aware placement for big.LITTLE platforms."""
 
     name = "eas"
-
-    def __init__(self, misfit_threshold: float = 0.8):
-        if not 0.0 < misfit_threshold <= 1.0:
-            raise ValueError("misfit_threshold must be in (0, 1]")
-        self.misfit_threshold = misfit_threshold
+    #: Share of LITTLE capacity at which a task's demand makes it a misfit.
+    _MISFIT_THRESHOLD = 0.8
 
     def placement_signature(self, world: "World") -> None:
         # PELT utilization moves every tick, so placements are never
@@ -80,7 +77,7 @@ class EasScheduler(Scheduler):
             # engine stores it as busy fraction, so scale into an absolute
             # demand against the biggest core.
             demand = thread.utilization
-            is_misfit = demand >= self.misfit_threshold * (
+            is_misfit = demand >= self._MISFIT_THRESHOLD * (
                 min(ct.base_speed for ct in platform.core_types) / max_capacity
             )
 

@@ -30,7 +30,7 @@ class ScalarOracleAllocator(LagrangianAllocator):
         costs, resources = problem.costs, _resources(problem)
         warm = lam0 is not None
         lam = np.array(lam0, dtype=float) if warm else np.zeros(len(capacity))
-        max_iters = self.warm_iterations if warm else self.iterations
+        max_iters = self._WARM_ITERS if warm else self._COLD_ITERS
         cost_scale = self._cost_scale(costs)
         total_cores = float(max(capacity.sum(), 1.0))
         best_cost = np.inf
@@ -59,7 +59,7 @@ class ScalarOracleAllocator(LagrangianAllocator):
                 if total < best_cost:
                     best_cost = total
                     best_choice = choice
-            step = self.step0 * cost_scale / (total_cores * (1 + it))
+            step = self._STEP0 * cost_scale / (total_cores * (1 + it))
             lam = np.maximum(0.0, lam + step * violation)
             stable = stable + 1 if choice == prev_choice else 0
             prev_choice = choice

@@ -1,9 +1,15 @@
-"""Shared fixtures."""
+"""Shared fixtures and the Hypothesis profile of the suite."""
 
 import pytest
+from hypothesis import settings
 
 from repro.core.resource_vector import ErvLayout
 from repro.platform.topology import odroid_xu3e, raptor_lake_i9_13900k
+
+# Property tests draw the same examples on every run and keep no example
+# database, so whether they pass depends on the code alone.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.allocator import LagrangianAllocator
+from repro.core.allocator import HYSTERESIS, LagrangianAllocator
 from repro.core.cost import batch_costs
 from repro.core.exploration import ExplorationPlanner
 from repro.core.operating_point import MaturityStage, OperatingPoint
@@ -84,8 +84,8 @@ class PerPointPlanner(ExplorationPlanner):
             y_u = np.append(y_u, 0.0)
             y_p = np.append(y_p, 0.0)
         return (
-            make_model(self.model_name).fit(x, y_u),
-            make_model(self.model_name).fit(x, y_p),
+            make_model(self._MODEL_NAME).fit(x, y_u),
+            make_model(self._MODEL_NAME).fit(x, y_p),
         )
 
     def next_point(self, table, candidates):
@@ -182,7 +182,6 @@ class PerPointRowsAllocator(LagrangianAllocator):
             req.pid,
             req.mandatory,
             req.max_utility,
-            req.hysteresis,
             req.preferred_erv.counts if req.preferred_erv is not None else None,
             tuple((p.erv.counts, p.utility, p.power) for p in req.points),
         )
@@ -211,7 +210,7 @@ def request_rows(req, layout: ErvLayout):
     )
     if req.preferred_erv is not None:
         match = np.all(counts_mat == np.asarray(req.preferred_erv.counts), axis=1)
-        costs[match] *= req.hysteresis
+        costs[match] *= HYSTERESIS
     res_mat = counts_mat @ layout.type_projection()
     keep = np.arange(len(req.points))
     if not req.mandatory and len(req.points) > 1:

@@ -83,3 +83,66 @@ def test_docstring_coverage_of_public_methods():
                 continue
             if inspect.isfunction(attr):
                 assert attr.__doc__, f"{cls.__name__}.{attr_name} undocumented"
+
+
+def test_configuration_surface_is_pinned():
+    """The runtime's settable values, exactly: a new knob is a decision.
+
+    Values that only their default ever reached are module or class
+    constants; adding a config field or a defaulted constructor parameter
+    to the control path must update this list on purpose.
+    """
+    import dataclasses
+
+    from repro.core.allocator import AllocationRequest, LagrangianAllocator
+    from repro.core.exploration import ExplorationPlanner
+    from repro.core.manager import HarpManager, ManagerConfig
+    from repro.fault.injector import SimFaultInjector
+    from repro.fleet.coordinator import CoordinatorConfig
+    from repro.fleet.node import NodeManager, node_platform
+    from repro.fleet.sim import FleetSim
+    from repro.ipc.client import HarpSocketClient
+    from repro.ipc.server import HarpSocketServer
+    from repro.libharp.client import LibHarpClient
+    from repro.sim.schedulers.eas import EasScheduler
+
+    def fields(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    def defaulted(obj):
+        return [
+            name
+            for name, param in inspect.signature(obj).parameters.items()
+            if param.default is not inspect.Parameter.empty
+        ]
+
+    assert fields(ManagerConfig) == [
+        "measurements_per_point", "stable_after", "ema_alpha", "adaptation",
+        "explore", "startup_delay_s", "background_reserve", "epoch_window_s",
+    ]
+    assert fields(CoordinatorConfig) == ["node_lease_epochs"]
+    assert {
+        obj.__name__: defaulted(obj)
+        for obj in (
+            HarpManager, LagrangianAllocator, AllocationRequest,
+            ExplorationPlanner, EasScheduler, FleetSim, NodeManager,
+            node_platform, HarpSocketServer, HarpSocketClient,
+            LibHarpClient, SimFaultInjector,
+        )
+    } == {
+        "HarpManager": ["config", "offline_tables", "allocator", "seed"],
+        "LagrangianAllocator": ["cache_size"],
+        "AllocationRequest": ["max_utility", "mandatory", "preferred_erv"],
+        "ExplorationPlanner": ["stable_after"],
+        "EasScheduler": [],
+        "FleetSim": [
+            "n_nodes", "apps", "engine", "seed", "plan",
+            "coordinator_config", "manager_config",
+        ],
+        "NodeManager": ["engine", "seed", "manager_config"],
+        "node_platform": [],
+        "HarpSocketServer": [],
+        "HarpSocketClient": ["timeout"],
+        "LibHarpClient": ["description_points"],
+        "SimFaultInjector": [],
+    }

@@ -53,7 +53,6 @@ from repro.ipc.messages import (
 )
 from repro.ipc.protocol import ProtocolError, recv_message, send_message
 from repro.ipc.server import HarpSocketServer
-from repro.libharp.client import RetryPolicy
 from repro.obs import OBS
 
 ENGINES = ["tick", "event"]
@@ -261,33 +260,10 @@ class TestFleetMessages:
         _wait_for_thread_baseline(baseline)
 
 
-# -- satellite: deterministic retry jitter --------------------------------------------
+# -- libharp's bounded retry: reconnect between tries, no backoff --------------------
 
 
 class TestRetryJitter:
-    def test_no_jitter_keeps_exact_exponential_delays(self):
-        policy = RetryPolicy(max_attempts=4, backoff_base_s=0.1, jitter=0.0)
-        assert policy.delays() == [0.1, 0.2, 0.4]
-
-    def test_jitter_is_a_pure_function_of_the_seed(self):
-        first = RetryPolicy(max_attempts=5, jitter=0.5, seed=9).delays()
-        again = RetryPolicy(max_attempts=5, jitter=0.5, seed=9).delays()
-        other = RetryPolicy(max_attempts=5, jitter=0.5, seed=10).delays()
-        assert first == again
-        assert first != other
-
-    def test_jitter_stays_within_the_backoff_envelope(self):
-        base = RetryPolicy(max_attempts=6, jitter=0.0).delays()
-        jittered = RetryPolicy(max_attempts=6, jitter=0.3, seed=2).delays()
-        for full, spread in zip(base, jittered):
-            assert 0.7 * full - 1e-12 <= spread <= full + 1e-12
-
-    def test_invalid_jitter_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=-0.1)
-
     def test_reconnect_attempts_are_counted(self):
         class FlakyTransport:
             def __init__(self, failures: int):
@@ -317,13 +293,17 @@ class TestRetryJitter:
                 SimProcess(pid=1, model=npb_model("ep.C"), nthreads=2)
             ),
             transport,
-            retry=RetryPolicy(max_attempts=4, jitter=0.4, seed=5),
         )
         reply = client._request_with_retry(Ack(ok=True))
         assert isinstance(reply, Ack)
         assert client.retries == 2
         assert client.reconnects == 2
         assert transport.reconnects == 2
+        # A third consecutive failure exhausts the three attempts.
+        transport.failures = 3
+        with pytest.raises(ProtocolError):
+            client._request_with_retry(Ack(ok=True))
+        assert transport.failures == 0
 
 
 # -- the chaos matrix: every node fault kind × both engines ---------------------------

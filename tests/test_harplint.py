@@ -382,7 +382,7 @@ REAL_TREE_MUTATIONS = [
     ),
     pytest.param(
         "HL006", "libharp/client.py",
-        "message, timeout=self.request_timeout_s\n", "message\n",
+        "request(message, timeout=REQUEST_TIMEOUT_S)", "request(message)",
         "reply = self.transport.request(", None, (),
         id="HL006-request-timeout-dropped",
     ),

@@ -25,6 +25,7 @@ from repro.ipc.messages import (
     encode_message,
 )
 from repro.ipc.protocol import (
+    THREAD_JOIN_TIMEOUT_S,
     FrameCodec,
     ProtocolError,
     recv_message,
@@ -315,7 +316,7 @@ class TestUnixSockets:
                     assert undelivered.value == 1
                     t0 = time.monotonic()
                     server.stop()
-                    assert time.monotonic() - t0 < server.join_timeout_s + 1.0
+                    assert time.monotonic() - t0 < THREAD_JOIN_TIMEOUT_S + 1.0
         finally:
             OBS.disable()
             OBS.reset()

@@ -161,15 +161,10 @@ class TestExplorationProgress:
 class TestRmDaemon:
     def test_daemon_spawned_when_overhead_modelled(self, intel):
         world = _world(intel)
-        HarpManager(world, ManagerConfig(model_overhead=True))
+        HarpManager(world, ManagerConfig())
         daemons = [p for p in world.processes.values() if p.daemon]
         assert len(daemons) == 1
         assert daemons[0].model.name == "harp-rm"
-
-    def test_no_daemon_without_overhead(self, intel):
-        world = _world(intel)
-        HarpManager(world, ManagerConfig(model_overhead=False))
-        assert not [p for p in world.processes.values() if p.daemon]
 
     def test_charge_accumulates_and_drains(self, intel):
         model = RmDaemonModel(tick_hint_s=0.01)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from repro.apps import npb_model, tflite_model
+from repro.apps import npb_model
 from repro.core.manager import HarpManager, ManagerConfig
 from repro.platform.dvfs import make_governor
 from repro.sim.engine import World
@@ -32,17 +32,18 @@ class TestConfigVariants:
         assert makespan < 60
 
     def test_utility_polling_disabled_uses_ips(self, intel):
+        """An app that provides no utility is never polled: its table is
+        measured in IPS."""
         world = _world(intel)
-        config = ManagerConfig(utility_polling=False, startup_delay_s=0.05)
+        config = ManagerConfig(startup_delay_s=0.05)
         manager = HarpManager(world, config)
-        world.spawn(tflite_model("alexnet"), managed=True)
+        world.spawn(npb_model("mg.C"), managed=True)
         world.run_for(1.5)
-        table = manager.table_store["alexnet"]
-        measured = table.measured_points()
-        if measured:
-            # Without polling, utilities are IPS-scale (billions), not the
-            # app metric (work/s, single digits).
-            assert max(p.utility for p in measured) > 1e6
+        measured = manager.table_store["mg.C"].measured_points()
+        assert measured
+        # Without polling, utilities are IPS-scale (billions), not an app
+        # metric (work/s, single digits).
+        assert min(p.utility for p in measured) > 1e6
 
     def test_zero_startup_delay(self, intel):
         world = _world(intel)
@@ -51,14 +52,6 @@ class TestConfigVariants:
         proc = world.spawn(npb_model("ep.C"), managed=True)
         world.run_for(0.05)
         assert proc.affinity is not None  # applied immediately
-
-    def test_long_stable_realloc_interval(self, intel):
-        world = _world(intel)
-        config = ManagerConfig(stable_realloc_measurements=10_000)
-        manager = HarpManager(world, config)
-        world.spawn(npb_model("is.C"), managed=True)
-        world.run_until_all_finished()
-        assert manager.allocation_epochs >= 1
 
     def test_export_tables_snapshot(self, intel):
         world = _world(intel)

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.allocator import AllocationRequest, LagrangianAllocator
+from repro.core.allocator import (
+    HYSTERESIS,
+    AllocationRequest,
+    LagrangianAllocator,
+)
 from repro.core.cost import batch_costs
 from repro.core.operating_point import OperatingPoint
 from repro.core.pareto import (
@@ -172,7 +176,7 @@ class TestAllocatorPruning:
                 plain = _pairwise_dominated_mask(np.column_stack([costs, resources]))
                 for i in np.flatnonzero(plain):
                     discounted = costs.copy()
-                    discounted[i] *= AllocationRequest.hysteresis
+                    discounted[i] *= HYSTERESIS
                     oracle = _pairwise_dominated_mask(
                         np.column_stack([discounted, resources])
                     )

@@ -414,11 +414,7 @@ class TestBatchedEpochs:
         first allocation of a newly registered application beyond one
         monitor interval — urgent triggers pull the deadline to now."""
         world = _world(intel)
-        config = ManagerConfig(
-            epoch_window_s=5.0,
-            startup_delay_s=0.05,
-            measure_interval_s=0.05,
-        )
+        config = ManagerConfig(epoch_window_s=5.0, startup_delay_s=0.05)
         HarpManager(world, config)
         proc = world.spawn(npb_model("ep.C"), managed=True)
         # startup_delay + one monitor interval + scheduling slop.
