@@ -80,6 +80,11 @@ _MIN_BUSY_LEAP_TICKS = 2
 #: ticks, and re-probing every tick would cost more than stepping.
 _BUSY_LEAP_BACKOFF_TICKS = 4
 
+#: Bucket bounds of the ``sim.busy_leap_ticks`` leap-length histogram.
+_BUSY_LEAP_TICKS_BUCKETS = (
+    2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384,
+)
+
 
 class EventWorld(World):
     """Event-driven world: identical API, idle AND stable busy stretches
@@ -325,7 +330,10 @@ class EventWorld(World):
         earliest of: the caller's budget (next heap event / horizon), the
         scheduler's ``next_preemption_tick``, and each placed process's
         remaining-work or model phase-boundary expiry (with a guard
-        margin against float drift).
+        margin against float drift).  A committed leap counts the first
+        of these checks, in that order, that set its length in
+        ``sim.busy_leap_bound{bound=budget|preemption|work_expiry|phase}``
+        and its length in the ``sim.busy_leap_ticks`` histogram.
 
         The probe takes its placement and pattern exactly as ``step()``
         does, from the placement and pattern memories or, on a miss,
@@ -341,7 +349,8 @@ class EventWorld(World):
         Everything the replaced ticks would have mutated is replayed
         bit-identically: per-tick float adds to every touched accumulator
         (work, CPU time, perf counters, per-type energy, ground-truth
-        attribution) grouped into elementwise array adds, PELT
+        attribution) grouped into elementwise array adds — the pattern's
+        per-process adds by its layout, the power kernel's by target — PELT
         accumulate/decay as elementwise per-tick updates, batched sensor
         noise draws, and the placement-cache and obs bookkeeping.
         """
@@ -352,10 +361,13 @@ class EventWorld(World):
         sig = sched.placement_signature(self)
         if sig is None:
             return self._no_leap("no_signature")
+        # The leap's length, and the check that set it.
         n = budget_ticks
+        bound = "budget"
         preempt_tick = sched.next_preemption_tick(self)
-        if preempt_tick is not None:
-            n = min(n, preempt_tick - self.tick_index)
+        if preempt_tick is not None and preempt_tick - self.tick_index < n:
+            n = preempt_tick - self.tick_index
+            bound = "preemption"
             if n < _MIN_BUSY_LEAP_TICKS:
                 return self._no_leap("preemption")
 
@@ -386,9 +398,17 @@ class EventWorld(World):
         if self.governor.select_all(core_util) != freqs:
             return self._no_leap("governor", probed)
 
-        # Per-tick accumulator increments, in step()'s execution order.
-        # Each op is (is_attr, container, key, increment).
-        ops: list[tuple] = []
+        # Every accumulator the replaced ticks add to, with its per-tick
+        # increments in step()'s order: taken straight from the pattern's
+        # per-process layout (work, CPU time per core type, instructions,
+        # CPU time per pid), then the power kernel's ops, grouped by
+        # target.  Multiple same-tick adds to one accumulator (one per
+        # slot, one per core...) must not be pre-summed — float addition
+        # does not re-associate.
+        acc_meta: list[tuple] = []  # (is_attr, container, key)
+        acc_incs: list[list[float]] = []
+        instructions = self.perf._instructions
+        cpu_time_of = self.perf._cpu_time
         pelt_threads: list[SimThread] = []
         pelt_gains: list[float] = []
         decay = _decay_for(dt)
@@ -399,60 +419,70 @@ class EventWorld(World):
             if finish_frac is not None:
                 return self._no_leap("completion", probed)
             work_budget = process.remaining_work()
+            work_bound = "work_expiry"
             horizon = process.model.steady_work_horizon(process)
             if horizon is not None and horizon < work_budget:
                 work_budget = horizon
+                work_bound = "phase"
             k = ticks_until_work_expiry(work_budget, rate_dt)
             if k is not None:
                 if k < n:
                     n = k
+                    bound = work_bound
                 if n < _MIN_BUSY_LEAP_TICKS:
                     return self._no_leap("work_expiry", probed)
                 guards.append((process, process.work_done, work_budget, rate_dt))
-            ops.append((True, process, "work_done", rate_dt))
-            cpu_by_type = process.cpu_time_by_type
+            acc_meta.append((True, process, "work_done"))
+            acc_incs.append([rate_dt])
+            slot_times: dict[str, list[float]] = {}
             for thread, act_share, core_type, slot_time in slots:
                 pelt_threads.append(thread)
                 pelt_gains.append(act_share * gain_scale)
-                ops.append((False, cpu_by_type, core_type, slot_time))
-            ops.append((False, self.perf._instructions, process.pid, ips * dt))
-            ops.append((False, self.perf._cpu_time, process.pid, cpu_time))
-        ops.extend(acc_ops)
+                slot_times.setdefault(core_type, []).append(slot_time)
+            cpu_by_type = process.cpu_time_by_type
+            for core_type, times in slot_times.items():
+                acc_meta.append((False, cpu_by_type, core_type))
+                acc_incs.append(times)
+            acc_meta.append((False, instructions, process.pid))
+            acc_incs.append([ips * dt])
+            acc_meta.append((False, cpu_time_of, process.pid))
+            acc_incs.append([cpu_time])
+        acc_index: dict[tuple[int, object], int] = {}
+        for is_attr, container, key, inc in acc_ops:
+            acc_key = (id(container), key)
+            i = acc_index.get(acc_key)
+            if i is None:
+                acc_index[acc_key] = len(acc_meta)
+                acc_meta.append((is_attr, container, key))
+                acc_incs.append([inc])
+            else:
+                acc_incs[i].append(inc)
 
         # -- commit: replay n identical ticks ---------------------------------
-        # Group the per-tick ops by target accumulator, preserving order.
-        # Multiple same-tick adds to one accumulator (one per slot, one
-        # per core...) must not be pre-summed — float addition does not
-        # re-associate — so occurrence r of each accumulator goes into
-        # round r, and each round is one elementwise array add per tick
-        # (IEEE-identical to the scalar sequence).
-        acc_index: dict[tuple[int, object], int] = {}
-        acc_meta: list[tuple] = []
-        base_vals: list[float] = []
-        seen: dict[tuple[int, object], int] = {}
-        rounds: list[tuple[list[int], list[float]]] = []
-        for is_attr, container, key, inc in ops:
-            acc_key = (id(container), key)
-            slot_idx = acc_index.get(acc_key)
-            if slot_idx is None:
-                slot_idx = len(acc_meta)
-                acc_index[acc_key] = slot_idx
-                acc_meta.append((is_attr, container, key))
-                if is_attr:
-                    base_vals.append(getattr(container, key))
-                else:
-                    base_vals.append(container.get(key, 0.0))
-            r = seen.get(acc_key, 0)
-            seen[acc_key] = r + 1
-            if r >= len(rounds):
-                rounds.append(([], []))
-            rounds[r][0].append(slot_idx)
-            rounds[r][1].append(inc)
-        vals = np.array(base_vals, dtype=float)
-        round_arrays = [
-            (np.array(idx, dtype=int), np.array(inc, dtype=float))
-            for idx, inc in rounds
-        ]
+        # Occurrence r of each accumulator's per-tick adds goes into round
+        # r, and each round is one elementwise array add per tick
+        # (IEEE-identical to the scalar sequence).  Round 0 holds every
+        # accumulator; later rounds only those with more adds.
+        vals = np.array(
+            [
+                getattr(container, key) if is_attr else container.get(key, 0.0)
+                for is_attr, container, key in acc_meta
+            ],
+            dtype=float,
+        )
+        first_round = np.array([incs[0] for incs in acc_incs], dtype=float)
+        later_rounds: list[tuple[np.ndarray, np.ndarray]] = []
+        multi = [(i, incs) for i, incs in enumerate(acc_incs) if len(incs) > 1]
+        r = 1
+        while multi:
+            later_rounds.append(
+                (
+                    np.array([i for i, _ in multi], dtype=int),
+                    np.array([incs[r] for _, incs in multi], dtype=float),
+                )
+            )
+            r += 1
+            multi = [(i, incs) for i, incs in multi if len(incs) > r]
         # PELT: placed threads accumulate (u*decay + gain), everything
         # else in the decaying set just decays — both as elementwise
         # array updates replaying the scalar per-tick arithmetic.
@@ -466,7 +496,8 @@ class EventWorld(World):
             else None
         )
         for _ in range(n):
-            for idx, inc in round_arrays:
+            vals += first_round
+            for idx, inc in later_rounds:
                 vals[idx] += inc
             placed_arr *= decay
             placed_arr += gains_arr
@@ -511,7 +542,10 @@ class EventWorld(World):
             if n > 1:  # the probe counted the first tick's placement
                 handles[3].inc(n - 1)
             OBS.counter("sim.busy_leaps").inc()
-            OBS.counter("sim.busy_leap_ticks").inc(n)
+            OBS.histogram(
+                "sim.busy_leap_ticks", bounds=_BUSY_LEAP_TICKS_BUCKETS
+            ).observe(n)
+            OBS.counter("sim.busy_leap_bound", bound=bound).inc()
             OBS.counter("sim.busy_probe", result="leap").inc()
         return True
 

@@ -254,20 +254,30 @@ class TestObsBitIdentity:
             for counter in OBS.counters():
                 key = (counter.name, counter.labels.get("result"))
                 counts[key] = counter.value
+            bounds = {
+                counter.labels["bound"]: counter.value
+                for counter in OBS.counters()
+                if counter.name == "sim.busy_leap_bound"
+            }
+            leap_lengths = OBS.histogram("sim.busy_leap_ticks")
+            busy_leapt = leap_lengths.sum
         finally:
             OBS.disable()
             OBS.reset()
         assert observed == baseline
         assert counts[("sim.busy_probe", "leap")] > 0
         assert counts[("sim.busy_probe", "governor")] > 0
+        # Each committed leap counts what bounded it and its length once.
+        assert set(bounds) <= {"budget", "preemption", "work_expiry", "phase"}
+        assert sum(bounds.values()) == counts[("sim.busy_probe", "leap")]
+        assert leap_lengths.count == counts[("sim.busy_probe", "leap")]
+        assert leap_lengths.min >= 2
         ticks = observed[1]
         assert sum(
             counts.get(("sim.placement_cache", result), 0.0)
             for result in ("hit", "miss")
         ) == ticks
-        leapt = counts.get(("sim.leap_ticks", None), 0.0) + counts.get(
-            ("sim.busy_leap_ticks", None), 0.0
-        )
+        leapt = counts.get(("sim.leap_ticks", None), 0.0) + busy_leapt
         assert sum(
             counts.get(("sim.pattern_cache", result), 0.0)
             for result in ("hit", "miss", "uncacheable")
@@ -467,6 +477,22 @@ def _busy_leap_count(run) -> float:
         OBS.reset()
 
 
+def _busy_leap_bounds(run) -> dict[str, float]:
+    """Run a callable under obs; return ``sim.busy_leap_bound`` by bound."""
+    OBS.reset()
+    OBS.enable()
+    try:
+        run()
+        return {
+            counter.labels["bound"]: counter.value
+            for counter in OBS.counters()
+            if counter.name == "sim.busy_leap_bound"
+        }
+    finally:
+        OBS.disable()
+        OBS.reset()
+
+
 class _QuantumScheduler(CfsScheduler):
     """CFS plus a round-robin quantum: every ``quantum_ticks`` the placed
     threads rotate across their hardware threads.  Exercises the
@@ -531,6 +557,42 @@ class TestBusyStretchFastForward:
         # With nothing runnable changing for 3 simulated seconds, the
         # event engine must actually have leapt, not stepped through.
         assert leaps > 0
+
+    def test_multi_add_accumulators_parity(self) -> None:
+        """Leapt processes with several same-type slots on several cores:
+        each tick adds to their per-type CPU time once per slot and to
+        their ground-truth energy once per core, and a leap must replay
+        every add in order rather than one pre-summed increment."""
+
+        def run(engine: str) -> tuple[dict, dict, list]:
+            platform = make_platform("intel")
+            world = make_world(platform, CfsScheduler(), engine=engine, seed=11)
+            exit_order: list[int] = []
+            world.on_process_exit.append(lambda p: exit_order.append(p.pid))
+            procs = []
+            for app in ("cg.C", "ep.C"):
+                model = replace(resolve_model(app))
+                model.total_work = 500.0
+                procs.append(world.spawn(model, nthreads=6))
+            world.run_for(3.0)
+            placement = world.scheduler.place(world)
+            return _fingerprint(world, exit_order), placement, procs
+
+        tick, placement, procs = run("tick")
+        hw_by_id = {t.thread_id: t for t in make_platform("intel").hw_threads}
+        for process in procs:
+            slots = [hw_by_id[hw] for tid, hw in placement.items()
+                     if tid.pid == process.pid]
+            types = [hw.core_type.name for hw in slots]
+            assert max(types.count(name) for name in set(types)) >= 2
+            assert len({hw.core_id for hw in slots}) >= 2
+        event_fp: dict = {}
+
+        def run_event() -> None:
+            event_fp.update(run("event")[0])
+
+        assert _busy_leap_count(run_event) > 0
+        assert event_fp == tick
 
     def test_eas_dense_never_busy_leaps(self) -> None:
         # EAS placements depend on per-tick PELT state: no signature, no
@@ -599,9 +661,9 @@ class TestBusyStretchFastForward:
         tick = _fingerprint(world_t, exits_t)
 
         world_e, exits_e = build("event")
-        leaps = _busy_leap_count(lambda: world_e.run_for(4.0))
+        bounds = _busy_leap_bounds(lambda: world_e.run_for(4.0))
         assert _fingerprint(world_e, exits_e) == tick
-        assert leaps > 0
+        assert bounds.get("phase", 0) > 0
 
     def test_quantum_scheduler_splits_leap(self) -> None:
         tick = self._run_dense("tick", _QuantumScheduler())
@@ -610,9 +672,9 @@ class TestBusyStretchFastForward:
         def run_event() -> None:
             fp.update(self._run_dense("event", _QuantumScheduler()))
 
-        leaps = _busy_leap_count(run_event)
+        bounds = _busy_leap_bounds(run_event)
         assert fp == tick
-        assert leaps > 0
+        assert bounds.get("preemption", 0) > 0
 
     def test_backoff_after_failed_probe(self) -> None:
         # EAS never leaps; the backoff keeps the probe from re-running
