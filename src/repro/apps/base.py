@@ -131,20 +131,24 @@ class ApplicationModel:
     def steady_work_horizon(self, process: SimProcess) -> float | None:
         """Work units this model can absorb with behaviour guaranteed fixed.
 
-        Two consumers evaluate ``perf`` once and reuse its result on later
-        ticks, which is only sound while the model's response is a pure
-        function of the (unchanged) slots: the event engine's busy-stretch
-        fast-forward, and ``World.step()``'s tick-pattern memory on both
-        engines, which serves a tick from a remembered pattern only while
-        every placed model reports ``None``.  The contract:
+        Three consumers evaluate ``perf`` once and reuse its result on
+        later ticks, which is only sound while the model's response is a
+        pure function of the (unchanged) slots: the event engine's
+        busy-stretch fast-forward; ``World.step()``'s tick-pattern memory
+        on both engines, which serves a tick from a remembered pattern
+        only while every placed model reports ``None``; and the world's
+        per-process ``perf()`` memory, which reuses one process's last
+        response while its slots repeat.  The contract (*slot purity*):
 
         * ``None`` — ``perf`` and ``thread_demand`` depend only on the
           slots and on state that changes exclusively at event boundaries
           (knobs, activity flags).  The composite model and its subclasses
           qualify: progress feeds back into nothing.  The pattern memory
-          keys on ``process.knobs`` and on the demand ``thread_demand``
-          reports, so such state must reach ``perf`` through one of
-          those two.
+          keys on ``process.knobs``, ``process.threads_revision`` and the
+          demand ``thread_demand`` reports, and the ``perf()`` memory on
+          the slots (whose shares carry the demand), the revision and
+          the knobs, so such state must reach ``perf`` through one of
+          those.
         * a positive float — behaviour is slot-pure until ``work_done``
           advances by this much (e.g. a phase boundary); leaps stop short
           of it, and ``step()`` evaluates every tick afresh.
@@ -177,7 +181,18 @@ class ApplicationModel:
     # -- the behavioural core --------------------------------------------------
 
     def perf(self, slots: list[ThreadSlot], process: SimProcess) -> AppPerf:
-        """Convert delivered thread slots into progress, activity and IPS."""
+        """Convert delivered thread slots into progress, activity and IPS.
+
+        The engine may not call this on every tick.  While
+        :meth:`steady_work_horizon` reports ``None`` the response must be
+        slot-pure: the same slots, ``process.threads_revision`` and
+        ``process.knobs`` give the same ``AppPerf``, and the call has no
+        side effect, because the engine reuses a remembered response (a
+        tick pattern, a busy leap, the per-process ``perf()`` memory)
+        instead of calling again.  A model whose response depends on
+        anything else (its progress, internal state it mutates) must
+        report a work horizon.
+        """
         if not slots:
             return AppPerf(0.0, [], 0.0)
         speeds = [

@@ -161,6 +161,11 @@ class World:
         self._placement_cache: dict[ThreadId, int] = {}
         self._placement_prev: tuple[tuple, dict[ThreadId, int]] | None = None
         self._patterns: list[tuple] = []
+        # Per-process perf() memory (:meth:`_evaluate_tick`): pid →
+        # (slots, threads_revision, knobs snapshot, AppPerf) of the last
+        # perf() call of a slot-pure model.  A process's entry is dropped
+        # when it finishes or is killed.
+        self._perf_memo: dict[int, tuple] = {}
         # Static per-core arrays for the power kernel (:meth:`_power_tick`);
         # hw threads are grouped by core so per-core reductions are
         # reduceat segments.
@@ -260,6 +265,7 @@ class World:
         process.finish_time_s = self.time_s
         self._running.pop(pid, None)
         self._awake.pop(pid, None)
+        self._perf_memo.pop(pid, None)
         self._runnable_stamp = -1
         for thread in process.threads:
             self._decaying.pop(thread.tid, None)
@@ -397,7 +403,9 @@ class World:
         daemon), or when a placed process finishes on it (its exact
         ``finish_time_s`` comes from the fresh evaluation).  Both memories
         are cleared whenever a process exits or is killed, so they never
-        retain finished processes.
+        retain finished processes.  A fresh evaluation still reuses the
+        ``perf()`` response of each slot-pure process whose slots repeat
+        (see :meth:`_evaluate_tick`).
 
         The event engine's busy-leap probe evaluates its tick the same
         way; when it does not leap, this step applies what the probe
@@ -494,6 +502,7 @@ class World:
         for process in just_finished:
             self._running.pop(process.pid, None)
             self._awake.pop(process.pid, None)
+            self._perf_memo.pop(process.pid, None)
         for process in just_finished:
             if obs_on:
                 OBS.event(
@@ -526,8 +535,13 @@ class World:
         count, scaled by the share.  Each placed process's ``perf()``
         response, in ascending pid order, becomes its accumulator
         increments; the per-slot busy fractions feed the power kernel.
+        A process whose model reports no work horizon (slot-pure, see
+        ``ApplicationModel.steady_work_horizon``) reuses its last
+        ``perf()`` response while its slots, ``threads_revision`` and
+        knobs equal the ones that produced it (``_perf_memo``), so a
+        state change re-evaluates only the processes it touched.
         Nothing is mutated except what ``perf()`` itself mutates (a
-        stateful model).  Returns the pattern and its
+        stateful model) and that memory.  Returns the pattern and its
         ``sim.pattern_cache`` handle index; see :meth:`step` for the
         pattern layout and for which ticks are not remembered.
         """
@@ -556,6 +570,7 @@ class World:
         keys: list[tuple] | None = (
             [] if placement is self._placement_cache else None
         )
+        perf_memo = self._perf_memo
         for pid in sorted({tid.pid for tid in placement}):
             process = self.processes[pid]
             slots: list[ThreadSlot] = []
@@ -576,12 +591,28 @@ class World:
                 slot_threads.append(thread)
             if not slots:
                 continue
-            if (
-                keys is not None
-                and process.model.steady_work_horizon(process) is not None
-            ):
+            model = process.model
+            if model.steady_work_horizon(process) is not None:
                 keys = None
-            perf = process.model.perf(slots, process)
+                perf = model.perf(slots, process)
+            else:
+                # Slot-pure: perf() repeats while its slots, thread list
+                # and knobs repeat.
+                slots_key = tuple(slots)
+                revision = process.threads_revision
+                memo = perf_memo.get(pid)
+                if (
+                    memo is not None
+                    and memo[0] == slots_key
+                    and memo[1] == revision
+                    and memo[2] == process.knobs
+                ):
+                    knobs, perf = memo[2], memo[3]
+                else:
+                    knobs = process.knobs
+                    knobs = copy.deepcopy(knobs) if knobs else _NO_KNOBS
+                    perf = model.perf(slots, process)
+                    perf_memo[pid] = (slots_key, revision, knobs, perf)
             rate_dt = perf.rate * dt
             remaining = process.remaining_work()
             frac = 1.0
@@ -611,13 +642,12 @@ class World:
                  slot_ops)
             )
             if keys is not None:
-                knobs = process.knobs
                 keys.append(
                     (
                         process,
                         proc_demand[pid],
-                        process.threads_revision,
-                        copy.deepcopy(knobs) if knobs else _NO_KNOBS,
+                        revision,
+                        knobs,
                         rate_dt if perf.rate > 0 else None,
                     )
                 )

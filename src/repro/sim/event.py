@@ -51,6 +51,7 @@ from repro.sim.process import (
     _decay_for,
     SimThread,
     ticks_until_work_expiry,
+    work_before_completion,
 )
 
 
@@ -76,8 +77,11 @@ _MIN_BUSY_LEAP_TICKS = 2
 
 #: After a failed busy-leap probe, skip probing for this many ticks: the
 #: conditions that break a probe (an RM daemon holding a slot, a governor
-#: not yet at its fixpoint, an imminent completion) persist for a few
-#: ticks, and re-probing every tick would cost more than stepping.
+#: not yet at its fixpoint, a near phase flip) persist for a few ticks,
+#: and re-probing every tick would cost more than stepping.  A probe
+#: vetoed by a completion backs off only until the completion tick has
+#: been stepped: that tick is known exactly, and after it the stretch
+#: can leap again.
 _BUSY_LEAP_BACKOFF_TICKS = 4
 
 #: Bucket bounds of the ``sim.busy_leap_ticks`` leap-length histogram.
@@ -165,7 +169,7 @@ class EventWorld(World):
         The tick budget to the next heap event (or the limit) is leapt:
         via the idle leap when nothing is runnable, via the busy-stretch
         fast-forward when the runnable set is in a stable stretch.  A
-        failed busy probe steps normally and backs off for a few ticks.
+        failed busy probe steps normally and backs off (:meth:`_no_leap`).
         """
         runnable = self._has_runnable()
         next_tick = self._heap[0][0] if self._heap else None
@@ -181,9 +185,6 @@ class EventWorld(World):
                         callback(self)
                     self._drain_due()
                     return
-                self._busy_backoff_until = (
-                    self.tick_index + _BUSY_LEAP_BACKOFF_TICKS
-                )
             self.step()
             self._drain_due()
             return
@@ -329,8 +330,11 @@ class EventWorld(World):
         *pattern*) holds for every tick in it.  The stretch ends at the
         earliest of: the caller's budget (next heap event / horizon), the
         scheduler's ``next_preemption_tick``, and each placed process's
-        remaining-work or model phase-boundary expiry (with a guard
-        margin against float drift).  A committed leap counts the first
+        completion (the exact tick, from a scalar replay of its work
+        adds, :func:`~repro.sim.process.work_before_completion`) or model
+        phase-boundary expiry (with a guard margin against float drift).
+        The leap stops on the tick before a completion, which the next
+        step evaluates afresh.  A committed leap counts the first
         of these checks, in that order, that set its length in
         ``sim.busy_leap_bound{bound=budget|preemption|work_expiry|phase}``
         and its length in the ``sim.busy_leap_ticks`` histogram.
@@ -413,22 +417,36 @@ class EventWorld(World):
         pelt_gains: list[float] = []
         decay = _decay_for(dt)
         gain_scale = 1.0 - decay
-        # (process, work_before, work_budget, rate_dt) overrun guards.
+        # (process, work_before, work_budget, rate_dt) overrun guards of
+        # the guarded horizons, and (process, rate_dt, work_steps) of the
+        # completions found exactly.
         guards: list[tuple] = []
+        exact_guards: list[tuple] = []
         for process, rate_dt, finish_frac, ips, cpu_time, slots in procs:
             if finish_frac is not None:
-                return self._no_leap("completion", probed)
+                return self._no_leap("completion", probed, 1)
             work_budget = process.remaining_work()
-            work_bound = "work_expiry"
             horizon = process.model.steady_work_horizon(process)
-            if horizon is not None and horizon < work_budget:
+            phase = horizon is not None and horizon < work_budget
+            if phase:
                 work_budget = horizon
-                work_bound = "phase"
             k = ticks_until_work_expiry(work_budget, rate_dt)
-            if k is not None:
-                if k < n:
+            if k is not None and k < n and not phase:
+                # The completion would bind: find its tick exactly.
+                work_steps = work_before_completion(
+                    process.work_done, process.model.total_work, rate_dt, n
+                )
+                if len(work_steps) < n:
+                    n = len(work_steps)
+                    bound = "work_expiry"
+                    if n < _MIN_BUSY_LEAP_TICKS:
+                        # Step up to and including the completion tick.
+                        return self._no_leap("work_expiry", probed, n + 1)
+                exact_guards.append((process, rate_dt, work_steps))
+            elif k is not None:
+                if k < n:  # only a phase boundary can bind here
                     n = k
-                    bound = work_bound
+                    bound = "phase"
                 if n < _MIN_BUSY_LEAP_TICKS:
                     return self._no_leap("work_expiry", probed)
                 guards.append((process, process.work_done, work_budget, rate_dt))
@@ -527,6 +545,19 @@ class EventWorld(World):
                     "busy leap overran a work boundary for pid "
                     f"{process.pid} — expiry prediction bug"
                 )
+        # Exact: the leap committed the predicted work_done bit for bit,
+        # and the last tick it replayed was not a completion tick.
+        for process, rate_dt, work_steps in exact_guards:
+            last_start = work_steps[n - 2]  # work_done before the last tick
+            last_remaining = max(0.0, process.model.total_work - last_start)
+            if (
+                process.work_done != work_steps[n - 1]
+                or rate_dt >= last_remaining
+            ):
+                raise RuntimeError(
+                    "busy leap overran a completion for pid "
+                    f"{process.pid} — completion prediction bug"
+                )
 
         self.package_sensor.accumulate_constant(package_power, dt, n)
         self.last_stats = TickStats(
@@ -549,10 +580,17 @@ class EventWorld(World):
             OBS.counter("sim.busy_probe", result="leap").inc()
         return True
 
-    def _no_leap(self, result: str, probed: tuple | None = None) -> bool:
+    def _no_leap(
+        self,
+        result: str,
+        probed: tuple | None = None,
+        backoff: int = _BUSY_LEAP_BACKOFF_TICKS,
+    ) -> bool:
         """End a busy probe without leaping: count the vetoing check in
-        ``sim.busy_probe{result}`` and hand ``probed`` to the step."""
+        ``sim.busy_probe{result}``, hand ``probed`` to the step, and skip
+        probing for the next ``backoff`` ticks."""
         self._probed_tick = probed
+        self._busy_backoff_until = self.tick_index + backoff
         if OBS.enabled:
             OBS.counter("sim.busy_probe", result=result).inc()
         return False

@@ -39,8 +39,8 @@ def _decay_for(dt_s: float) -> float:
 #: engine accumulates ``work_done`` with one float add per tick, so after
 #: k ticks the accumulated progress differs from the closed form
 #: ``k * rate * dt`` by a few ULPs; stopping two ticks early guarantees a
-#: busy leap can never swallow the tick on which the tick engine's
-#: completion (or a phase flip) would have fired.
+#: busy leap can never swallow the tick on which a phase flip would have
+#: fired.  A completion is found exactly by :func:`work_before_completion`.
 WORK_EXPIRY_GUARD_TICKS = 2
 
 
@@ -59,6 +59,27 @@ def ticks_until_work_expiry(work_budget: float, work_per_tick: float) -> int | N
     if work_per_tick <= 0.0 or math.isinf(work_budget):
         return None
     return int(work_budget / work_per_tick) - WORK_EXPIRY_GUARD_TICKS
+
+
+def work_before_completion(
+    work_done: float, total_work: float, work_per_tick: float, limit: int
+) -> list[float]:
+    """``work_done`` after each tick that leaves a process unfinished.
+
+    Replays the engine's per-tick ``work_done += work_per_tick`` from
+    ``work_done``, and stops before the first tick on which the engine
+    completes the process — the first where ``work_per_tick >=
+    max(0.0, total_work - work_done)``, the test ``World`` applies — or
+    after ``limit`` ticks.  The length of the result is therefore the
+    exact number of ticks a busy leap may replay before that completion,
+    and entry ``i`` is ``work_done`` after ``i + 1`` of them.
+    """
+    steps: list[float] = []
+    w = work_done
+    while len(steps) < limit and work_per_tick < max(0.0, total_work - w):
+        w += work_per_tick
+        steps.append(w)
+    return steps
 
 
 @dataclass

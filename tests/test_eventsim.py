@@ -676,6 +676,67 @@ class TestBusyStretchFastForward:
         assert fp == tick
         assert bounds.get("preemption", 0) > 0
 
+    def test_each_completion_costs_one_step(self, monkeypatch) -> None:
+        """Staggered completions in a dense stretch: the leaps run up to
+        the tick before each completion, and the completion tick is the
+        only tick stepped for it — no guard ticks, no backoff ticks."""
+
+        def run(engine: str) -> tuple[dict, list[int]]:
+            platform = make_platform("intel")
+            world = make_world(platform, CfsScheduler(), engine=engine, seed=5)
+            exit_order: list[int] = []
+            finish_ticks: list[int] = []
+
+            def on_exit(process) -> None:
+                exit_order.append(process.pid)
+                finish_ticks.append(world.tick_index - 1)
+
+            world.on_process_exit.append(on_exit)
+            for i, work in enumerate((0.7, 1.6, 2.9, 4.1)):
+                model = replace(resolve_model(_APPS[i % len(_APPS)]))
+                model.total_work = work
+                world.spawn(model, nthreads=2)
+            world.run_for(5.0)
+            return _fingerprint(world, exit_order), finish_ticks
+
+        tick, tick_finish = run("tick")
+        stepped: list[int] = []
+        step = World.step
+
+        def counted(self):
+            stepped.append(self.tick_index)
+            return step(self)
+
+        monkeypatch.setattr(World, "step", counted)
+        event, finish_ticks = run("event")
+        assert event == tick
+        assert len(finish_ticks) == 4 and finish_ticks == tick_finish
+        assert stepped == finish_ticks
+
+    def test_completion_overrun_raises(self, monkeypatch) -> None:
+        """The exact overrun check: a completion scan one tick too long
+        lets the leap replay the completion tick, which must raise."""
+        import repro.sim.event as event_module
+
+        scan = event_module.work_before_completion
+
+        def one_tick_too_long(work_done, total_work, work_per_tick, limit):
+            steps = scan(work_done, total_work, work_per_tick, limit)
+            if len(steps) < limit:
+                steps.append(steps[-1] + work_per_tick)
+            return steps
+
+        monkeypatch.setattr(
+            event_module, "work_before_completion", one_tick_too_long
+        )
+        platform = make_platform("intel")
+        world = make_world(platform, CfsScheduler(), engine="event", seed=0)
+        model = replace(resolve_model("ep.C"))
+        model.total_work = 1.0
+        world.spawn(model, nthreads=2)
+        with pytest.raises(RuntimeError, match="overran a completion"):
+            world.run_for(3.0)
+
     def test_backoff_after_failed_probe(self) -> None:
         # EAS never leaps; the backoff keeps the probe from re-running
         # every tick in such regimes.
@@ -742,6 +803,24 @@ class TestExpiryPredictionApi:
         )
         # Budgets tighter than the guard force normal stepping.
         assert ticks_until_work_expiry(0.01, 0.01) <= 0
+
+    def test_work_before_completion(self) -> None:
+        from repro.sim.process import work_before_completion
+
+        # Ten float adds of 0.1 reach 0.9999999999999999, not 1.0: the
+        # engine completes the process on the eleventh tick, where the
+        # guarded closed form would have stopped after eight.
+        steps = work_before_completion(0.0, 1.0, 0.1, 100)
+        w = 0.0
+        expected = []
+        for _ in range(10):
+            w += 0.1
+            expected.append(w)
+        assert steps == expected
+        assert 0.1 >= max(0.0, 1.0 - steps[-1])
+        assert work_before_completion(0.0, 1.0, 0.1, 4) == expected[:4]
+        # A process completing on the next tick leaves nothing to leap.
+        assert work_before_completion(0.95, 1.0, 0.1, 100) == []
 
 
 class TestMidStretchInvalidation:

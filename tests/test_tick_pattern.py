@@ -1,9 +1,11 @@
 """The tick-pattern and placement memories of ``World.step()``.
 
 ``step()`` remembers its two most recent cacheable tick patterns and
-placements and re-applies one while its key repeats.  The claim is that
-this is invisible: every run here is compared with ``==`` against the
-same run with both memories forced to miss (the oracle), and each
+placements and re-applies one while its key repeats, and a fresh
+evaluation reuses a slot-pure process's ``perf()`` response while its
+slots, thread list and knobs repeat.  The claim is that this is
+invisible: every run here is compared with ``==`` against the same run
+with all three memories forced to miss (the oracle), and each
 targeted case also checks that the memory was actually used, so a
 passing comparison is not vacuous.  Each targeted case guards one part
 of the pattern key or one bypass rule; dropping that part from
@@ -23,7 +25,7 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.scenarios import make_platform, resolve_model
-from repro.apps.base import ApplicationModel
+from repro.apps.base import AdaptivityType, ApplicationModel
 from repro.apps.kpn import REPLICAS_KNOB, KpnApplicationModel, KpnStage
 from repro.apps.npb import npb_model
 from repro.core.manager import HarpManager, ManagerConfig, RmDaemonModel
@@ -48,7 +50,8 @@ def _run(monkeypatch, scenario, cache: bool = True):
     """Run ``scenario()`` with the memories on, or forced to miss.
 
     Forced to miss, the busy-leap probe also evaluates afresh and hands
-    nothing to the step, which evaluates the tick again.  Returns
+    nothing to the step, which evaluates the tick again, and every
+    evaluation calls ``perf()`` (the per-process memo is bypassed).  Returns
     ``(result, served)``: ``served`` lists, for every tick served from
     the pattern memory (by a step or a probe), its tick index and the
     processes whose increments it applied.
@@ -71,6 +74,9 @@ def _run(monkeypatch, scenario, cache: bool = True):
             m.setattr(World, "_probed_tick", property(
                 lambda self: None, lambda self, probed: None
             ))
+            m.setattr(World, "_perf_memo", property(
+                lambda self: {}, lambda self, memo: None
+            ), raising=False)
         result = scenario()
     return result, served
 
@@ -422,6 +428,19 @@ class TestMemoryHygiene:
         assert world._patterns == [] and world._placement_sig is None
         assert world._placement_prev is None
 
+    def test_perf_memo_drops_finished_and_killed(self) -> None:
+        world = _intel_world(CfsScheduler())
+        short = world.spawn(_ep(total_work=0.5), nthreads=2)
+        victim = world.spawn(_ep(), nthreads=2)
+        survivor = world.spawn(_ep(), nthreads=2)
+        world.run_for(0.1)
+        assert set(world._perf_memo) == {short.pid, victim.pid, survivor.pid}
+        world.run_for(1.0)
+        assert short.finished and not victim.finished
+        assert set(world._perf_memo) == {victim.pid, survivor.pid}
+        world.kill(victim.pid)
+        assert set(world._perf_memo) == {survivor.pid}
+
     def test_at_most_two_entries(self) -> None:
         world = _intel_world()
         process = world.spawn(_ep(), nthreads=2)
@@ -571,3 +590,107 @@ class TestBusyProbe:
         assert event == tick
         assert event_calls == tick_calls > 0
         assert results.get("stateful", 0) > 0 and results.get("leap", 0) > 0
+
+
+# -- the per-process perf() memo (tick engine, pattern memory off) ---------------
+
+
+class _CountingKpn(KpnApplicationModel):
+    """A KPN model that logs the tick index of every ``perf()``."""
+
+    def perf(self, slots, process):
+        self.calls.append(self.world.tick_index)
+        return super().perf(slots, process)
+
+
+def _memo_calls(monkeypatch, scenario) -> list[int]:
+    """Run ``scenario()`` -> ``(result, perf call ticks)`` with every
+    tick evaluated afresh (the pattern memory always misses, so each
+    tick meets the perf() memo); check the result ``==`` the oracle,
+    which calls ``perf()`` on every tick, and return the call ticks."""
+    with monkeypatch.context() as m:
+        m.setattr(
+            World, "_remembered_pattern", lambda self, placement, freqs: None
+        )
+        (on, calls), _ = _run(monkeypatch, scenario)
+    (off, oracle_calls), _ = _run(monkeypatch, scenario, cache=False)
+    assert on == off
+    assert len(oracle_calls) > len(calls)
+    return calls
+
+
+class TestPerfMemo:
+    """A fresh evaluation calls a slot-pure model's ``perf()`` only when
+    its memo key — slots, ``threads_revision``, knobs — changes.  Each
+    case changes one key part between two stretches, so the model is
+    called on the first tick and on the first tick after the change."""
+
+    def test_share_change(self, monkeypatch) -> None:
+        class Throttled(ApplicationModel):
+            demand = 1.0
+
+            def thread_demand(self, process: SimProcess) -> float:
+                return self.demand
+
+        def scenario():
+            world = _intel_world()
+            shared = frozenset({0})
+            throttled = Throttled(name="throttled", total_work=1e4)
+            model = _counting(world, "counted", 1e4)
+            world.spawn(throttled, nthreads=1, affinity=shared)
+            world.spawn(model, nthreads=1, affinity=shared)
+            world.run_for(0.2)
+            throttled.demand = 0.5  # the counted thread's share moves
+            world.run_for(0.2)
+            return _fingerprint(world, []), model.calls
+
+        assert _memo_calls(monkeypatch, scenario) == [0, 20]
+
+    def test_set_nthreads_regrow(self, monkeypatch) -> None:
+        def scenario():
+            world = _intel_world(CfsScheduler())
+            model = _counting(world, "counted", 1e4)
+            process = world.spawn(model, nthreads=4)
+            world.run_for(0.1)
+            # Same slots, new SimThread objects: only the revision moves.
+            process.set_nthreads(2)
+            process.set_nthreads(4)
+            world.run_for(0.1)
+            return _fingerprint(world, []), model.calls
+
+        assert _memo_calls(monkeypatch, scenario) == [0, 10]
+
+    def test_kpn_replicas_knob_under_harp(self, monkeypatch) -> None:
+        """A HARP-managed adaptive KPN app: libharp's adapter moves the
+        replicas knob over the same six mixed P/E hardware threads, so
+        only the knobs change, and the custom stage mapping with them."""
+
+        def scenario():
+            world = _intel_world()
+            model = _CountingKpn(
+                name="two-stage",
+                adaptivity=AdaptivityType.CUSTOM,
+                total_work=1e4,
+                serial_fraction=0.0,
+                stages=[
+                    KpnStage("source", weight=0.05),
+                    KpnStage("a", weight=1.0, parallel=True, replicas=2),
+                    KpnStage("b", weight=0.2, parallel=True, replicas=2),
+                    KpnStage("sink", weight=0.05),
+                ],
+            )
+            model.calls = []
+            model.world = world
+            process = world.spawn(
+                model, nthreads=model.topology_size(), managed=True
+            )
+            adapter = SimProcessAdapter(process)
+            hw = _hw_of_type(world, "P")[:3] + _hw_of_type(world, "E")[:3]
+            adapter.apply_allocation(6, {REPLICAS_KNOB: {"a": 2, "b": 2}}, hw)
+            world.run_for(0.2)
+            adapter.apply_allocation(6, {REPLICAS_KNOB: {"a": 3, "b": 1}}, hw)
+            assert process.nthreads == 6
+            world.run_for(0.2)
+            return _fingerprint(world, []), model.calls
+
+        assert _memo_calls(monkeypatch, scenario) == [0, 20]
