@@ -51,10 +51,10 @@ def test_fig7_odroid(benchmark):
     # Energy improves on average in both groups.
     assert means[("harp-offline", "single")]["energy_factor"] > 1.0
     assert means[("harp-offline", "multi")]["energy_factor"] > 1.0
-    # The adaptive KPN application does not lose time vs its static twin.
+    # The adaptive KPN application does not lose time vs its static twin
+    # (both profiles run the pair; a renamed scenario fails here).
     by_name = {r["scenario"]: r for r in cmp.rows}
-    if "mandelbrot" in by_name and "mandelbrot-static" in by_name:
-        assert (
-            by_name["mandelbrot"]["energy_factor"]
-            >= by_name["mandelbrot-static"]["energy_factor"] * 0.85
-        )
+    assert (
+        by_name["mandelbrot"]["energy_factor"]
+        >= by_name["mandelbrot-static"]["energy_factor"] * 0.85
+    )

@@ -59,5 +59,8 @@ def test_fig8_learning(benchmark):
             early = trajectory[0]["energy_factor"]
             late = trajectory[-1]["energy_factor"]
             assert late > early * 0.7
-    if "single" in result["summary"]:
-        assert 5.0 < result["summary"]["single"]["mean_s"] < 90.0
+    # Both profiles run single and multi scenarios; multi-application
+    # scenarios share resources and stabilize later (§6.5).
+    summary = result["summary"]
+    assert 5.0 < summary["single"]["mean_s"] < 90.0
+    assert summary["multi"]["mean_s"] > summary["single"]["mean_s"]

@@ -149,11 +149,16 @@ class ApplicationModel:
           the slots (whose shares carry the demand), the revision and
           the knobs, so such state must reach ``perf`` through one of
           those.
-        * a positive float — behaviour is slot-pure until ``work_done``
-          advances by this much (e.g. a phase boundary); leaps stop short
-          of it, and ``step()`` evaluates every tick afresh.
-        * ``0.0`` — ``perf`` mutates model state every call (e.g. the RM
-          daemon burning its pending busy time); the engine never leaps,
+        * a float above ``process.work_done`` — an absolute work level:
+          behaviour is slot-pure on every tick that starts with
+          ``work_done`` below it, and may change on the first tick that
+          starts at or above it (e.g. a phase boundary, the exact
+          threshold the model compares against; ``math.inf`` for none).
+          Leaps stop on the tick before, and ``step()`` evaluates every
+          tick afresh.
+        * a float at or below ``process.work_done`` (the RM daemon
+          reports ``-math.inf``) — ``perf`` mutates model state every
+          call (e.g. burning pending busy time); the engine never leaps,
           and ``step()`` never reuses a pattern, while such a process
           holds a slot.
         """

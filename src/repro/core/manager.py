@@ -16,6 +16,7 @@ reproducing the §6.6 overhead experiment.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, field
 
 from repro.core.allocator import LagrangianAllocator
@@ -93,15 +94,15 @@ class RmDaemonModel(ApplicationModel):
     def steady_work_horizon(self, process: SimProcess) -> float:
         """Never reusable: ``perf`` burns pending busy time on every call.
 
-        A zero horizon marks this model as stateful — each tick the
-        daemon runs changes its demand for the next one — so the event
-        engine's busy stretches end whenever the daemon holds a slot, and
-        ``World.step()`` on both engines evaluates such a tick afresh
-        instead of serving it from its tick-pattern memory.  (While it is
-        idle its demand is zero, it never gets placed, and leaps and
-        pattern reuse proceed normally.)
+        A level of ``-inf``, below any progress, marks this model as
+        stateful — each tick the daemon runs changes its demand for the
+        next one — so the event engine's busy stretches end whenever the
+        daemon holds a slot, and ``World.step()`` on both engines
+        evaluates such a tick afresh instead of serving it from its
+        tick-pattern memory.  (While it is idle its demand is zero, it
+        never gets placed, and leaps and pattern reuse proceed normally.)
         """
-        return 0.0
+        return -math.inf
 
     def perf(self, slots: list[ThreadSlot], process: SimProcess) -> AppPerf:
         if not slots:

@@ -23,6 +23,7 @@ Two pieces:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.apps.base import ApplicationModel
@@ -73,21 +74,22 @@ class PhasedApplicationModel(ApplicationModel):
         return self.phases[-1]
 
     def steady_work_horizon(self, process: SimProcess) -> float:
-        """Work left inside the current phase (behaviour flips past it).
+        """The work level at which the current phase ends.
 
-        Mirrors :meth:`phase_at`'s boundary arithmetic, including its
-        1e-12 tolerance: the returned budget is exactly the amount of
-        progress after which ``phase_at`` would pick a different phase, so
-        the event engine's busy leaps always stop short of a phase flip.
-        The last phase extends to the end of the work, where the
-        completion horizon takes over.
+        Exactly the threshold :meth:`phase_at` compares against
+        (``boundary - 1e-12``): a tick that starts with ``work_done``
+        below it runs in the current phase, and the first tick that
+        starts at or above it runs in the next, so the event engine's
+        busy leaps stop on the tick before the flip.  The last phase
+        extends to the end of the work (``math.inf``), where the
+        completion takes over.
         """
         boundary = 0.0
-        for phase in self.phases:
+        for phase in self.phases[:-1]:
             boundary += phase.work_fraction * self.total_work
             if process.work_done < boundary - 1e-12:
-                return boundary - 1e-12 - process.work_done
-        return max(self.total_work - process.work_done, 0.0)
+                return boundary - 1e-12
+        return math.inf
 
     def perf(self, slots: list[ThreadSlot], process: SimProcess) -> AppPerf:
         phase = self.phase_at(process.work_done)

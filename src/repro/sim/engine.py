@@ -802,9 +802,9 @@ class World:
         """One tick of package power and energy, without mutating anything.
 
         The one power kernel of the simulator: :meth:`step` applies the
-        returned accumulator ops once, the event engine's busy leap
-        replays them once per leapt tick, and its idle leap derives its
-        constants from a call with nothing busy.  Returns
+        returned accumulator ops once, and the event engine's leaps
+        replay them once per leapt tick (an idle leap those of a call
+        with nothing busy).  Returns
         ``(package_power, core_util, stat_busy, stat_energy, acc_ops)``;
         each accumulator op is ``(is_attr, container, key, increment)``,
         one float add to ``container[key]`` (or the attribute), in the

@@ -4,13 +4,18 @@
 with a heap of typed future events (thread wakeups, process arrivals,
 completions, quantum expiries, RT periods, monitor epochs, scheduled
 reallocations, fault injections), keyed by integer tick.  Whenever nothing
-is runnable the engine *leaps* directly to the next event's tick,
-integrating idle power analytically over the whole interval instead of
-stepping through it — idle sim time costs (almost) zero CPU.  Stable
-busy stretches leap too; their probe evaluates its tick on ``World``'s
-one path (placement and pattern memories, ``_evaluate_tick``), and a
-tick it does not leap is applied by ``step()`` without a second
-evaluation.
+is runnable the engine *leaps* directly to the next event's tick instead
+of stepping through the interval — idle sim time costs (almost) zero
+CPU.  Stable busy stretches leap too; their probe evaluates its tick on
+``World``'s one path (placement and pattern memories,
+``_evaluate_tick``), and a tick it does not leap is applied by
+``step()`` without a second evaluation.  A leap is one bound and one
+commit: its length is the earliest of the next heap event, the
+scheduler's next preemption and each placed process's next completion
+or phase flip (both found exactly), and :meth:`EventWorld._commit`
+applies ``n`` ticks of one tick pattern — a busy stretch's probed
+pattern, or the idle pattern (no placed process, the power kernel with
+nothing busy) for an idle leap.
 
 Bit-parity contract
 -------------------
@@ -19,8 +24,8 @@ On tick-equivalent scenarios the event engine reproduces the tick engine
 engines derive it as ``tick_index * tick_s``), same sensor energy (noise
 draws are batched through ``default_rng``, which consumes the bitstream
 identically to scalar draws), same PELT trajectories (per-tick decay
-multiplies are replayed), same per-type energy accumulators (the leaps
-replay the power kernel's accumulator adds in the tick's order), and
+multiplies are replayed), same per-type energy accumulators (the commit
+replays the power kernel's accumulator adds in the tick's order), and
 identical process completion order.  The parity suite in
 ``tests/test_eventsim.py`` asserts this across all four schedulers.
 
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from enum import Enum
 from typing import Callable
 
@@ -47,9 +53,9 @@ from repro.platform.dvfs import Governor
 from repro.platform.topology import Platform
 from repro.sim.engine import _PATTERN_HIT, TickStats, World
 from repro.sim.process import (
-    _PELT_HALFLIFE_S,
     _decay_for,
     SimThread,
+    ThreadId,
     ticks_until_work_expiry,
     work_before_completion,
 )
@@ -77,11 +83,10 @@ _MIN_BUSY_LEAP_TICKS = 2
 
 #: After a failed busy-leap probe, skip probing for this many ticks: the
 #: conditions that break a probe (an RM daemon holding a slot, a governor
-#: not yet at its fixpoint, a near phase flip) persist for a few ticks,
-#: and re-probing every tick would cost more than stepping.  A probe
-#: vetoed by a completion backs off only until the completion tick has
-#: been stepped: that tick is known exactly, and after it the stretch
-#: can leap again.
+#: not yet at its fixpoint) persist for a few ticks, and re-probing every
+#: tick would cost more than stepping.  A probe vetoed by a near
+#: completion or phase flip backs off only until that boundary tick:
+#: the tick is known exactly, and from it the stretch can leap again.
 _BUSY_LEAP_BACKOFF_TICKS = 4
 
 #: Bucket bounds of the ``sim.busy_leap_ticks`` leap-length histogram.
@@ -102,15 +107,13 @@ class EventWorld(World):
         self._seq = itertools.count()
         self._wakeup_ticks: set[int] = set()
         self._busy_backoff_until = 0
-        # One idle tick of the power kernel: package power and per-type
-        # busy/energy increments, exactly what step() adds with nothing busy.
-        # Zero busy fractions zero the DVFS term, so any frequencies do.
+        # The idle tick's pattern: no placed process, and the power kernel
+        # with nothing busy — exactly what step() applies then.  Zero busy
+        # fractions zero the DVFS term, so any frequencies do.
         idle_freqs = {
             c.core_id: c.core_type.max_freq_mhz for c in self.platform.cores
         }
-        self._idle_pkg_w, _, self._idle_busy, self._idle_energy, _ = (
-            self._power_tick({}, {}, idle_freqs)
-        )
+        self._idle_pattern = ([], self._power_tick({}, {}, idle_freqs))
 
     # -- event heap --------------------------------------------------------------
 
@@ -227,19 +230,18 @@ class EventWorld(World):
         ]
         return max(finish_times) if finish_times else self.time_s
 
-    # -- the leap ----------------------------------------------------------------
+    # -- the leaps ---------------------------------------------------------------
 
     def _leap(self, n: int) -> None:
-        """Replay ``n`` fully idle ticks in one analytic jump.
+        """Leap ``n`` fully idle ticks: commit the idle pattern.
 
         Precondition (enforced by :meth:`_advance_one`): no runnable
-        thread.  Everything a tick would have mutated is replayed
-        bit-identically: the package sensor (batched noise draws), per-type energy
-        accumulators in the power kernel's order, PELT decay of
-        blocked threads, core-utilization state, the placement-signature
-        cache, and the obs tick/placement counters.
+        thread, so each of the ``n`` ticks is the idle pattern taken at
+        construction — no placed process, an empty placement — and
+        :meth:`_commit` replays it as it replays a busy stretch.  The
+        idle leap's own work is the placement-cache bookkeeping and the
+        obs counters.
         """
-        dt = self.tick_s
         obs_on = OBS.enabled
         t0_wall = OBS.walltime() if obs_on else 0.0
 
@@ -258,55 +260,7 @@ class EventWorld(World):
                 self._remember_placement(sig, {})
                 misses, hits = 1, n - 1
 
-        # PELT decay for every blocked thread still holding a nonzero
-        # average (the world's ``_decaying`` set — zero is an exact fixed
-        # point, so the rest can be skipped bit-identically): u *= decay,
-        # n times, with numpy broadcasting across threads (elementwise
-        # IEEE multiply is bit-identical to the scalar loop).  Once every
-        # tracked thread has decayed to exactly 0.0 the remaining
-        # iterations are no-ops and the loop exits early.
-        decaying = self._decaying
-        if decaying:
-            tids = list(decaying)
-            utils = np.array(
-                [decaying[tid].utilization for tid in tids], dtype=float
-            )
-            decay = 0.5 ** (dt / _PELT_HALFLIFE_S)
-            remaining = n
-            while remaining > 0:
-                chunk = min(remaining, 256)
-                for _ in range(chunk):
-                    utils *= decay
-                remaining -= chunk
-                if not utils.any():
-                    break
-            for tid, u in zip(tids, utils.tolist()):
-                decaying[tid].utilization = u
-                if u == 0.0:  # harplint: disable=HL003 -- underflow to the exact fixed point
-                    del decaying[tid]
-
-        # Idle power: constant across the leap and freq-independent (zero
-        # busy fractions short-circuit the DVFS scale), so the package
-        # sensor integrates n equal deltas and the per-type accumulators
-        # replay the per-tick adds.
-        package_power = self._idle_pkg_w
-        tick_energy = list(self._idle_energy.items())
-        acc = self.energy_by_type_j
-        for _ in range(n):
-            for name, energy in tick_energy:
-                acc[name] += energy
-        self.package_sensor.accumulate_constant(package_power, dt, n)
-        # busy_time accumulators gain exactly +0.0 per idle tick — a
-        # bitwise no-op — so they are left untouched.
-        self._core_util = {core_id: 0.0 for core_id in self._core_ids}
-        # Stats describe the final leapt tick, as step() would leave them.
-        self.last_stats = TickStats(
-            (self.tick_index + n - 1) * dt,
-            package_power,
-            dict(self._idle_busy),
-            dict(self._idle_energy),
-        )
-        self.tick_index += n
+        self._commit(n, self._idle_pattern, {})
 
         if obs_on:
             handles = self._obs_hot()
@@ -319,90 +273,26 @@ class EventWorld(World):
             OBS.counter("sim.leaps").inc()
             OBS.counter("sim.leap_ticks").inc(n)
 
-    # -- the busy-stretch fast-forward -------------------------------------------
+    def _commit(
+        self, n: int, pattern: tuple, placement: dict[ThreadId, int]
+    ) -> None:
+        """Apply ``n`` ticks of ``pattern`` under ``placement`` at once.
 
-    def _try_busy_leap(self, budget_ticks: int) -> bool:
-        """Fast-forward a *stable busy stretch* of up to ``budget_ticks``.
-
-        A stable stretch is an interval over which the runnable set, the
-        thread→hardware placement, and the core frequencies are provably
-        unchanged, so one tick's scheduler/model/power evaluation (the
-        *pattern*) holds for every tick in it.  The stretch ends at the
-        earliest of: the caller's budget (next heap event / horizon), the
-        scheduler's ``next_preemption_tick``, and each placed process's
-        completion (the exact tick, from a scalar replay of its work
-        adds, :func:`~repro.sim.process.work_before_completion`) or model
-        phase-boundary expiry (with a guard margin against float drift).
-        The leap stops on the tick before a completion, which the next
-        step evaluates afresh.  A committed leap counts the first
-        of these checks, in that order, that set its length in
-        ``sim.busy_leap_bound{bound=budget|preemption|work_expiry|phase}``
-        and its length in the ``sim.busy_leap_ticks`` histogram.
-
-        The probe takes its placement and pattern exactly as ``step()``
-        does, from the placement and pattern memories or, on a miss,
-        from :meth:`World._evaluate_tick` — after screening out stateful
-        models (the RM daemon), whose ``perf()`` must not be called.
-        Preconditions (enforced by :meth:`_advance_one`): something is
-        runnable, budget ≥ 2.  Returns ``False`` if the scheduler has no
-        signature (EAS), nothing is placed, a placed model is stateful, a
-        preemption, completion or work boundary is too close, or the
-        frequencies are not a fixpoint of the pattern's utilization; what
-        the probe evaluated is then applied by this tick's ``step()``.
-
-        Everything the replaced ticks would have mutated is replayed
-        bit-identically: per-tick float adds to every touched accumulator
-        (work, CPU time, perf counters, per-type energy, ground-truth
-        attribution) grouped into elementwise array adds — the pattern's
-        per-process adds by its layout, the power kernel's by target — PELT
-        accumulate/decay as elementwise per-tick updates, batched sensor
-        noise draws, and the placement-cache and obs bookkeeping.
+        The one commit of both leaps.  Everything ``n`` calls of
+        ``step()`` would have mutated is replayed bit-identically: every
+        per-tick float add (work, CPU time per core type, perf counters,
+        per-type busy time and energy, ground-truth attribution), the
+        PELT accumulate of placed threads and the decay of every other
+        thread in the decaying set, the package sensor (batched noise
+        draws), ``last_stats``, ``tick_index`` and the core utilization.
+        The caller guarantees that no replayed tick completes a process
+        or flips its behaviour.
         """
         dt = self.tick_s
-        obs_on = OBS.enabled
-        t0_wall = OBS.walltime() if obs_on else 0.0
-        sched = self.scheduler
-        sig = sched.placement_signature(self)
-        if sig is None:
-            return self._no_leap("no_signature")
-        # The leap's length, and the check that set it.
-        n = budget_ticks
-        bound = "budget"
-        preempt_tick = sched.next_preemption_tick(self)
-        if preempt_tick is not None and preempt_tick - self.tick_index < n:
-            n = preempt_tick - self.tick_index
-            bound = "preemption"
-            if n < _MIN_BUSY_LEAP_TICKS:
-                return self._no_leap("preemption")
-
-        placement = self._placement_for(sig)
-        freqs = self.governor.select_all(self._core_util)
-        probed = (placement, freqs, None, None)
-        if not placement:
-            return self._no_leap("empty", probed)
-        pattern = self._remembered_pattern(placement, freqs)
-        outcome = _PATTERN_HIT
-        if pattern is None:
-            # A stateful model (horizon 0) must be screened *before* its
-            # perf() is called — the call itself would mutate it.
-            for pid in {tid.pid for tid in placement}:
-                process = self.processes[pid]
-                horizon = process.model.steady_work_horizon(process)
-                if horizon is not None and horizon <= 0.0:
-                    return self._no_leap("stateful", probed)
-            pattern, outcome = self._evaluate_tick(placement, freqs)
-        probed = (placement, freqs, pattern, outcome)
         procs, (package_power, core_util, stat_busy, stat_energy, acc_ops) = (
             pattern
         )
-        # Frequency stability: the stretch utilization must reproduce the
-        # stretch frequencies, else tick 2 would run at different clocks.
-        # Exact dict equality is intended — any moved frequency breaks
-        # bit parity.
-        if self.governor.select_all(core_util) != freqs:
-            return self._no_leap("governor", probed)
-
-        # Every accumulator the replaced ticks add to, with its per-tick
+        # Every accumulator the ticks add to, with its per-tick
         # increments in step()'s order: taken straight from the pattern's
         # per-process layout (work, CPU time per core type, instructions,
         # CPU time per pid), then the power kernel's ops, grouped by
@@ -417,39 +307,7 @@ class EventWorld(World):
         pelt_gains: list[float] = []
         decay = _decay_for(dt)
         gain_scale = 1.0 - decay
-        # (process, work_before, work_budget, rate_dt) overrun guards of
-        # the guarded horizons, and (process, rate_dt, work_steps) of the
-        # completions found exactly.
-        guards: list[tuple] = []
-        exact_guards: list[tuple] = []
-        for process, rate_dt, finish_frac, ips, cpu_time, slots in procs:
-            if finish_frac is not None:
-                return self._no_leap("completion", probed, 1)
-            work_budget = process.remaining_work()
-            horizon = process.model.steady_work_horizon(process)
-            phase = horizon is not None and horizon < work_budget
-            if phase:
-                work_budget = horizon
-            k = ticks_until_work_expiry(work_budget, rate_dt)
-            if k is not None and k < n and not phase:
-                # The completion would bind: find its tick exactly.
-                work_steps = work_before_completion(
-                    process.work_done, process.model.total_work, rate_dt, n
-                )
-                if len(work_steps) < n:
-                    n = len(work_steps)
-                    bound = "work_expiry"
-                    if n < _MIN_BUSY_LEAP_TICKS:
-                        # Step up to and including the completion tick.
-                        return self._no_leap("work_expiry", probed, n + 1)
-                exact_guards.append((process, rate_dt, work_steps))
-            elif k is not None:
-                if k < n:  # only a phase boundary can bind here
-                    n = k
-                    bound = "phase"
-                if n < _MIN_BUSY_LEAP_TICKS:
-                    return self._no_leap("work_expiry", probed)
-                guards.append((process, process.work_done, work_budget, rate_dt))
+        for process, rate_dt, _, ips, cpu_time, slots in procs:
             acc_meta.append((True, process, "work_done"))
             acc_incs.append([rate_dt])
             slot_times: dict[str, list[float]] = {}
@@ -476,11 +334,11 @@ class EventWorld(World):
             else:
                 acc_incs[i].append(inc)
 
-        # -- commit: replay n identical ticks ---------------------------------
         # Occurrence r of each accumulator's per-tick adds goes into round
         # r, and each round is one elementwise array add per tick
         # (IEEE-identical to the scalar sequence).  Round 0 holds every
-        # accumulator; later rounds only those with more adds.
+        # accumulator; later rounds only those with more adds.  Placed
+        # threads accumulate PELT (u*decay + gain) in the same loop.
         vals = np.array(
             [
                 getattr(container, key) if is_attr else container.get(key, 0.0)
@@ -501,70 +359,177 @@ class EventWorld(World):
             )
             r += 1
             multi = [(i, incs) for i, incs in multi if len(incs) > r]
-        # PELT: placed threads accumulate (u*decay + gain), everything
-        # else in the decaying set just decays — both as elementwise
-        # array updates replaying the scalar per-tick arithmetic.
-        decaying = self._decaying
         placed_arr = np.array([t.utilization for t in pelt_threads], dtype=float)
         gains_arr = np.array(pelt_gains, dtype=float)
-        idle_tids = [tid for tid in decaying if tid not in placement]
-        idle_arr = (
-            np.array([decaying[tid].utilization for tid in idle_tids], dtype=float)
-            if idle_tids
-            else None
-        )
         for _ in range(n):
             vals += first_round
             for idx, inc in later_rounds:
                 vals[idx] += inc
-            placed_arr *= decay
-            placed_arr += gains_arr
-            if idle_arr is not None:
-                idle_arr *= decay
-
+            if pelt_threads:
+                placed_arr *= decay
+                placed_arr += gains_arr
         for (is_attr, container, key), value in zip(acc_meta, vals.tolist()):
             if is_attr:
                 setattr(container, key, value)
             else:
                 container[key] = value
+        decaying = self._decaying
         for thread, u in zip(pelt_threads, placed_arr.tolist()):
             thread.utilization = u
             if u != 0.0:  # harplint: disable=HL003 -- exact fixed point, not a tolerance check
                 decaying[thread.tid] = thread
             else:
                 decaying.pop(thread.tid, None)
-        if idle_arr is not None:
+
+        # Every other thread still holding a nonzero average just decays:
+        # u *= decay, n times, elementwise.  Zero is an exact fixed point,
+        # so once every one of them has underflowed to 0.0 the remaining
+        # multiplies are no-ops and the loop exits early.
+        idle_tids = [tid for tid in decaying if tid not in placement]
+        if idle_tids:
+            idle_arr = np.array(
+                [decaying[tid].utilization for tid in idle_tids], dtype=float
+            )
+            remaining = n
+            while remaining > 0 and idle_arr.any():
+                chunk = min(remaining, 256)
+                for _ in range(chunk):
+                    idle_arr *= decay
+                remaining -= chunk
             for tid, u in zip(idle_tids, idle_arr.tolist()):
                 decaying[tid].utilization = u
                 if u == 0.0:  # harplint: disable=HL003 -- underflow to the exact fixed point
                     del decaying[tid]
 
-        for process, work_before, work_budget, rate_dt in guards:
-            if process.work_done - work_before >= work_budget - 0.5 * rate_dt:
-                raise RuntimeError(
-                    "busy leap overran a work boundary for pid "
-                    f"{process.pid} — expiry prediction bug"
-                )
-        # Exact: the leap committed the predicted work_done bit for bit,
-        # and the last tick it replayed was not a completion tick.
-        for process, rate_dt, work_steps in exact_guards:
-            last_start = work_steps[n - 2]  # work_done before the last tick
-            last_remaining = max(0.0, process.model.total_work - last_start)
-            if (
-                process.work_done != work_steps[n - 1]
-                or rate_dt >= last_remaining
-            ):
-                raise RuntimeError(
-                    "busy leap overran a completion for pid "
-                    f"{process.pid} — completion prediction bug"
-                )
-
         self.package_sensor.accumulate_constant(package_power, dt, n)
+        # Stats describe the final leapt tick, as step() would leave them.
         self.last_stats = TickStats(
-            (self.tick_index + n - 1) * dt, package_power, stat_busy, stat_energy
+            (self.tick_index + n - 1) * dt,
+            package_power,
+            dict(stat_busy),
+            dict(stat_energy),
         )
         self.tick_index += n
         self._core_util = core_util
+
+    def _try_busy_leap(self, budget_ticks: int) -> bool:
+        """Fast-forward a *stable busy stretch* of up to ``budget_ticks``.
+
+        A stable stretch is an interval over which the runnable set, the
+        thread→hardware placement, the core frequencies and every placed
+        model's behaviour are provably unchanged, so one tick's
+        scheduler/model/power evaluation (the *pattern*) holds for every
+        tick in it, and :meth:`_commit` applies it.  The stretch ends at
+        the earliest of: the caller's budget (next heap event / horizon),
+        the scheduler's ``next_preemption_tick``, and each placed
+        process's next completion or phase flip — the exact tick, from a
+        scalar replay of its work adds
+        (:func:`~repro.sim.process.work_before_completion`) that runs
+        only when the guarded closed form
+        (:func:`~repro.sim.process.ticks_until_work_expiry`) cannot rule
+        the boundary out.  The leap stops on the tick before that
+        boundary: the next probe leaps on in the new phase, or vetoes the
+        completion tick, which is stepped.  A committed leap counts the
+        first of these checks, in that order, that set its length in
+        ``sim.busy_leap_bound{bound=budget|preemption|work_expiry|phase}``
+        (``work_expiry`` a completion, ``phase`` a phase flip) and its
+        length in the ``sim.busy_leap_ticks`` histogram.
+
+        The probe takes its placement and pattern exactly as ``step()``
+        does, from the placement and pattern memories or, on a miss,
+        from :meth:`World._evaluate_tick` — after screening out stateful
+        models (the RM daemon), whose ``perf()`` must not be called.
+        Preconditions (enforced by :meth:`_advance_one`): something is
+        runnable, budget ≥ 2.  Returns ``False`` if the scheduler has no
+        signature (EAS), nothing is placed, a placed model is stateful, a
+        preemption, completion or phase flip is too close, or the
+        frequencies are not a fixpoint of the pattern's utilization; what
+        the probe evaluated is then applied by this tick's ``step()``.
+        """
+        obs_on = OBS.enabled
+        t0_wall = OBS.walltime() if obs_on else 0.0
+        sched = self.scheduler
+        sig = sched.placement_signature(self)
+        if sig is None:
+            return self._no_leap("no_signature")
+        # The leap's length, and the check that set it.
+        n = budget_ticks
+        bound = "budget"
+        preempt_tick = sched.next_preemption_tick(self)
+        if preempt_tick is not None and preempt_tick - self.tick_index < n:
+            n = preempt_tick - self.tick_index
+            bound = "preemption"
+            if n < _MIN_BUSY_LEAP_TICKS:
+                return self._no_leap("preemption")
+
+        placement = self._placement_for(sig)
+        freqs = self.governor.select_all(self._core_util)
+        probed = (placement, freqs, None, None)
+        if not placement:
+            return self._no_leap("empty", probed)
+        pattern = self._remembered_pattern(placement, freqs)
+        outcome = _PATTERN_HIT
+        if pattern is None:
+            # A stateful model (no work absorbable) must be screened
+            # *before* its perf() is called — the call would mutate it.
+            for pid in {tid.pid for tid in placement}:
+                process = self.processes[pid]
+                horizon = process.model.steady_work_horizon(process)
+                if horizon is not None and horizon <= process.work_done:
+                    return self._no_leap("stateful", probed)
+            pattern, outcome = self._evaluate_tick(placement, freqs)
+        probed = (placement, freqs, pattern, outcome)
+        procs, (_, core_util, _, _, _) = pattern
+        # Frequency stability: the stretch utilization must reproduce the
+        # stretch frequencies, else tick 2 would run at different clocks.
+        # Exact dict equality is intended — any moved frequency breaks
+        # bit parity.
+        if self.governor.select_all(core_util) != freqs:
+            return self._no_leap("governor", probed)
+
+        # (process, rate_dt, horizon, work_steps) of every scanned process.
+        scanned: list[tuple] = []
+        for process, rate_dt, finish_frac, _, _, _ in procs:
+            if finish_frac is not None:
+                return self._no_leap("completion", probed, 1)
+            horizon = process.model.steady_work_horizon(process)
+            if horizon is None:
+                horizon = math.inf
+            total_work = process.model.total_work
+            k = ticks_until_work_expiry(
+                min(total_work, horizon) - process.work_done, rate_dt
+            )
+            if k is None or k >= n:
+                continue
+            # The completion or the phase flip may bind: find its tick.
+            work_steps = work_before_completion(
+                process.work_done, total_work, horizon, rate_dt, n
+            )
+            if len(work_steps) < n:
+                n = len(work_steps)
+                if n < _MIN_BUSY_LEAP_TICKS:
+                    # Step up to the boundary tick; its own probe steps a
+                    # completion or leaps on in the new phase.
+                    return self._no_leap("work_expiry", probed, n)
+                bound = "phase" if work_steps[-1] >= horizon else "work_expiry"
+            scanned.append((process, rate_dt, horizon, work_steps))
+
+        self._commit(n, pattern, placement)
+
+        # Exact: the leap committed the scanned work_done bit for bit, and
+        # the last tick it replayed neither completed the process nor
+        # started in a new phase.
+        for process, rate_dt, horizon, work_steps in scanned:
+            last_start = work_steps[n - 2]  # work_done before the last tick
+            if (
+                process.work_done != work_steps[n - 1]
+                or rate_dt >= max(0.0, process.model.total_work - last_start)
+                or last_start >= horizon
+            ):
+                raise RuntimeError(
+                    "busy leap overran a completion or phase flip for pid "
+                    f"{process.pid} — work boundary prediction bug"
+                )
 
         if obs_on:
             handles = self._obs_hot()

@@ -38,23 +38,21 @@ def _decay_for(dt_s: float) -> float:
 #: Safety margin (in ticks) subtracted from analytic work horizons.  The
 #: engine accumulates ``work_done`` with one float add per tick, so after
 #: k ticks the accumulated progress differs from the closed form
-#: ``k * rate * dt`` by a few ULPs; stopping two ticks early guarantees a
-#: busy leap can never swallow the tick on which a phase flip would have
-#: fired.  A completion is found exactly by :func:`work_before_completion`.
+#: ``k * rate * dt`` by a few ULPs; two ticks cover that drift.
 WORK_EXPIRY_GUARD_TICKS = 2
 
 
 def ticks_until_work_expiry(work_budget: float, work_per_tick: float) -> int | None:
     """Whole ticks of progress guaranteed to stay inside ``work_budget``.
 
-    This is the remaining-work expiry of the busy-stretch fast-forward:
-    with a constant per-tick progress of ``work_per_tick`` work units, the
-    return value is the largest leap length that provably keeps every
-    replayed tick strictly below the budget (a completion boundary, a
-    phase boundary), including the :data:`WORK_EXPIRY_GUARD_TICKS` margin
-    against float drift.  ``None`` means the budget imposes no bound
-    (no progress per tick, or an infinite budget).  May be negative or
-    zero, in which case the caller must step normally.
+    The busy-stretch fast-forward's screen: with a constant per-tick
+    progress of ``work_per_tick`` work units, every tick of a leap no
+    longer than the return value provably starts strictly inside the
+    budget (the work left before a completion or a phase flip), with the
+    :data:`WORK_EXPIRY_GUARD_TICKS` margin against float drift.  Such a
+    leap needs no scan; a longer one finds the boundary's exact tick
+    with :func:`work_before_completion`.  ``None`` means the budget
+    imposes no bound (no progress per tick, or an infinite budget).
     """
     if work_per_tick <= 0.0 or math.isinf(work_budget):
         return None
@@ -62,21 +60,35 @@ def ticks_until_work_expiry(work_budget: float, work_per_tick: float) -> int | N
 
 
 def work_before_completion(
-    work_done: float, total_work: float, work_per_tick: float, limit: int
+    work_done: float,
+    total_work: float,
+    horizon: float,
+    work_per_tick: float,
+    limit: int,
 ) -> list[float]:
-    """``work_done`` after each tick that leaves a process unfinished.
+    """``work_done`` after each tick that leaves a process's behaviour as is.
 
     Replays the engine's per-tick ``work_done += work_per_tick`` from
-    ``work_done``, and stops before the first tick on which the engine
-    completes the process — the first where ``work_per_tick >=
-    max(0.0, total_work - work_done)``, the test ``World`` applies — or
-    after ``limit`` ticks.  The length of the result is therefore the
-    exact number of ticks a busy leap may replay before that completion,
-    and entry ``i`` is ``work_done`` after ``i + 1`` of them.
+    ``work_done``, and stops after ``limit`` ticks or before the first
+    tick that
+
+    * completes the process: ``work_per_tick >= max(0.0, total_work -
+      work_done)``, the test ``World`` applies; or
+    * starts in a new phase: its ``work_done`` reaches ``horizon``, the
+      absolute work level ``ApplicationModel.steady_work_horizon``
+      reports (``math.inf`` for a model that reports ``None``).
+
+    The length of the result is therefore the exact number of ticks a
+    busy leap may replay before either boundary, and entry ``i`` is
+    ``work_done`` after ``i + 1`` of them.
     """
     steps: list[float] = []
     w = work_done
-    while len(steps) < limit and work_per_tick < max(0.0, total_work - w):
+    while (
+        len(steps) < limit
+        and w < horizon
+        and work_per_tick < max(0.0, total_work - w)
+    ):
         w += work_per_tick
         steps.append(w)
     return steps

@@ -523,6 +523,75 @@ class _QuantumScheduler(CfsScheduler):
         return placement
 
 
+def _run_with_finish_ticks(
+    engine: str, seed: int, spawn, seconds: float
+) -> tuple[dict, list[int]]:
+    """Run ``spawn(world)`` on a CFS Intel world; return the fingerprint
+    and the tick each process finished on, in exit order."""
+    platform = make_platform("intel")
+    world = make_world(platform, CfsScheduler(), engine=engine, seed=seed)
+    exit_order: list[int] = []
+    finish_ticks: list[int] = []
+
+    def on_exit(process) -> None:
+        exit_order.append(process.pid)
+        finish_ticks.append(world.tick_index - 1)
+
+    world.on_process_exit.append(on_exit)
+    spawn(world)
+    world.run_for(seconds)
+    return _fingerprint(world, exit_order), finish_ticks
+
+
+def _record_steps(monkeypatch) -> list[int]:
+    """Patch ``World.step`` to record the tick index of every step."""
+    stepped: list[int] = []
+    step = World.step
+
+    def counted(self):
+        stepped.append(self.tick_index)
+        return step(self)
+
+    monkeypatch.setattr(World, "step", counted)
+    return stepped
+
+
+def _scan_one_tick_too_long(monkeypatch) -> None:
+    """Make the busy leap's work-boundary scan return one tick too many
+    whenever a boundary binds it."""
+    import repro.sim.event as event_module
+
+    scan = event_module.work_before_completion
+
+    def one_tick_too_long(work_done, total_work, horizon, work_per_tick, limit):
+        steps = scan(work_done, total_work, horizon, work_per_tick, limit)
+        if len(steps) < limit:
+            steps.append(steps[-1] + work_per_tick)
+        return steps
+
+    monkeypatch.setattr(
+        event_module, "work_before_completion", one_tick_too_long
+    )
+
+
+def _phased_model():
+    """A three-phase application whose phases each last many ticks."""
+    from repro.ext.phases import Phase, PhasedApplicationModel
+
+    base = resolve_model("ep.C")
+    return PhasedApplicationModel(
+        name="phased",
+        total_work=2.0,
+        serial_fraction=base.serial_fraction,
+        ips_per_work=base.ips_per_work,
+        phases=[
+            Phase(0.3, power_intensity=0.7, ips_per_work=8e8),
+            Phase(0.5, power_intensity=1.4, ips_per_work=1.2e9),
+            Phase(0.2, power_intensity=1.0),
+        ],
+    )
+
+
 class TestBusyStretchFastForward:
     """The tentpole: dense stretches leap analytically, bit-identically."""
 
@@ -631,29 +700,15 @@ class TestBusyStretchFastForward:
 
     def test_phase_boundary_splits_leap(self) -> None:
         # A phased application flips behaviour at work boundaries the
-        # heap cannot see; steady_work_horizon must stop every leap short
-        # of the flip so the tick engine's phase arithmetic is replayed
-        # exactly.
-        from repro.ext.phases import Phase, PhasedApplicationModel
-
+        # heap cannot see; steady_work_horizon hands the leap the exact
+        # work level of the flip, so every leap stops on the tick before
+        # it and the tick engine's phase arithmetic is replayed exactly.
         def build(engine: str):
             platform = make_platform("intel")
             world = make_world(platform, CfsScheduler(), engine=engine, seed=3)
             exit_order: list[int] = []
             world.on_process_exit.append(lambda p: exit_order.append(p.pid))
-            base = resolve_model("ep.C")
-            model = PhasedApplicationModel(
-                name="phased",
-                total_work=2.0,
-                serial_fraction=base.serial_fraction,
-                ips_per_work=base.ips_per_work,
-                phases=[
-                    Phase(0.3, power_intensity=0.7, ips_per_work=8e8),
-                    Phase(0.5, power_intensity=1.4, ips_per_work=1.2e9),
-                    Phase(0.2, power_intensity=1.0),
-                ],
-            )
-            world.spawn(model, nthreads=2)
+            world.spawn(_phased_model(), nthreads=2)
             return world, exit_order
 
         world_t, exits_t = build("tick")
@@ -681,34 +736,15 @@ class TestBusyStretchFastForward:
         the tick before each completion, and the completion tick is the
         only tick stepped for it — no guard ticks, no backoff ticks."""
 
-        def run(engine: str) -> tuple[dict, list[int]]:
-            platform = make_platform("intel")
-            world = make_world(platform, CfsScheduler(), engine=engine, seed=5)
-            exit_order: list[int] = []
-            finish_ticks: list[int] = []
-
-            def on_exit(process) -> None:
-                exit_order.append(process.pid)
-                finish_ticks.append(world.tick_index - 1)
-
-            world.on_process_exit.append(on_exit)
+        def spawn(world: World) -> None:
             for i, work in enumerate((0.7, 1.6, 2.9, 4.1)):
                 model = replace(resolve_model(_APPS[i % len(_APPS)]))
                 model.total_work = work
                 world.spawn(model, nthreads=2)
-            world.run_for(5.0)
-            return _fingerprint(world, exit_order), finish_ticks
 
-        tick, tick_finish = run("tick")
-        stepped: list[int] = []
-        step = World.step
-
-        def counted(self):
-            stepped.append(self.tick_index)
-            return step(self)
-
-        monkeypatch.setattr(World, "step", counted)
-        event, finish_ticks = run("event")
+        tick, tick_finish = _run_with_finish_ticks("tick", 5, spawn, 5.0)
+        stepped = _record_steps(monkeypatch)
+        event, finish_ticks = _run_with_finish_ticks("event", 5, spawn, 5.0)
         assert event == tick
         assert len(finish_ticks) == 4 and finish_ticks == tick_finish
         assert stepped == finish_ticks
@@ -716,19 +752,7 @@ class TestBusyStretchFastForward:
     def test_completion_overrun_raises(self, monkeypatch) -> None:
         """The exact overrun check: a completion scan one tick too long
         lets the leap replay the completion tick, which must raise."""
-        import repro.sim.event as event_module
-
-        scan = event_module.work_before_completion
-
-        def one_tick_too_long(work_done, total_work, work_per_tick, limit):
-            steps = scan(work_done, total_work, work_per_tick, limit)
-            if len(steps) < limit:
-                steps.append(steps[-1] + work_per_tick)
-            return steps
-
-        monkeypatch.setattr(
-            event_module, "work_before_completion", one_tick_too_long
-        )
+        _scan_one_tick_too_long(monkeypatch)
         platform = make_platform("intel")
         world = make_world(platform, CfsScheduler(), engine="event", seed=0)
         model = replace(resolve_model("ep.C"))
@@ -736,6 +760,44 @@ class TestBusyStretchFastForward:
         world.spawn(model, nthreads=2)
         with pytest.raises(RuntimeError, match="overran a completion"):
             world.run_for(3.0)
+
+    def test_each_phase_flip_costs_no_step(self, monkeypatch) -> None:
+        """A phased application in a dense stretch: each leap runs up to
+        the tick before a phase flip and the next leap starts on the flip
+        tick, so no tick is stepped for a flip — only the completion tick
+        is."""
+
+        def spawn(world: World) -> None:
+            world.spawn(_phased_model(), nthreads=2)
+
+        tick, tick_finish = _run_with_finish_ticks("tick", 3, spawn, 4.0)
+        stepped = _record_steps(monkeypatch)
+        event: dict = {}
+        finish_ticks: list[int] = []
+
+        def run_event() -> None:
+            fp, ticks = _run_with_finish_ticks("event", 3, spawn, 4.0)
+            event.update(fp)
+            finish_ticks.extend(ticks)
+
+        bounds = _busy_leap_bounds(run_event)
+        assert event == tick
+        assert len(finish_ticks) == 1 and finish_ticks == tick_finish
+        assert bounds.get("phase", 0) == 2  # both flips ended a leap
+        assert stepped == finish_ticks
+
+    def test_phase_overrun_raises(self, monkeypatch) -> None:
+        """The exact overrun check covers phase flips: a scan one tick
+        too long lets the leap replay the flip tick under the old
+        phase's pattern, which must raise."""
+        _scan_one_tick_too_long(monkeypatch)
+        platform = make_platform("intel")
+        world = make_world(platform, CfsScheduler(), engine="event", seed=3)
+        model = _phased_model()
+        model.total_work = 20.0  # a flip at ~3 s, the completion at ~10 s
+        world.spawn(model, nthreads=2)
+        with pytest.raises(RuntimeError, match="overran a completion or phase"):
+            world.run_for(4.0)
 
     def test_backoff_after_failed_probe(self) -> None:
         # EAS never leaps; the backoff keeps the probe from re-running
@@ -745,6 +807,63 @@ class TestBusyStretchFastForward:
         _spawn_dense(world, n=1)
         world.run_for(0.1)
         assert world._busy_backoff_until > 0
+
+
+class TestPeltUnderflowInLeaps:
+    """A blocked thread's PELT average decays geometrically and, with a
+    per-tick decay factor at or below 0.5, underflows to exactly 0.0
+    (at 0.01 s ticks the factor is ~0.805 and the average instead sticks
+    at two subnormal ulps, 1e-323).  With 0.05 s ticks (factor ~0.339)
+    the underflow takes ~690 ticks.  Both leap kinds must reach that
+    fixed point inside one commit, bit-identically to the tick engine."""
+
+    @pytest.mark.parametrize("busy", [False, True], ids=["idle", "busy"])
+    def test_underflow_inside_one_leap(self, busy: bool, monkeypatch) -> None:
+        watched: list = []
+
+        def run(engine: str) -> dict:
+            platform = make_platform("intel")
+            world = make_world(
+                platform, CfsScheduler(), engine=engine, tick_s=0.05, seed=2
+            )
+            exit_order: list[int] = []
+            world.on_process_exit.append(lambda p: exit_order.append(p.pid))
+            model = replace(resolve_model("cg.C"))
+            model.total_work = 1.0e6
+            blocked = world.spawn(model, nthreads=2)
+            if busy:  # a second process keeps the machine busy throughout
+                _spawn_dense(world, n=1, work=1.0e6)
+            world.run_for(1.0)
+            world.block(blocked.pid)
+            watched[:] = blocked.threads
+            world.run_for(60.0)
+            assert not exit_order
+            assert all(t.utilization == 0.0 for t in blocked.threads)
+            assert not any(t.tid in world._decaying for t in blocked.threads)
+            return _fingerprint(world, exit_order)
+
+        tick = run("tick")
+        # (leap length, busy, watched utilizations before, after) per commit.
+        commits: list[tuple[int, bool, list[float], list[float]]] = []
+        commit = EventWorld._commit
+
+        def recorded(self, n, pattern, placement):
+            before = [t.utilization for t in watched]
+            commit(self, n, pattern, placement)
+            after = [t.utilization for t in watched]
+            commits.append((n, bool(placement), before, after))
+
+        monkeypatch.setattr(EventWorld, "_commit", recorded)
+        assert run("event") == tick
+        underflow_leaps = [
+            (n, leap_busy)
+            for n, leap_busy, before, after in commits
+            if after and all(u != 0.0 for u in before)
+            and all(u == 0.0 for u in after)
+        ]
+        assert len(underflow_leaps) == 1
+        n, leap_busy = underflow_leaps[0]
+        assert n > 700 and leap_busy == busy
 
 
 class TestExpiryPredictionApi:
@@ -773,20 +892,24 @@ class TestExpiryPredictionApi:
         )
         world, _ = _build_world(0, "tick")
         process = world.spawn(model, nthreads=1)
+        # An absolute work level: exactly phase_at's threshold, so the
+        # last work_done below it is in the first phase and the level
+        # itself is in the second.
         h = model.steady_work_horizon(process)
-        assert h is not None and 0.0 < h <= 4.0
-        # The budget must stop short of the flip: phase_at at the horizon
-        # still returns the first phase.
-        assert model.phase_at(process.work_done + h * 0.999) is model.phases[0]
-        process.work_done = 9.5  # inside the last phase
-        assert model.steady_work_horizon(process) == pytest.approx(0.5)
+        assert h == 4.0 - 1e-12
+        assert model.phase_at(np.nextafter(h, 0.0)) is model.phases[0]
+        assert model.phase_at(h) is model.phases[1]
+        process.work_done = 6.0  # the last phase ends at completion
+        assert model.steady_work_horizon(process) == float("inf")
 
     def test_rm_daemon_never_leaps(self) -> None:
         world, _ = _build_world(4, "tick")
         manager = HarpManager(world, config=ManagerConfig(epoch_window_s=0.02))
         daemons = [p for p in world.processes.values() if p.daemon]
         assert daemons
-        assert daemons[0].model.steady_work_horizon(daemons[0]) == 0.0
+        # A level at or below work_done: no progress is reusable.
+        horizon = daemons[0].model.steady_work_horizon(daemons[0])
+        assert horizon <= daemons[0].work_done
         manager.shutdown()
 
     def test_ticks_until_work_expiry(self) -> None:
@@ -810,7 +933,8 @@ class TestExpiryPredictionApi:
         # Ten float adds of 0.1 reach 0.9999999999999999, not 1.0: the
         # engine completes the process on the eleventh tick, where the
         # guarded closed form would have stopped after eight.
-        steps = work_before_completion(0.0, 1.0, 0.1, 100)
+        inf = float("inf")
+        steps = work_before_completion(0.0, 1.0, inf, 0.1, 100)
         w = 0.0
         expected = []
         for _ in range(10):
@@ -818,9 +942,16 @@ class TestExpiryPredictionApi:
             expected.append(w)
         assert steps == expected
         assert 0.1 >= max(0.0, 1.0 - steps[-1])
-        assert work_before_completion(0.0, 1.0, 0.1, 4) == expected[:4]
+        assert work_before_completion(0.0, 1.0, inf, 0.1, 4) == expected[:4]
         # A process completing on the next tick leaves nothing to leap.
-        assert work_before_completion(0.95, 1.0, 0.1, 100) == []
+        assert work_before_completion(0.95, 1.0, inf, 0.1, 100) == []
+        # A phase flip: the scan stops before the first tick that starts
+        # at or above the horizon, here the one starting at expected[4].
+        assert work_before_completion(0.0, 1.0, expected[4], 0.1, 100) == (
+            expected[:5]
+        )
+        above = float(np.nextafter(expected[4], 1.0))
+        assert work_before_completion(0.0, 1.0, above, 0.1, 100) == expected[:6]
 
 
 class TestMidStretchInvalidation:
