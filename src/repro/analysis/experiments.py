@@ -53,7 +53,6 @@ from repro.dse.explorer import (
 from repro.libharp.adaptivity import AdaptationMode
 from repro.platform.dvfs import make_governor
 from repro.sim.engine import World
-from repro.sim.event import EventKind
 from repro.sim.schedulers.cfs import CfsScheduler
 from repro.sim.schedulers.pinned import PinnedScheduler
 
@@ -414,7 +413,7 @@ def fig8_learning(
         def snapshotter(w, manager=manager, snapshots=snapshots, next_snap=next_snap):
             if w.tick_index >= next_snap[0]:
                 next_snap[0] += snap_ticks
-                w.request_wakeup(next_snap[0], EventKind.MONITOR)
+                w.request_wakeup(next_snap[0])
                 tables = {
                     name: [p.to_wire() for p in table.measured_points()]
                     for name, table in manager.table_store.items()
@@ -432,7 +431,7 @@ def fig8_learning(
                 )
 
         world.on_event.insert(0, snapshotter)  # before the manager acts
-        world.request_wakeup(next_snap[0], EventKind.MONITOR)
+        world.request_wakeup(next_snap[0])
         max_ticks = world.ticks_in(max_learning_s)
         while world.tick_index < max_ticks:
             models = [resolve_model(a) for a in apps]

@@ -23,7 +23,6 @@ from pathlib import Path
 
 from repro.obs import OBS
 from repro.sim.engine import World
-from repro.sim.event import EventKind
 
 
 @dataclass
@@ -51,7 +50,7 @@ class WorldTracer:
         self._next_sample_tick = 0
         self._events: list[tuple[float, str]] = []
         world.on_event.insert(0, self._on_event)
-        world.request_wakeup(self._next_sample_tick, EventKind.MONITOR)
+        world.request_wakeup(self._next_sample_tick)
         world.on_process_start.append(
             lambda p: self._events.append(
                 (world.time_s, f"start pid={p.pid} {p.model.name}")
@@ -71,7 +70,7 @@ class WorldTracer:
         if world.tick_index < self._next_sample_tick:
             return
         self._next_sample_tick = world.tick_index + world.ticks_in(self.interval_s)
-        world.request_wakeup(self._next_sample_tick, EventKind.MONITOR)
+        world.request_wakeup(self._next_sample_tick)
         sample = TraceSample(
             time_s=world.time_s,
             package_power_w=world.last_stats.package_power_w,

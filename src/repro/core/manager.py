@@ -50,7 +50,6 @@ from repro.libharp.adaptivity import AdaptationMode, SimProcessAdapter
 from repro.obs import OBS
 from repro.libharp.client import LibHarpClient
 from repro.sim.engine import AppPerf, ThreadSlot, World
-from repro.sim.event import EventKind
 from repro.sim.process import SimProcess
 
 
@@ -371,20 +370,18 @@ class HarpManager:
         world = self.world
         if not world.event_driven or self._shut_down:
             return
-        world.request_wakeup(self._next_sample_tick, EventKind.MONITOR)
+        world.request_wakeup(self._next_sample_tick)
         if self._epoch_due_tick is not None:
-            world.request_wakeup(self._epoch_due_tick, EventKind.REALLOC)
+            world.request_wakeup(self._epoch_due_tick)
         earliest_seen: int | None = None
         for session in self.sessions.values():
             if session.activation_due_tick is not None:
-                world.request_wakeup(session.activation_due_tick, EventKind.WAKEUP)
+                world.request_wakeup(session.activation_due_tick)
             if earliest_seen is None or session.last_seen_tick < earliest_seen:
                 earliest_seen = session.last_seen_tick
         if earliest_seen is not None:
             # The reap test is strict: it passes one tick after the lease.
-            world.request_wakeup(
-                earliest_seen + self._lease_ticks() + 1, EventKind.TIMER
-            )
+            world.request_wakeup(earliest_seen + self._lease_ticks() + 1)
 
     # -- liveness (docs/robustness.md) ------------------------------------------------
 

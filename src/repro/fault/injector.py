@@ -20,7 +20,6 @@ from repro.fault.plan import Fault, FaultKind, FaultPlan
 from repro.ipc.messages import Message, UtilityReply, UtilityRequest
 from repro.obs import OBS
 from repro.sim.engine import World
-from repro.sim.event import EventKind
 
 
 class SimFaultInjector:
@@ -61,7 +60,7 @@ class SimFaultInjector:
     def _wake_next(self) -> None:
         """Announce the next pending fault tick to an event-driven world."""
         if self.world.event_driven and self._next < len(self._due_ticks):
-            self.world.request_wakeup(self._due_ticks[self._next], EventKind.FAULT)
+            self.world.request_wakeup(self._due_ticks[self._next])
 
     def done(self) -> bool:
         """True when every scheduled fault has fired."""

@@ -94,7 +94,6 @@ class NodeRecord:
 
     node_id: int
     capacity_slots: int
-    engine: str = "tick"
     link: NodeLink | None = None
     alive: bool = True
     last_seen_epoch: int = 0
@@ -142,7 +141,6 @@ class Coordinator:
             self.nodes[message.node_id] = NodeRecord(
                 node_id=message.node_id,
                 capacity_slots=message.capacity_slots,
-                engine=message.engine,
                 link=link,
                 last_seen_epoch=self.epoch,
                 free_slots=message.capacity_slots,
@@ -464,7 +462,6 @@ class Coordinator:
                 {
                     "node_id": record.node_id,
                     "capacity_slots": record.capacity_slots,
-                    "engine": record.engine,
                     "alive": record.alive,
                     "last_seen_epoch": record.last_seen_epoch,
                     "free_slots": record.free_slots,
@@ -500,7 +497,6 @@ class Coordinator:
             self.nodes[node_id] = NodeRecord(
                 node_id=node_id,
                 capacity_slots=int(data.get("capacity_slots", 0)),
-                engine=str(data.get("engine", "tick")),
                 alive=bool(data.get("alive", True)),
                 last_seen_epoch=int(data.get("last_seen_epoch", 0)),
                 free_slots=int(data.get("free_slots", 0)),

@@ -105,7 +105,6 @@ class NodeManager:
     ):
         self.node_id = node_id
         self.link = link
-        self.engine = engine
         platform = node_platform(node_id)
         self.world = make_world(
             platform,
@@ -137,7 +136,6 @@ class NodeManager:
                 NodeRegister(
                     node_id=self.node_id,
                     capacity_slots=self.capacity_slots,
-                    engine=self.engine,
                 ),
                 timeout=DEFAULT_FLEET_TIMEOUT_S,
             )

@@ -45,7 +45,6 @@ class FleetSim:
     ):
         if n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
-        self.engine = engine
         self.seed = seed
         self.epoch = 0
         self.time_s = 0.0

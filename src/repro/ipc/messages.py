@@ -194,7 +194,6 @@ class NodeRegister(Message):
 
     node_id: int
     capacity_slots: int
-    engine: str = "tick"
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from repro.scenario.generator import SessionPlan, generate_trace
 from repro.scenario.session import make_session_model
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.engine import World
-from repro.sim.event import EventKind, make_world
+from repro.sim.event import make_world
 from repro.sim.process import SimProcess
 from repro.sim.schedulers.cfs import CfsScheduler
 from repro.sim.schedulers.eas import EasScheduler
@@ -159,7 +159,7 @@ class TraceDriver:
         if not world.event_driven:
             return
         if self._next < len(self._arrival_ticks):
-            world.request_wakeup(self._arrival_ticks[self._next], EventKind.SPAWN)
+            world.request_wakeup(self._arrival_ticks[self._next])
         # Prune lazily-deleted tops (sessions that completed with a phase
         # flip still pending) before announcing: a stale deadline would
         # split a leap for a session that no longer exists.  Pruning only
@@ -170,7 +170,7 @@ class TraceDriver:
             pid = heap[0][1]
             session = self._live.get(pid)
             if session is not None and not session.process.finished:
-                world.request_wakeup(heap[0][0], EventKind.WAKEUP)
+                world.request_wakeup(heap[0][0])
                 break
             heapq.heappop(heap)
 

@@ -10,7 +10,7 @@ adaptation decisions.
 """
 
 from repro.sim.engine import ThreadId, ThreadSlot, AppPerf, World
-from repro.sim.event import EventKind, EventWorld, make_world
+from repro.sim.event import EventWorld, make_world
 from repro.sim.process import SimProcess, SimThread
 from repro.sim.perf import PerfCounters
 from repro.sim.schedulers.base import Scheduler
@@ -24,7 +24,6 @@ __all__ = [
     "ThreadSlot",
     "AppPerf",
     "World",
-    "EventKind",
     "EventWorld",
     "make_world",
     "SimProcess",

@@ -27,7 +27,7 @@ from repro.platform.power import STATIC_FRACTION
 from repro.platform.sensors import EnergySensor
 from repro.platform.topology import Platform
 from repro.sim.perf import PerfCounters
-from repro.sim.process import SimProcess, SimThread, ThreadId, _decay_for
+from repro.sim.process import SimProcess, SimThread, ThreadId
 
 
 #: Indices of the ``sim.pattern_cache{result}`` counters in
@@ -143,12 +143,6 @@ class World:
         # probed for CPU demand each tick.  A caller who block()s a pid
         # asserts its thread_demand is (and stays) zero until unblock().
         self._awake: dict[int, SimProcess] = {}
-        # Threads whose PELT average is nonzero and therefore still needs
-        # per-tick decay.  Zero is an exact fixed point of the decay, so
-        # threads outside this set can be skipped bit-identically — the
-        # difference between O(live threads) and O(recently-active
-        # threads) per tick at fleet scale.
-        self._decaying: dict[ThreadId, SimThread] = {}
         self._hw_by_id = {t.thread_id: t for t in platform.hw_threads}
         self._hw_ids = [t.thread_id for t in platform.hw_threads]
         self._n_hw_threads = platform.n_hw_threads
@@ -267,8 +261,6 @@ class World:
         self._awake.pop(pid, None)
         self._perf_memo.pop(pid, None)
         self._runnable_stamp = -1
-        for thread in process.threads:
-            self._decaying.pop(thread.tid, None)
         # A kill can race a placement-signature hit: a process whose demand
         # was already ~0 (a blocked daemon) leaves the signature unchanged,
         # so a remembered placement would be served without revalidation.
@@ -335,8 +327,8 @@ class World:
         This is a pure scan-skip hint for fleet-scale drivers — the
         caller asserts the process's ``thread_demand`` is zero and stays
         zero until :meth:`unblock`.  Identical on both engines, so it
-        never affects tick/event parity.  Blocked processes still exist,
-        still decay their PELT averages, and are still killable.
+        never affects tick/event parity.  Blocked processes still exist and
+        are still killable.
         """
         if pid in self._running:
             self._awake.pop(pid, None)
@@ -349,7 +341,7 @@ class World:
             self._awake[pid] = process
             self._runnable_stamp = -1
 
-    def request_wakeup(self, tick: int, kind: object = None) -> None:
+    def request_wakeup(self, tick: int) -> None:
         """Ask to be advanced at tick ``tick`` (event engine only).
 
         The fixed-tick engine visits every tick anyway, so this is a
@@ -383,12 +375,14 @@ class World:
         The tick's slot/perf/power evaluation (:meth:`_evaluate_tick`)
         yields a *pattern*: per placed process its ``rate·dt``, finish
         fraction, instructions, CPU time and per-slot
-        ``(thread, activity·share, core_type, slot_time)``, plus the power
-        kernel's outputs.  Applying a pattern performs every float op of
-        the tick in one fixed order, so the world remembers its two most
-        recent cacheable patterns and re-applies one — without calling
-        ``perf()``, building slots or running the power kernel — while its
-        key repeats.  The key (:meth:`_remembered_pattern`) is:
+        ``(core_type, slot_time)``; every placed thread's
+        ``(thread, activity·share)``, which the scheduler's
+        :meth:`~repro.sim.schedulers.base.Scheduler.account` observes;
+        and the power kernel's outputs.  Applying a pattern performs every
+        float op of the tick in one fixed order, so the world remembers its
+        two most recent cacheable patterns and re-applies one — without
+        calling ``perf()``, building slots or running the power kernel —
+        while its key repeats.  The key (:meth:`_remembered_pattern`) is:
 
         * the placement, by identity: the placement memory hands out one
           dict per scheduler signature (runnable threads, affinities);
@@ -427,11 +421,9 @@ class World:
             outcome = _PATTERN_HIT
         if pattern is None:
             pattern, outcome = self._evaluate_tick(placement, freqs)
-        procs, (package_power, core_util, stat_busy, stat_energy, acc_ops) = (
-            pattern
-        )
+        procs, ran, power = pattern
+        package_power, core_util, stat_busy, stat_energy, acc_ops = power
 
-        decaying = self._decaying
         just_finished: list[SimProcess] = []
         for process, rate_dt, finish_frac, ips, cpu_time, slots in procs:
             if finish_frac is None:
@@ -441,47 +433,14 @@ class World:
                 process.finished = True
                 process.finish_time_s = self.time_s + dt * finish_frac
             cpu_by_type = process.cpu_time_by_type
-            for thread, act_share, core_type, slot_time in slots:
-                thread.update_utilization(act_share, dt)
-                if thread.utilization != 0.0:  # harplint: disable=HL003 -- exact fixed point, not a tolerance check
-                    decaying[thread.tid] = thread
-                else:
-                    decaying.pop(thread.tid, None)
+            for core_type, slot_time in slots:
                 cpu_by_type[core_type] = (
                     cpu_by_type.get(core_type, 0.0) + slot_time
                 )
             self.perf.accumulate(process.pid, ips, dt, cpu_time)
             if process.finished:
                 just_finished.append(process)
-                # A finished process's active_threads is empty: its PELT
-                # averages freeze at their current values, exactly as the
-                # full scan left them.
-                for thread in process.threads:
-                    decaying.pop(thread.tid, None)
-
-        # Idle threads decay their PELT utilization.  Only threads whose
-        # average is still nonzero need the update — zero is an exact
-        # fixed point, and with zero activity the full update
-        # ``u*decay + 0.0*(1-decay)`` is bitwise ``u*decay`` — so the
-        # loop is one multiply per recently-active thread.  Exit events
-        # (finish above, kill) prune their threads' entries; a thread
-        # detached by ``set_nthreads`` keeps decaying its orphaned
-        # ``SimThread`` object, which no observable state references.
-        if decaying:
-            decay = _decay_for(dt)
-            drained: list[ThreadId] | None = None
-            for tid, thread in decaying.items():
-                if tid in placement:
-                    continue  # updated in the slot loop above
-                u = thread.utilization * decay
-                thread.utilization = u
-                if u == 0.0:  # harplint: disable=HL003 -- underflow to the exact fixed point
-                    if drained is None:
-                        drained = []
-                    drained.append(tid)
-            if drained:
-                for tid in drained:
-                    del decaying[tid]
+        self.scheduler.account(self, ran, 1)
 
         self._core_util = core_util
         for is_attr, container, key, inc in acc_ops:
@@ -566,6 +525,7 @@ class World:
         busy_fraction: dict[int, float] = {}
         app_busy_on_core: dict[int, dict[int, float]] = {}
         procs: list[tuple] = []
+        ran: list[tuple[SimThread, float]] = []
         # Only a placement held by the placement memory can key a pattern.
         keys: list[tuple] | None = (
             [] if placement is self._placement_cache else None
@@ -636,7 +596,8 @@ class World:
                 core_mix[pid] = core_mix.get(pid, 0.0) + used
                 slot_time = used * dt
                 cpu_time += slot_time
-                slot_ops.append((thread, act_share, slot.core_type, slot_time))
+                slot_ops.append((slot.core_type, slot_time))
+                ran.append((thread, act_share))
             procs.append(
                 (process, rate_dt, finish_frac, perf.ips * frac, cpu_time,
                  slot_ops)
@@ -652,7 +613,7 @@ class World:
                     )
                 )
         power = self._power_tick(busy_fraction, app_busy_on_core, freqs)
-        pattern = (procs, power)
+        pattern = (procs, ran, power)
         if keys is None:
             return pattern, _PATTERN_UNCACHEABLE
         entry = (placement, freqs, keys, pattern)

@@ -1,16 +1,16 @@
 """The event-heap execution engine.
 
 :class:`EventWorld` subclasses the fixed-tick :class:`~repro.sim.engine.World`
-with a heap of typed future events (thread wakeups, process arrivals,
-completions, quantum expiries, RT periods, monitor epochs, scheduled
-reallocations, fault injections), keyed by integer tick.  Whenever nothing
-is runnable the engine *leaps* directly to the next event's tick instead
-of stepping through the interval — idle sim time costs (almost) zero
+with a heap of wakeup ticks, the integer ticks its listeners asked to be
+woken at (session wakeups, process arrivals, monitor samples, epoch
+flushes, lease reaps, fault injections).  Whenever nothing is runnable
+the engine *leaps* directly to the next wakeup's tick instead of
+stepping through the interval — idle sim time costs (almost) zero
 CPU.  Stable busy stretches leap too; their probe evaluates its tick on
 ``World``'s one path (placement and pattern memories,
 ``_evaluate_tick``), and a tick it does not leap is applied by
 ``step()`` without a second evaluation.  A leap is one bound and one
-commit: its length is the earliest of the next heap event, the
+commit: its length is the earliest of the next wakeup, the
 scheduler's next preemption and each placed process's next completion
 or phase flip (both found exactly), and :meth:`EventWorld._commit`
 applies ``n`` ticks of one tick pattern — a busy stretch's probed
@@ -23,11 +23,14 @@ On tick-equivalent scenarios the event engine reproduces the tick engine
 **bit for bit**: same ``tick_index`` and hence the same ``time_s`` (both
 engines derive it as ``tick_index * tick_s``), same sensor energy (noise
 draws are batched through ``default_rng``, which consumes the bitstream
-identically to scalar draws), same PELT trajectories (per-tick decay
-multiplies are replayed), same per-type energy accumulators (the commit
-replays the power kernel's accumulator adds in the tick's order), and
-identical process completion order.  The parity suite in
-``tests/test_eventsim.py`` asserts this across all four schedulers.
+identically to scalar draws), same per-type energy accumulators (the
+commit replays the power kernel's accumulator adds in the tick's order),
+and identical process completion order.  The scheduler observes the same
+ticks too: the commit hands it its ``n`` ticks in one
+:meth:`~repro.sim.schedulers.base.Scheduler.account` call, and EAS, the
+one scheduler that keeps per-thread history (PELT), applies its update
+once per tick.  The parity suite in ``tests/test_eventsim.py`` asserts
+this across all four schedulers.
 
 Listeners attach to ``world.on_event`` (fired at every advance boundary —
 every tick while stepping, once per leap) and MUST route timed work
@@ -41,10 +44,7 @@ at the wakeup it asked for — on the same tick the tick engine fires it.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -52,28 +52,7 @@ from repro.obs import OBS
 from repro.platform.dvfs import Governor
 from repro.platform.topology import Platform
 from repro.sim.engine import _PATTERN_HIT, TickStats, World
-from repro.sim.process import (
-    _decay_for,
-    SimThread,
-    ThreadId,
-    ticks_until_work_expiry,
-    work_before_completion,
-)
-
-
-class EventKind(Enum):
-    """Taxonomy of heap events (labels for tracing and debugging)."""
-
-    TIMER = "timer"            # generic requested wakeup
-    WAKEUP = "wakeup"          # a thread/session becomes runnable
-    BLOCK = "block"            # a session stops consuming CPU
-    SPAWN = "spawn"            # process arrival
-    COMPLETION = "completion"  # process expected to finish its work
-    QUANTUM = "quantum"        # scheduler quantum expiry
-    RT_PERIOD = "rt_period"    # real-time period boundary
-    MONITOR = "monitor"        # monitor / sample epoch
-    REALLOC = "realloc"        # scheduled reallocation / epoch flush
-    FAULT = "fault"            # fault-plan injection point
+from repro.sim.process import ticks_until_work_expiry, work_before_completion
 
 
 #: A busy leap must replace at least this many ticks to pay for its
@@ -103,8 +82,9 @@ class EventWorld(World):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._heap: list[tuple[int, int, EventKind, Callable | None]] = []
-        self._seq = itertools.count()
+        # Pending wakeup ticks: a min-heap, and the same ticks as a set
+        # so a repeated request costs no heap entry.
+        self._heap: list[int] = []
         self._wakeup_ticks: set[int] = set()
         self._busy_backoff_until = 0
         # The idle tick's pattern: no placed process, and the power kernel
@@ -113,11 +93,11 @@ class EventWorld(World):
         idle_freqs = {
             c.core_id: c.core_type.max_freq_mhz for c in self.platform.cores
         }
-        self._idle_pattern = ([], self._power_tick({}, {}, idle_freqs))
+        self._idle_pattern = ([], [], self._power_tick({}, {}, idle_freqs))
 
     # -- event heap --------------------------------------------------------------
 
-    def request_wakeup(self, tick: int, kind: object = EventKind.TIMER) -> None:
+    def request_wakeup(self, tick: int) -> None:
         """Guarantee the engine visits tick ``tick``.
 
         A tick at or before the current one is clamped to the next tick:
@@ -127,37 +107,12 @@ class EventWorld(World):
         if tick in self._wakeup_ticks:
             return
         self._wakeup_ticks.add(tick)
-        kind = kind if isinstance(kind, EventKind) else EventKind.TIMER
-        heapq.heappush(self._heap, (tick, next(self._seq), kind, None))
-
-    def schedule(
-        self,
-        tick: int,
-        callback: Callable[["EventWorld"], None],
-        kind: EventKind = EventKind.TIMER,
-    ) -> int:
-        """Run ``callback(world)`` at the boundary of tick ``tick``.
-
-        Callbacks fire after ``on_event`` listeners, in (tick, insertion)
-        order; a past tick is clamped to the next one.  Returns the tick
-        index the callback is scheduled for.
-        """
-        tick = max(self.tick_index + 1, tick)
-        heapq.heappush(self._heap, (tick, next(self._seq), kind, callback))
-        return tick
-
-    def next_event_tick(self) -> int | None:
-        """Tick of the earliest pending event, or ``None``."""
-        return self._heap[0][0] if self._heap else None
+        heapq.heappush(self._heap, tick)
 
     def _drain_due(self) -> None:
-        """Pop every event at or before the current tick; run callbacks."""
-        while self._heap and self._heap[0][0] <= self.tick_index:
-            tick, _, _, callback = heapq.heappop(self._heap)
-            if callback is None:
-                self._wakeup_ticks.discard(tick)
-            else:
-                callback(self)
+        """Pop every wakeup at or before the current tick."""
+        while self._heap and self._heap[0] <= self.tick_index:
+            self._wakeup_ticks.discard(heapq.heappop(self._heap))
 
     # -- advancing ---------------------------------------------------------------
 
@@ -169,13 +124,13 @@ class EventWorld(World):
     def _advance_one(self, limit_tick: int) -> None:
         """Advance to the next boundary, never past ``limit_tick``.
 
-        The tick budget to the next heap event (or the limit) is leapt:
+        The tick budget to the next wakeup (or the limit) is leapt:
         via the idle leap when nothing is runnable, via the busy-stretch
         fast-forward when the runnable set is in a stable stretch.  A
         failed busy probe steps normally and backs off (:meth:`_no_leap`).
         """
         runnable = self._has_runnable()
-        next_tick = self._heap[0][0] if self._heap else None
+        next_tick = self._heap[0] if self._heap else None
         leap_to = limit_tick if next_tick is None else min(next_tick, limit_tick)
         budget = leap_to - self.tick_index
         if runnable:
@@ -260,7 +215,7 @@ class EventWorld(World):
                 self._remember_placement(sig, {})
                 misses, hits = 1, n - 1
 
-        self._commit(n, self._idle_pattern, {})
+        self._commit(n, self._idle_pattern)
 
         if obs_on:
             handles = self._obs_hot()
@@ -273,25 +228,22 @@ class EventWorld(World):
             OBS.counter("sim.leaps").inc()
             OBS.counter("sim.leap_ticks").inc(n)
 
-    def _commit(
-        self, n: int, pattern: tuple, placement: dict[ThreadId, int]
-    ) -> None:
-        """Apply ``n`` ticks of ``pattern`` under ``placement`` at once.
+    def _commit(self, n: int, pattern: tuple) -> None:
+        """Apply ``n`` ticks of ``pattern`` at once.
 
         The one commit of both leaps.  Everything ``n`` calls of
         ``step()`` would have mutated is replayed bit-identically: every
         per-tick float add (work, CPU time per core type, perf counters,
         per-type busy time and energy, ground-truth attribution), the
-        PELT accumulate of placed threads and the decay of every other
-        thread in the decaying set, the package sensor (batched noise
-        draws), ``last_stats``, ``tick_index`` and the core utilization.
-        The caller guarantees that no replayed tick completes a process
-        or flips its behaviour.
+        package sensor (batched noise draws), ``last_stats``,
+        ``tick_index`` and the core utilization; and the scheduler
+        observes the ``n`` ticks in one ``account`` call.  The caller
+        guarantees that no replayed tick completes a process or flips its
+        behaviour.
         """
         dt = self.tick_s
-        procs, (package_power, core_util, stat_busy, stat_energy, acc_ops) = (
-            pattern
-        )
+        procs, ran, power = pattern
+        package_power, core_util, stat_busy, stat_energy, acc_ops = power
         # Every accumulator the ticks add to, with its per-tick
         # increments in step()'s order: taken straight from the pattern's
         # per-process layout (work, CPU time per core type, instructions,
@@ -303,17 +255,11 @@ class EventWorld(World):
         acc_incs: list[list[float]] = []
         instructions = self.perf._instructions
         cpu_time_of = self.perf._cpu_time
-        pelt_threads: list[SimThread] = []
-        pelt_gains: list[float] = []
-        decay = _decay_for(dt)
-        gain_scale = 1.0 - decay
         for process, rate_dt, _, ips, cpu_time, slots in procs:
             acc_meta.append((True, process, "work_done"))
             acc_incs.append([rate_dt])
             slot_times: dict[str, list[float]] = {}
-            for thread, act_share, core_type, slot_time in slots:
-                pelt_threads.append(thread)
-                pelt_gains.append(act_share * gain_scale)
+            for core_type, slot_time in slots:
                 slot_times.setdefault(core_type, []).append(slot_time)
             cpu_by_type = process.cpu_time_by_type
             for core_type, times in slot_times.items():
@@ -337,8 +283,7 @@ class EventWorld(World):
         # Occurrence r of each accumulator's per-tick adds goes into round
         # r, and each round is one elementwise array add per tick
         # (IEEE-identical to the scalar sequence).  Round 0 holds every
-        # accumulator; later rounds only those with more adds.  Placed
-        # threads accumulate PELT (u*decay + gain) in the same loop.
+        # accumulator; later rounds only those with more adds.
         vals = np.array(
             [
                 getattr(container, key) if is_attr else container.get(key, 0.0)
@@ -359,47 +304,16 @@ class EventWorld(World):
             )
             r += 1
             multi = [(i, incs) for i, incs in multi if len(incs) > r]
-        placed_arr = np.array([t.utilization for t in pelt_threads], dtype=float)
-        gains_arr = np.array(pelt_gains, dtype=float)
         for _ in range(n):
             vals += first_round
             for idx, inc in later_rounds:
                 vals[idx] += inc
-            if pelt_threads:
-                placed_arr *= decay
-                placed_arr += gains_arr
         for (is_attr, container, key), value in zip(acc_meta, vals.tolist()):
             if is_attr:
                 setattr(container, key, value)
             else:
                 container[key] = value
-        decaying = self._decaying
-        for thread, u in zip(pelt_threads, placed_arr.tolist()):
-            thread.utilization = u
-            if u != 0.0:  # harplint: disable=HL003 -- exact fixed point, not a tolerance check
-                decaying[thread.tid] = thread
-            else:
-                decaying.pop(thread.tid, None)
-
-        # Every other thread still holding a nonzero average just decays:
-        # u *= decay, n times, elementwise.  Zero is an exact fixed point,
-        # so once every one of them has underflowed to 0.0 the remaining
-        # multiplies are no-ops and the loop exits early.
-        idle_tids = [tid for tid in decaying if tid not in placement]
-        if idle_tids:
-            idle_arr = np.array(
-                [decaying[tid].utilization for tid in idle_tids], dtype=float
-            )
-            remaining = n
-            while remaining > 0 and idle_arr.any():
-                chunk = min(remaining, 256)
-                for _ in range(chunk):
-                    idle_arr *= decay
-                remaining -= chunk
-            for tid, u in zip(idle_tids, idle_arr.tolist()):
-                decaying[tid].utilization = u
-                if u == 0.0:  # harplint: disable=HL003 -- underflow to the exact fixed point
-                    del decaying[tid]
+        self.scheduler.account(self, ran, n)
 
         self.package_sensor.accumulate_constant(package_power, dt, n)
         # Stats describe the final leapt tick, as step() would leave them.
@@ -479,7 +393,7 @@ class EventWorld(World):
                     return self._no_leap("stateful", probed)
             pattern, outcome = self._evaluate_tick(placement, freqs)
         probed = (placement, freqs, pattern, outcome)
-        procs, (_, core_util, _, _, _) = pattern
+        procs, _, (_, core_util, _, _, _) = pattern
         # Frequency stability: the stretch utilization must reproduce the
         # stretch frequencies, else tick 2 would run at different clocks.
         # Exact dict equality is intended — any moved frequency breaks
@@ -514,7 +428,7 @@ class EventWorld(World):
                 bound = "phase" if work_steps[-1] >= horizon else "work_expiry"
             scanned.append((process, rate_dt, horizon, work_steps))
 
-        self._commit(n, pattern, placement)
+        self._commit(n, pattern)
 
         # Exact: the leap committed the scanned work_done bit for bit, and
         # the last tick it replayed neither completed the process nor

@@ -17,24 +17,6 @@ class ThreadId(NamedTuple):
     tidx: int
 
 
-# PELT-style utilization tracking: geometric decay with a ~32 ms half-life,
-# mirroring the kernel's per-entity load tracking that EAS consumes.
-_PELT_HALFLIFE_S = 0.032
-
-# The decay factor is a pure function of the step length; computing the
-# pow() once per distinct dt instead of once per call matters when fleets
-# update thousands of threads per tick.
-_decay_cache: dict[float, float] = {}
-
-
-def _decay_for(dt_s: float) -> float:
-    """Per-tick PELT decay factor for a step of ``dt_s`` seconds."""
-    decay = _decay_cache.get(dt_s)
-    if decay is None:
-        decay = _decay_cache[dt_s] = 0.5 ** (dt_s / _PELT_HALFLIFE_S)
-    return decay
-
-
 #: Safety margin (in ticks) subtracted from analytic work horizons.  The
 #: engine accumulates ``work_done`` with one float add per tick, so after
 #: k ticks the accumulated progress differs from the closed form
@@ -96,16 +78,17 @@ def work_before_completion(
 
 @dataclass
 class SimThread:
-    """One schedulable thread with PELT-style utilization state."""
+    """One schedulable thread.
+
+    ``utilization`` is the thread's PELT average as of tick
+    ``pelt_tick``; the EAS scheduler, its one reader, keeps both (see
+    :mod:`repro.sim.schedulers.eas`).
+    """
 
     tid: ThreadId
     itd_class: int = 0
     utilization: float = 0.0
-
-    def update_utilization(self, activity: float, dt_s: float) -> None:
-        """Fold this tick's busy fraction into the PELT-like average."""
-        decay = _decay_for(dt_s)
-        self.utilization = self.utilization * decay + activity * (1 - decay)
+    pelt_tick: int = 0
 
 
 @dataclass

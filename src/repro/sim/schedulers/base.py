@@ -52,6 +52,22 @@ class Scheduler(ABC):
         """
         return None
 
+    def account(
+        self,
+        world: "World",
+        ran: list[tuple[SimThread, float]],
+        n_ticks: int,
+    ) -> None:
+        """Observe ``n_ticks`` identical ticks as the engine applies them.
+
+        ``ran`` holds ``(thread, activity·share)`` for every thread that
+        ran on each of those ticks; the engine calls this before
+        ``world.tick_index`` advances past them, so the ticks are
+        ``world.tick_index`` … ``world.tick_index + n_ticks - 1``.  A
+        scheduler that keeps per-thread history (EAS's PELT) folds them
+        in here; the default keeps none.
+        """
+
     @staticmethod
     def runnable(world: "World") -> list[tuple[SimProcess, SimThread]]:
         """All (process, thread) pairs eligible to run, deterministic order.

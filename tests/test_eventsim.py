@@ -11,6 +11,7 @@ platforms, managed (HARP) runs, fault-plan replay, and obs-on/off runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -24,13 +25,16 @@ from repro.platform.dvfs import make_governor
 from repro.sim import (
     CfsScheduler,
     EasScheduler,
-    EventKind,
     EventWorld,
     ItdScheduler,
     PinnedScheduler,
+    SimThread,
+    ThreadId,
     World,
     make_world,
 )
+from repro.sim.schedulers import eas as eas_module
+from repro.sim.schedulers.eas import _catch_up, _pelt_decay
 
 SCHEDULERS = {
     "cfs": CfsScheduler,
@@ -58,7 +62,7 @@ def _fingerprint(world: World, exit_order: list[int]) -> dict:
             for p in world.processes.values()
         ),
         "pelt": sorted(
-            (t.tid, t.utilization)
+            (t.tid, t.utilization, t.pelt_tick)
             for p in world.processes.values()
             for t in p.threads
         ),
@@ -348,10 +352,10 @@ class TestIntegerTickHorizons:
             woken.append((w.tick_index, w.tick_index >= pending[0]))
             pending.pop(0)
             if pending:
-                w.request_wakeup(pending[0], EventKind.TIMER)
+                w.request_wakeup(pending[0])
 
         world.on_event.append(listener)
-        world.request_wakeup(pending[0], EventKind.TIMER)
+        world.request_wakeup(pending[0])
         world.run_for(36_000.0)
         assert woken == [(tick, True) for tick in due_ticks]
         assert world.time_s == 36_000.0
@@ -362,7 +366,7 @@ class TestEventHeap:
         world, _ = _build_world(0, "event")
         boundaries: list[int] = []
         world.on_event.append(lambda w: boundaries.append(w.tick_index))
-        world.request_wakeup(50, EventKind.TIMER)
+        world.request_wakeup(50)
         world.run_for(1.0)
         assert world.tick_index == 100
         # One leap to the wakeup tick, one to the horizon.
@@ -371,22 +375,30 @@ class TestEventHeap:
     def test_request_wakeup_deduplicates(self) -> None:
         world, _ = _build_world(0, "event")
         for _ in range(5):
-            world.request_wakeup(25, EventKind.MONITOR)
+            world.request_wakeup(25)
         assert len(world._heap) == 1
 
-    def test_schedule_callback_fires_once(self) -> None:
+    def test_listener_fires_once_at_its_wakeup(self) -> None:
         world, _ = _build_world(0, "event")
         fired: list[float] = []
-        world.schedule(30, lambda w: fired.append(w.time_s))
+
+        def listener(w) -> None:
+            if w.tick_index == 30:
+                fired.append(w.time_s)
+
+        world.on_event.append(listener)
+        world.request_wakeup(30)
         world.run_for(1.0)
         assert fired == [0.3]
 
     def test_wakeup_never_in_past(self) -> None:
         world, _ = _build_world(0, "event")
         world.run_for(0.5)
-        world.request_wakeup(10, EventKind.TIMER)  # long past
-        assert world.next_event_tick() == world.tick_index + 1
-        assert world.schedule(10, lambda w: None) == world.tick_index + 1
+        boundaries: list[int] = []
+        world.on_event.append(lambda w: boundaries.append(w.tick_index))
+        world.request_wakeup(10)  # long past: clamped to the next tick
+        world.run_for(0.5)
+        assert boundaries == [51, 100]
 
 
 class TestRunnableScan:
@@ -809,22 +821,139 @@ class TestBusyStretchFastForward:
         assert world._busy_backoff_until > 0
 
 
+class TestLazyPelt:
+    """EAS keeps PELT lazily: a blocked thread costs nothing while it
+    sleeps and is caught up, one ``u * decay`` per slept tick, when
+    ``place()`` next reads it.  At the default 0.01 s tick the factor
+    0.5^(0.01/0.032) ≈ 0.805 maps two subnormal ulps (1e-323) to
+    themselves, so a long sleep ends there and the catch-up stops at
+    that fixed point instead of multiplying through every slept tick."""
+
+    def test_blocked_thread_catches_up_after_idle_leap(
+        self, monkeypatch
+    ) -> None:
+        sleep_ticks = 4_000
+        leaps: list[int] = []
+        leap = EventWorld._leap
+
+        def recorded(self, n):
+            leaps.append(n)
+            leap(self, n)
+
+        monkeypatch.setattr(EventWorld, "_leap", recorded)
+
+        def run(engine: str) -> dict:
+            leaps.clear()
+            reads: list[list[float]] = []
+
+            class Reading(EasScheduler):
+                """EAS that records the averages ``place()`` read."""
+
+                def place(self, world):
+                    placement = super().place(world)
+                    reads.append([t.utilization for t in threads])
+                    return placement
+
+            world = make_world(
+                make_platform("intel"), Reading(), engine=engine, seed=2
+            )
+            exit_order: list[int] = []
+            world.on_process_exit.append(lambda p: exit_order.append(p.pid))
+            model = replace(resolve_model("cg.C"))
+            model.total_work = 1.0e6
+            process = world.spawn(model, nthreads=2)
+            threads = process.threads
+            world.run_for(1.0)
+            awake = [t.utilization for t in threads]
+            world.block(process.pid)
+            world.run_for(sleep_ticks * world.tick_s)
+            slept = [t.pelt_tick for t in threads]
+            world.unblock(process.pid)
+            world.run_for(world.tick_s)  # one tick: place() reads them
+            return {
+                "awake": awake,
+                "slept": slept,
+                "woken": reads[-1],
+                "leaps": list(leaps),
+                "world": _fingerprint(world, exit_order),
+            }
+
+        tick = run("tick")
+        event = run("event")
+        assert tick["leaps"] == [] and event.pop("leaps") == [sleep_ticks]
+        del tick["leaps"]
+        assert event == tick
+        assert all(u > 0.5 for u in event["awake"])
+        # Asleep, the threads were never touched...
+        assert event["slept"] == [100, 100]
+        # ...and their first read after the leap is the eager per-tick
+        # decay, bit for bit: the subnormal fixed point.
+        decay = 0.5 ** (0.01 / 0.032)
+        eager = event["awake"]
+        for _ in range(sleep_ticks):
+            eager = [u * decay for u in eager]
+        assert event["woken"] == eager == [2 * math.ulp(0.0)] * 2
+
+    def test_catch_up_stops_at_the_fixed_point(self) -> None:
+        # Over a million slept ticks the catch-up multiplies only until
+        # the average stops moving (~3,400 ticks from 1.0), not once per
+        # slept tick.
+        multiplies = [0]
+
+        class Counted(float):
+            def __mul__(self, other):
+                multiplies[0] += 1
+                return Counted(float(self) * other)
+
+        thread = SimThread(tid=ThreadId(1, 0), utilization=Counted(1.0))
+        _catch_up(thread, 10**6, _pelt_decay(0.01))
+        assert thread.utilization == 2 * math.ulp(0.0)
+        assert thread.pelt_tick == 10**6
+        assert multiplies[0] < 3_500
+
+
+class _PeltCfs(CfsScheduler):
+    """CFS placement that keeps EAS's PELT through ``account``.  EAS
+    itself never leaps a busy stretch; this scheduler does, so both leap
+    kinds carry PELT state across one commit."""
+
+    def account(self, world, ran, n_ticks):
+        EasScheduler.account(self, world, ran, n_ticks)
+
+
 class TestPeltUnderflowInLeaps:
     """A blocked thread's PELT average decays geometrically and, with a
     per-tick decay factor at or below 0.5, underflows to exactly 0.0
     (at 0.01 s ticks the factor is ~0.805 and the average instead sticks
     at two subnormal ulps, 1e-323).  With 0.05 s ticks (factor ~0.339)
-    the underflow takes ~690 ticks.  Both leap kinds must reach that
-    fixed point inside one commit, bit-identically to the tick engine."""
+    the underflow takes ~690 ticks.  Both leap kinds cross the whole
+    sleep in one commit without touching the blocked thread, and its
+    catch-up on waking reaches 0.0, bit-identically to the tick engine."""
 
     @pytest.mark.parametrize("busy", [False, True], ids=["idle", "busy"])
     def test_underflow_inside_one_leap(self, busy: bool, monkeypatch) -> None:
+        sleep_ticks = 1_200
         watched: list = []
+        # (tid, slept ticks, average before, after) per watched catch-up.
+        catch_ups: list[tuple] = []
+        catch_up = eas_module._catch_up
+
+        def recorded_catch_up(thread, tick, decay):
+            before, since = thread.utilization, thread.pelt_tick
+            catch_up(thread, tick, decay)
+            if thread in watched and tick > since:
+                catch_ups.append(
+                    (thread.tid, tick - since, before, thread.utilization)
+                )
+
+        monkeypatch.setattr(eas_module, "_catch_up", recorded_catch_up)
 
         def run(engine: str) -> dict:
+            watched.clear()
+            catch_ups.clear()
             platform = make_platform("intel")
             world = make_world(
-                platform, CfsScheduler(), engine=engine, tick_s=0.05, seed=2
+                platform, _PeltCfs(), engine=engine, tick_s=0.05, seed=2
             )
             exit_order: list[int] = []
             world.on_process_exit.append(lambda p: exit_order.append(p.pid))
@@ -834,36 +963,48 @@ class TestPeltUnderflowInLeaps:
             if busy:  # a second process keeps the machine busy throughout
                 _spawn_dense(world, n=1, work=1.0e6)
             world.run_for(1.0)
-            world.block(blocked.pid)
             watched[:] = blocked.threads
-            world.run_for(60.0)
+            awake = [(t.utilization, t.pelt_tick) for t in blocked.threads]
+            world.block(blocked.pid)
+            world.run_for(sleep_ticks * world.tick_s)
+            # Asleep, the threads were never touched.
+            assert [(t.utilization, t.pelt_tick) for t in blocked.threads] == awake
+            assert all(u > 0.5 for u, _ in awake)
+            world.unblock(blocked.pid)
+            world.run_for(world.tick_s)  # one tick: account() catches up
             assert not exit_order
-            assert all(t.utilization == 0.0 for t in blocked.threads)
-            assert not any(t.tid in world._decaying for t in blocked.threads)
-            return _fingerprint(world, exit_order)
+            return {
+                "catch_ups": list(catch_ups),
+                "world": _fingerprint(world, exit_order),
+            }
 
         tick = run("tick")
-        # (leap length, busy, watched utilizations before, after) per commit.
-        commits: list[tuple[int, bool, list[float], list[float]]] = []
+        # (leap length, busy, watched (average, tick) before, after).
+        commits: list[tuple[int, bool, list, list]] = []
         commit = EventWorld._commit
 
-        def recorded(self, n, pattern, placement):
-            before = [t.utilization for t in watched]
-            commit(self, n, pattern, placement)
-            after = [t.utilization for t in watched]
-            commits.append((n, bool(placement), before, after))
+        def recorded(self, n, pattern):
+            before = [(t.utilization, t.pelt_tick) for t in watched]
+            commit(self, n, pattern)
+            after = [(t.utilization, t.pelt_tick) for t in watched]
+            commits.append((n, bool(pattern[0]), before, after))
 
         monkeypatch.setattr(EventWorld, "_commit", recorded)
-        assert run("event") == tick
-        underflow_leaps = [
+        event = run("event")
+        assert event == tick
+        # The one catch-up per woken thread spans the whole sleep and
+        # lands on exactly 0.0.
+        assert len(event["catch_ups"]) == 2
+        for _, slept, before, after in event["catch_ups"]:
+            assert slept >= sleep_ticks and before != 0.0 and after == 0.0
+        # The sleep was one leap of the parametrized kind, which left the
+        # blocked threads as they were.
+        sleep_leaps = [
             (n, leap_busy)
             for n, leap_busy, before, after in commits
-            if after and all(u != 0.0 for u in before)
-            and all(u == 0.0 for u in after)
+            if before and before == after and n > 700
         ]
-        assert len(underflow_leaps) == 1
-        n, leap_busy = underflow_leaps[0]
-        assert n > 700 and leap_busy == busy
+        assert sleep_leaps == [(sleep_ticks, busy)]
 
 
 class TestExpiryPredictionApi:
@@ -993,16 +1134,16 @@ class TestMidStretchInvalidation:
         for engine in ("tick", "event"):
             world, exit_order = _build_world(0, engine)
             victims = _spawn_dense(world)
-            if world.event_driven:
-                # The kill rides a scheduled callback: the heap event
-                # bounds the leap, so the stretch re-splits at tick 40.
-                world.schedule(40, lambda w: w.kill(victims[0].pid))
-            else:
-                def _kill_at_40(w, pid=victims[0].pid):
-                    if w.tick_index == 40:
-                        w.kill(pid)
 
-                world.on_event.append(_kill_at_40)
+            def _kill_at_40(w, pid=victims[0].pid):
+                if w.tick_index == 40:
+                    w.kill(pid)
+
+            world.on_event.append(_kill_at_40)
+            if world.event_driven:
+                # The wakeup bounds the leap, so the stretch re-splits at
+                # tick 40.
+                world.request_wakeup(40)
             world.run_for(2.0)
             results.append(_fingerprint(world, exit_order))
         assert results[0] == results[1]
@@ -1031,7 +1172,7 @@ class TestMidStretchInvalidation:
 
             world.on_event.append(pull_forward)
             if world.event_driven:
-                world.request_wakeup(40, EventKind.REALLOC)
+                world.request_wakeup(40)
             world.run_for(2.0)
             assert fired[0]
             fp = _fingerprint(world, exit_order)

@@ -201,7 +201,7 @@ class TestNodeFaultPlan:
 
 class TestFleetMessages:
     _MESSAGES = [
-        NodeRegister(node_id=3, capacity_slots=6, engine="event"),
+        NodeRegister(node_id=3, capacity_slots=6),
         NodeRegisterReply(ok=True, epoch=7),
         NodeReport(
             node_id=3,

@@ -361,11 +361,9 @@ REAL_TREE_MUTATIONS = [
         id="HL002-erv-written-outside-its-module",
     ),
     pytest.param(
-        "HL003", "sim/event.py",
-        "if u != 0.0:  # harplint: disable=HL003 -- exact fixed point, "
-        "not a tolerance check",
-        "if u != 0.0:",
-        "if u != 0.0:", None, (),
+        "HL003", "sim/engine.py",
+        "if total <= 1.0:", "if total == 1.0:",
+        "if total == 1.0:", None, (),
         id="HL003-suppression-stripped",
     ),
     pytest.param(
@@ -388,9 +386,9 @@ REAL_TREE_MUTATIONS = [
     ),
     pytest.param(
         "HL007", "sim/engine.py",
-        "if u == 0.0:  # harplint: disable=HL003",
-        "if u <= 0.0:  # harplint: disable=HL003",
-        "if u <= 0.0:", None, ("HL003",),
+        "if total <= 1.0:",
+        "if total <= 1.0:  # harplint: disable=HL003 -- exact bound",
+        "if total <= 1.0:", None, ("HL003",),
         id="HL007-suppression-outlives-its-finding",
     ),
     pytest.param(

@@ -5,6 +5,7 @@ import pytest
 from repro.apps import npb_model
 from repro.sim.perf import IntervalReader, PerfCounters
 from repro.sim.process import SimProcess, SimThread, ThreadId
+from repro.sim.schedulers.eas import EasScheduler, _catch_up, _pelt_decay
 
 
 class TestPerfCounters:
@@ -55,23 +56,54 @@ class TestPerfCounters:
         assert reader.sample_ips(1, 1.0) is None
 
 
+class _Clock:
+    """The two world attributes EAS's PELT reads: tick length and clock."""
+
+    def __init__(self, tick_s: float) -> None:
+        self.tick_s = tick_s
+        self.tick_index = 0
+
+
 class TestSimThread:
+    """PELT, kept by EAS: ``account`` folds in ticks a thread ran, and a
+    lazy read (``_catch_up``, run by ``place()``) decays the rest."""
+
     def test_pelt_rises_under_load(self):
+        eas, world = EasScheduler(), _Clock(0.01)
         thread = SimThread(tid=ThreadId(1, 0))
-        for _ in range(100):
-            thread.update_utilization(1.0, 0.01)
+        for _ in range(10):
+            eas.account(world, [(thread, 1.0)], 1)
+            world.tick_index += 1
+        # From 0, t busy seconds bring the average to 1 - 2^(-t / 32 ms).
+        assert thread.utilization == pytest.approx(1 - 0.5 ** (0.1 / 0.032))
         assert thread.utilization > 0.85
+        assert thread.pelt_tick == 10
 
     def test_pelt_decays_when_idle(self):
         thread = SimThread(tid=ThreadId(1, 0), utilization=1.0)
-        for _ in range(100):
-            thread.update_utilization(0.0, 0.01)
+        _catch_up(thread, 100, _pelt_decay(0.01))
         assert thread.utilization < 0.15
+        assert thread.pelt_tick == 100
 
     def test_pelt_halflife(self):
         thread = SimThread(tid=ThreadId(1, 0), utilization=1.0)
-        thread.update_utilization(0.0, 0.032)
+        _catch_up(thread, 1, _pelt_decay(0.032))
         assert thread.utilization == pytest.approx(0.5)
+
+    def test_account_of_k_ticks_equals_k_single_ticks(self):
+        eas = EasScheduler()
+        batched, stepped = _Clock(0.01), _Clock(0.01)
+        one = SimThread(tid=ThreadId(1, 0), utilization=0.3, pelt_tick=0)
+        many = SimThread(tid=ThreadId(1, 0), utilization=0.3, pelt_tick=0)
+        batched.tick_index = stepped.tick_index = 5  # after 5 idle ticks
+        eas.account(batched, [(one, 0.7)], 37)
+        for _ in range(37):
+            eas.account(stepped, [(many, 0.7)], 1)
+            stepped.tick_index += 1
+        assert (one.utilization, one.pelt_tick) == (
+            many.utilization, many.pelt_tick,
+        )
+        assert one.pelt_tick == 42
 
 
 class TestSimProcess:

@@ -524,7 +524,13 @@ class TestBusyProbe:
         short = world.spawn(models[0], nthreads=2)
         world.spawn(models[1], nthreads=2)
         blips = []
-        world.schedule(100, lambda w: blips.append(w.spawn(models[2])))
+
+        def spawn_blip(w) -> None:
+            if w.tick_index == 100:
+                blips.append(w.spawn(models[2]))
+
+        world.on_event.append(spawn_blip)
+        world.request_wakeup(100)
         results = _probe_results(lambda: world.run_for(2.0))
         assert short.finished and blips[0].finished
         assert models[2].calls == [100]  # done on its first tick
