@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,7 +27,10 @@ from repro.platform.power import STATIC_FRACTION
 from repro.platform.sensors import EnergySensor
 from repro.platform.topology import Platform
 from repro.sim.perf import PerfCounters
-from repro.sim.process import SimProcess, SimThread, ThreadId
+from repro.sim.process import (
+    CPU_TIME, ENERGY_TRUE_J, INSTRUCTIONS, SimProcess, SimThread, ThreadId,
+)
+from repro.sim.schedulers.base import Scheduler
 
 
 #: Indices of the ``sim.pattern_cache{result}`` counters in
@@ -36,6 +39,18 @@ _PATTERN_HIT, _PATTERN_MISS, _PATTERN_UNCACHEABLE = 5, 6, 7
 
 #: The knobs snapshot of a process without knobs (shared, never mutated).
 _NO_KNOBS: dict = {}
+
+#: Ledger adds per ``np.add.at`` call when a plan is applied for many
+#: ticks at once (:meth:`World._add_ticks`): bounds the tiled index and
+#: increment arrays to a megabyte.
+_ADDS_PER_CHUNK = 1 << 16
+
+#: Fewer ticks than this are applied one ``np.add.at`` per tick: tiling
+#: a plan costs about as much as seven such calls.
+_MIN_TILED_TICKS = 8
+
+#: Process blocks the ledger holds before its first growth.
+_LEDGER_BLOCKS = 8
 
 
 class ThreadSlot(NamedTuple):
@@ -65,12 +80,10 @@ class AppPerf(NamedTuple):
 
 @dataclass
 class TickStats:
-    """Per-tick byproducts used by monitors and experiments."""
+    """The last tick's start time and package power (traces read them)."""
 
     time_s: float = 0.0
     package_power_w: float = 0.0
-    busy_time_by_type: dict[str, float] = field(default_factory=dict)
-    energy_by_type_j: dict[str, float] = field(default_factory=dict)
 
 
 class World:
@@ -96,7 +109,7 @@ class World:
     def __init__(
         self,
         platform: Platform,
-        scheduler: "SchedulerProtocol",
+        scheduler: Scheduler,
         governor: Governor | None = None,
         tick_s: float = 0.01,
         seed: int | None = None,
@@ -115,6 +128,7 @@ class World:
         )
         self.perf = PerfCounters(noise_std=perf_noise, seed=None if seed is None else seed + 1)
         self.processes: dict[int, SimProcess] = {}
+        self.perf.processes = self.processes
         self._running: dict[int, SimProcess] = {}
         self.on_process_start: list[Callable[[SimProcess], None]] = []
         self.on_process_exit: list[Callable[[SimProcess], None]] = []
@@ -124,12 +138,16 @@ class World:
         # wakeups at their deadline ticks.
         self.on_event: list[Callable[["World"], None]] = []
         self.last_stats = TickStats()
-        self.energy_by_type_j: dict[str, float] = {
-            ct.name: 0.0 for ct in platform.core_types
-        }
-        self.busy_time_by_type_s: dict[str, float] = {
-            ct.name: 0.0 for ct in platform.core_types
-        }
+        # The accumulator ledger: busy seconds and then energy per core
+        # type, then one block per spawned process (layout in
+        # repro.sim.process), allocated by spawn().  It grows by doubling,
+        # so it is only ever read through ``self._acc``.
+        self._type_names = [ct.name for ct in platform.core_types]
+        n_types = len(self._type_names)
+        self._block = CPU_TIME + n_types
+        self._acc_used = 2 * n_types
+        self._acc = np.zeros(self._acc_used + _LEDGER_BLOCKS * self._block)
+        self._cpu_offset = {n: CPU_TIME + i for i, n in enumerate(self._type_names)}
         self._next_pid = 1
         self._core_util: dict[int, float] = {}
         # Per-tick runnable snapshot: one thread_demand call per live
@@ -165,7 +183,6 @@ class World:
         # reduceat segments.
         cores = platform.cores
         type_index = {ct.name: i for i, ct in enumerate(platform.core_types)}
-        self._type_names = [ct.name for ct in platform.core_types]
         self._core_ids = [c.core_id for c in cores]
         self._core_row = {c.core_id: i for i, c in enumerate(cores)}
         self._core_type_idx = np.array(
@@ -205,6 +222,18 @@ class World:
         """Sim time at the current tick boundary: ``tick_index * tick_s``."""
         return self.tick_index * self.tick_s
 
+    @property
+    def busy_time_by_type_s(self) -> dict[str, float]:
+        """Busy CPU seconds per core type since start (a fresh dict)."""
+        n = len(self._type_names)
+        return dict(zip(self._type_names, self._acc[:n].tolist()))
+
+    @property
+    def energy_by_type_j(self) -> dict[str, float]:
+        """Ground-truth energy per core type since start (a fresh dict)."""
+        n = len(self._type_names)
+        return dict(zip(self._type_names, self._acc[n:2 * n].tolist()))
+
     # -- workload management --------------------------------------------------
 
     def spawn(
@@ -228,6 +257,10 @@ class World:
             daemon=daemon,
         )
         self._next_pid += 1
+        process._owner, process._base = self, self._acc_used
+        self._acc_used += self._block
+        if self._acc_used > len(self._acc):
+            self._acc = np.concatenate((self._acc, np.zeros_like(self._acc)))
         self.processes[process.pid] = process
         self._running[process.pid] = process
         self._awake[process.pid] = process
@@ -373,16 +406,19 @@ class World:
         """Advance the world by one tick.
 
         The tick's slot/perf/power evaluation (:meth:`_evaluate_tick`)
-        yields a *pattern*: per placed process its ``rate·dt``, finish
-        fraction, instructions, CPU time and per-slot
-        ``(core_type, slot_time)``; every placed thread's
+        yields a *pattern* ``(procs, ran, plan, package_power,
+        core_util)``: per placed process ``(process, rate·dt, finish
+        fraction or None)``; every placed thread's
         ``(thread, activity·share)``, which the scheduler's
         :meth:`~repro.sim.schedulers.base.Scheduler.account` observes;
-        and the power kernel's outputs.  Applying a pattern performs every
-        float op of the tick in one fixed order, so the world remembers its
-        two most recent cacheable patterns and re-applies one — without
-        calling ``perf()``, building slots or running the power kernel —
-        while its key repeats.  The key (:meth:`_remembered_pattern`) is:
+        the *plan* ``(indices, increments)``, the tick's float adds to
+        the ledger ``_acc`` in order, applied by one ``np.add.at``
+        (:meth:`_add_ticks`; a finishing process's ``work_done`` is
+        assigned instead); and the power kernel's outputs.  Applying a
+        pattern performs every float op of the tick in one fixed order,
+        so the world remembers its two most recent cacheable patterns
+        and re-applies one — without calling ``perf()``, building slots
+        or running the power kernel — while its key repeats.  The key (:meth:`_remembered_pattern`) is:
 
         * the placement, by identity: the placement memory hands out one
           dict per scheduler signature (runnable threads, affinities);
@@ -421,36 +457,20 @@ class World:
             outcome = _PATTERN_HIT
         if pattern is None:
             pattern, outcome = self._evaluate_tick(placement, freqs)
-        procs, ran, power = pattern
-        package_power, core_util, stat_busy, stat_energy, acc_ops = power
+        procs, ran, plan, package_power, core_util = pattern
 
+        self._add_ticks(plan, 1)
         just_finished: list[SimProcess] = []
-        for process, rate_dt, finish_frac, ips, cpu_time, slots in procs:
-            if finish_frac is None:
-                process.work_done += rate_dt
-            else:
+        for process, _, finish_frac in procs:
+            if finish_frac is not None:
                 process.work_done = process.model.total_work
                 process.finished = True
                 process.finish_time_s = self.time_s + dt * finish_frac
-            cpu_by_type = process.cpu_time_by_type
-            for core_type, slot_time in slots:
-                cpu_by_type[core_type] = (
-                    cpu_by_type.get(core_type, 0.0) + slot_time
-                )
-            self.perf.accumulate(process.pid, ips, dt, cpu_time)
-            if process.finished:
                 just_finished.append(process)
         self.scheduler.account(self, ran, 1)
 
         self._core_util = core_util
-        for is_attr, container, key, inc in acc_ops:
-            if is_attr:
-                setattr(container, key, getattr(container, key) + inc)
-            else:
-                container[key] += inc
-        stats = TickStats(
-            self.time_s, package_power, dict(stat_busy), dict(stat_energy)
-        )
+        stats = TickStats(self.time_s, package_power)
         self.package_sensor.accumulate(package_power, dt)
         self.last_stats = stats
 
@@ -492,8 +512,11 @@ class World:
         of the slice to its queue mates.  A slot's speed is the core
         type's per-thread speed at the core's frequency and busy-sibling
         count, scaled by the share.  Each placed process's ``perf()``
-        response, in ascending pid order, becomes its accumulator
-        increments; the per-slot busy fractions feed the power kernel.
+        response, in ascending pid order, becomes its ledger adds — work
+        (none if it finishes), CPU time per slot, instructions — and the
+        per-slot busy fractions feed the power kernel, which appends the
+        per-type and attribution adds.  A fresh response reporting
+        negative ``ips`` raises ``ValueError``.
         A process whose model reports no work horizon (slot-pure, see
         ``ApplicationModel.steady_work_horizon``) reuses its last
         ``perf()`` response while its slots, ``threads_revision`` and
@@ -526,6 +549,9 @@ class World:
         app_busy_on_core: dict[int, dict[int, float]] = {}
         procs: list[tuple] = []
         ran: list[tuple[SimThread, float]] = []
+        idx: list[int] = []
+        inc: list[float] = []
+        cpu_offset = self._cpu_offset
         # Only a placement held by the placement memory can key a pattern.
         keys: list[tuple] | None = (
             [] if placement is self._placement_cache else None
@@ -533,6 +559,7 @@ class World:
         perf_memo = self._perf_memo
         for pid in sorted({tid.pid for tid in placement}):
             process = self.processes[pid]
+            base = process._base
             slots: list[ThreadSlot] = []
             slot_threads: list[SimThread] = []
             for thread in process.active_threads:
@@ -573,6 +600,8 @@ class World:
                     knobs = copy.deepcopy(knobs) if knobs else _NO_KNOBS
                     perf = model.perf(slots, process)
                     perf_memo[pid] = (slots_key, revision, knobs, perf)
+            if perf.ips < 0:
+                raise ValueError(f"negative instruction rate for pid {pid}")
             rate_dt = perf.rate * dt
             remaining = process.remaining_work()
             frac = 1.0
@@ -582,8 +611,9 @@ class World:
                     remaining / rate_dt if remaining > 0 else 0.0
                 )
                 keys = None
-            cpu_time = 0.0
-            slot_ops: list[tuple] = []
+            else:
+                idx.append(base)
+                inc.append(rate_dt)
             for slot, thread, activity in zip(
                 slots, slot_threads, perf.activities
             ):
@@ -594,14 +624,12 @@ class World:
                 )
                 core_mix = app_busy_on_core.setdefault(slot.core_id, {})
                 core_mix[pid] = core_mix.get(pid, 0.0) + used
-                slot_time = used * dt
-                cpu_time += slot_time
-                slot_ops.append((slot.core_type, slot_time))
+                idx.append(base + cpu_offset[slot.core_type])
+                inc.append(used * dt)
                 ran.append((thread, act_share))
-            procs.append(
-                (process, rate_dt, finish_frac, perf.ips * frac, cpu_time,
-                 slot_ops)
-            )
+            idx.append(base + INSTRUCTIONS)
+            inc.append(perf.ips * frac * dt)
+            procs.append((process, rate_dt, finish_frac))
             if keys is not None:
                 keys.append(
                     (
@@ -612,8 +640,11 @@ class World:
                         rate_dt if perf.rate > 0 else None,
                     )
                 )
-        power = self._power_tick(busy_fraction, app_busy_on_core, freqs)
-        pattern = (procs, ran, power)
+        package_power, core_util = self._power_tick(
+            busy_fraction, app_busy_on_core, freqs, idx, inc
+        )
+        plan = (np.array(idx, dtype=np.intp), np.array(inc, dtype=float))
+        pattern = (procs, ran, plan, package_power, core_util)
         if keys is None:
             return pattern, _PATTERN_UNCACHEABLE
         entry = (placement, freqs, keys, pattern)
@@ -651,6 +682,27 @@ class World:
                     patterns.insert(0, patterns.pop(i))
                 return pattern
         return None
+
+    def _add_ticks(self, plan: tuple[np.ndarray, np.ndarray], n: int) -> None:
+        """Apply ``n`` ticks of ``plan`` to the ledger, in tick order.
+
+        The one apply path of :meth:`step` (``n == 1``) and the event
+        engine's leap commit.  ``np.add.at`` performs repeated indices one
+        by one in order, so the plan, tiled across the ticks, adds exactly
+        what ``n`` sequential ticks add; chunks of at most
+        :data:`_ADDS_PER_CHUNK` adds bound the tiled arrays, and fewer
+        than :data:`_MIN_TILED_TICKS` ticks are applied one by one.
+        """
+        idx, inc = plan
+        if n < _MIN_TILED_TICKS:
+            for _ in range(n):
+                np.add.at(self._acc, idx, inc)
+            return
+        k = min(n, max(1, _ADDS_PER_CHUNK // max(1, len(idx))))
+        tiled_idx, tiled_inc = np.tile(idx, k), np.tile(inc, k)
+        for done in range(0, n, k):
+            m = min(k, n - done) * len(idx)
+            np.add.at(self._acc, tiled_idx[:m], tiled_inc[:m])
 
     def _clear_tick_memories(self) -> None:
         """Drop the placement and pattern memories (a process exited)."""
@@ -759,17 +811,19 @@ class World:
         busy_fraction: dict[int, float],
         app_busy_on_core: dict[int, dict[int, float]],
         freqs: dict[int, float],
-    ) -> tuple[float, dict[int, float], dict[str, float], dict[str, float], list]:
-        """One tick of package power and energy, without mutating anything.
+        idx: list[int],
+        inc: list[float],
+    ) -> tuple[float, dict[int, float]]:
+        """One tick of package power and energy, without mutating the world.
 
-        The one power kernel of the simulator: :meth:`step` applies the
-        returned accumulator ops once, and the event engine's leaps
-        replay them once per leapt tick (an idle leap those of a call
-        with nothing busy).  Returns
-        ``(package_power, core_util, stat_busy, stat_energy, acc_ops)``;
-        each accumulator op is ``(is_attr, container, key, increment)``,
-        one float add to ``container[key]`` (or the attribute), in the
-        order the adds must happen for bit-identical accumulators.
+        The one power kernel of the simulator.  Appends the tick's ledger
+        adds to ``idx`` (ledger index) and ``inc`` (increment): busy
+        seconds and energy per core type, then each process's
+        ground-truth energy share, in the order the adds must happen for
+        bit-identical accumulators.  :meth:`step` applies them once as
+        part of the tick's plan, and the event engine's leaps once per
+        leapt tick (an idle leap those of a call with nothing busy).
+        Returns ``(package_power, core_util)``.
 
         The formulas are those of :meth:`CorePowerModel.power_fractional`
         over arrays of cores: per-core busy fractions reduce to segment
@@ -830,14 +884,9 @@ class World:
         energy_by_type = np.bincount(
             self._core_type_idx, weights=power, minlength=n_types
         )
-        acc_ops: list[tuple] = []
-        stat_busy: dict[str, float] = {}
-        stat_energy: dict[str, float] = {}
-        for name, b, e in zip(self._type_names, busy_by_type, energy_by_type):
-            stat_busy[name] = stat_busy.get(name, 0.0) + b * dt
-            acc_ops.append((False, self.busy_time_by_type_s, name, b * dt))
-            stat_energy[name] = stat_energy.get(name, 0.0) + e * dt
-            acc_ops.append((False, self.energy_by_type_j, name, e * dt))
+        idx.extend(range(2 * n_types))
+        inc.extend((busy_by_type * dt).tolist())
+        inc.extend((energy_by_type * dt).tolist())
         # Ground-truth dynamic-energy attribution for validation: weighted
         # by each application's actual power intensity, which the γ-based
         # attribution of Eq. 3 cannot observe.
@@ -853,15 +902,9 @@ class World:
             total_weight = sum(weights.values())
             if total_weight > 0:
                 for pid, weight in weights.items():
-                    acc_ops.append(
-                        (
-                            True,
-                            self.processes[pid],
-                            "energy_true_j",
-                            dynamic * dt * weight / total_weight,
-                        )
-                    )
-        return package_power, core_util, stat_busy, stat_energy, acc_ops
+                    idx.append(self.processes[pid]._base + ENERGY_TRUE_J)
+                    inc.append(dynamic * dt * weight / total_weight)
+        return package_power, core_util
 
     def _validate_placement(self, placement: dict[ThreadId, int]) -> None:
         for tid, hw_id in placement.items():
@@ -878,10 +921,3 @@ class World:
     def total_energy_j(self) -> float:
         """Noisy package energy since start (what RAPL would report)."""
         return self.package_sensor.read_energy_j()
-
-
-class SchedulerProtocol:
-    """Structural interface of schedulers (see sim.schedulers.base)."""
-
-    def place(self, world: World) -> dict[ThreadId, int]:  # pragma: no cover
-        raise NotImplementedError

@@ -15,7 +15,8 @@ scheduler's next preemption and each placed process's next completion
 or phase flip (both found exactly), and :meth:`EventWorld._commit`
 applies ``n`` ticks of one tick pattern — a busy stretch's probed
 pattern, or the idle pattern (no placed process, the power kernel with
-nothing busy) for an idle leap.
+nothing busy) for an idle leap.  Its ledger adds go through the same
+apply as ``step()``'s: the tick's plan, tiled across the ``n`` ticks.
 
 Bit-parity contract
 -------------------
@@ -23,10 +24,10 @@ On tick-equivalent scenarios the event engine reproduces the tick engine
 **bit for bit**: same ``tick_index`` and hence the same ``time_s`` (both
 engines derive it as ``tick_index * tick_s``), same sensor energy (noise
 draws are batched through ``default_rng``, which consumes the bitstream
-identically to scalar draws), same per-type energy accumulators (the
-commit replays the power kernel's accumulator adds in the tick's order),
-and identical process completion order.  The scheduler observes the same
-ticks too: the commit hands it its ``n`` ticks in one
+identically to scalar draws), same accumulators (the commit applies
+the tick's plan of ledger adds ``n`` times over, in order, never
+pre-summed), and identical process completion order.  The scheduler
+observes the same ticks too: the commit hands it its ``n`` ticks in one
 :meth:`~repro.sim.schedulers.base.Scheduler.account` call, and EAS, the
 one scheduler that keeps per-thread history (PELT), applies its update
 once per tick.  The parity suite in ``tests/test_eventsim.py`` asserts
@@ -46,8 +47,6 @@ from __future__ import annotations
 import heapq
 import math
 
-import numpy as np
-
 from repro.obs import OBS
 from repro.platform.dvfs import Governor
 from repro.platform.topology import Platform
@@ -56,8 +55,8 @@ from repro.sim.process import ticks_until_work_expiry, work_before_completion
 
 
 #: A busy leap must replace at least this many ticks to pay for its
-#: commit (grouping the pattern's adds into arrays); a probe that finds
-#: its pattern remembered evaluates nothing, so the commit is its cost.
+#: probe and commit; a probe that finds its pattern remembered evaluates
+#: nothing, so the commit is its cost.
 _MIN_BUSY_LEAP_TICKS = 2
 
 #: After a failed busy-leap probe, skip probing for this many ticks: the
@@ -93,7 +92,7 @@ class EventWorld(World):
         idle_freqs = {
             c.core_id: c.core_type.max_freq_mhz for c in self.platform.cores
         }
-        self._idle_pattern = ([], [], self._power_tick({}, {}, idle_freqs))
+        self._idle_pattern, _ = self._evaluate_tick({}, idle_freqs)
 
     # -- event heap --------------------------------------------------------------
 
@@ -232,96 +231,25 @@ class EventWorld(World):
         """Apply ``n`` ticks of ``pattern`` at once.
 
         The one commit of both leaps.  Everything ``n`` calls of
-        ``step()`` would have mutated is replayed bit-identically: every
-        per-tick float add (work, CPU time per core type, perf counters,
-        per-type busy time and energy, ground-truth attribution), the
-        package sensor (batched noise draws), ``last_stats``,
-        ``tick_index`` and the core utilization; and the scheduler
-        observes the ``n`` ticks in one ``account`` call.  The caller
-        guarantees that no replayed tick completes a process or flips its
-        behaviour.
+        ``step()`` would have mutated is replayed bit-identically: the
+        tick's plan of ledger adds (work, CPU time per core type,
+        instructions, per-type busy time and energy, ground-truth
+        attribution) through ``step()``'s apply, tiled across the ``n``
+        ticks (:meth:`~repro.sim.engine.World._add_ticks`); the package
+        sensor (batched noise draws), ``last_stats``, ``tick_index`` and
+        the core utilization; and the scheduler observes the ``n`` ticks
+        in one ``account`` call.  The caller guarantees that no replayed
+        tick completes a process or flips its behaviour.
         """
         dt = self.tick_s
-        procs, ran, power = pattern
-        package_power, core_util, stat_busy, stat_energy, acc_ops = power
-        # Every accumulator the ticks add to, with its per-tick
-        # increments in step()'s order: taken straight from the pattern's
-        # per-process layout (work, CPU time per core type, instructions,
-        # CPU time per pid), then the power kernel's ops, grouped by
-        # target.  Multiple same-tick adds to one accumulator (one per
-        # slot, one per core...) must not be pre-summed — float addition
-        # does not re-associate.
-        acc_meta: list[tuple] = []  # (is_attr, container, key)
-        acc_incs: list[list[float]] = []
-        instructions = self.perf._instructions
-        cpu_time_of = self.perf._cpu_time
-        for process, rate_dt, _, ips, cpu_time, slots in procs:
-            acc_meta.append((True, process, "work_done"))
-            acc_incs.append([rate_dt])
-            slot_times: dict[str, list[float]] = {}
-            for core_type, slot_time in slots:
-                slot_times.setdefault(core_type, []).append(slot_time)
-            cpu_by_type = process.cpu_time_by_type
-            for core_type, times in slot_times.items():
-                acc_meta.append((False, cpu_by_type, core_type))
-                acc_incs.append(times)
-            acc_meta.append((False, instructions, process.pid))
-            acc_incs.append([ips * dt])
-            acc_meta.append((False, cpu_time_of, process.pid))
-            acc_incs.append([cpu_time])
-        acc_index: dict[tuple[int, object], int] = {}
-        for is_attr, container, key, inc in acc_ops:
-            acc_key = (id(container), key)
-            i = acc_index.get(acc_key)
-            if i is None:
-                acc_index[acc_key] = len(acc_meta)
-                acc_meta.append((is_attr, container, key))
-                acc_incs.append([inc])
-            else:
-                acc_incs[i].append(inc)
-
-        # Occurrence r of each accumulator's per-tick adds goes into round
-        # r, and each round is one elementwise array add per tick
-        # (IEEE-identical to the scalar sequence).  Round 0 holds every
-        # accumulator; later rounds only those with more adds.
-        vals = np.array(
-            [
-                getattr(container, key) if is_attr else container.get(key, 0.0)
-                for is_attr, container, key in acc_meta
-            ],
-            dtype=float,
-        )
-        first_round = np.array([incs[0] for incs in acc_incs], dtype=float)
-        later_rounds: list[tuple[np.ndarray, np.ndarray]] = []
-        multi = [(i, incs) for i, incs in enumerate(acc_incs) if len(incs) > 1]
-        r = 1
-        while multi:
-            later_rounds.append(
-                (
-                    np.array([i for i, _ in multi], dtype=int),
-                    np.array([incs[r] for _, incs in multi], dtype=float),
-                )
-            )
-            r += 1
-            multi = [(i, incs) for i, incs in multi if len(incs) > r]
-        for _ in range(n):
-            vals += first_round
-            for idx, inc in later_rounds:
-                vals[idx] += inc
-        for (is_attr, container, key), value in zip(acc_meta, vals.tolist()):
-            if is_attr:
-                setattr(container, key, value)
-            else:
-                container[key] = value
+        _, ran, plan, package_power, core_util = pattern
+        self._add_ticks(plan, n)
         self.scheduler.account(self, ran, n)
 
         self.package_sensor.accumulate_constant(package_power, dt, n)
         # Stats describe the final leapt tick, as step() would leave them.
         self.last_stats = TickStats(
-            (self.tick_index + n - 1) * dt,
-            package_power,
-            dict(stat_busy),
-            dict(stat_energy),
+            (self.tick_index + n - 1) * dt, package_power
         )
         self.tick_index += n
         self._core_util = core_util
@@ -393,7 +321,7 @@ class EventWorld(World):
                     return self._no_leap("stateful", probed)
             pattern, outcome = self._evaluate_tick(placement, freqs)
         probed = (placement, freqs, pattern, outcome)
-        procs, _, (_, core_util, _, _, _) = pattern
+        procs, _, _, _, core_util = pattern
         # Frequency stability: the stretch utilization must reproduce the
         # stretch frequencies, else tick 2 would run at different clocks.
         # Exact dict equality is intended — any moved frequency breaks
@@ -403,7 +331,7 @@ class EventWorld(World):
 
         # (process, rate_dt, horizon, work_steps) of every scanned process.
         scanned: list[tuple] = []
-        for process, rate_dt, finish_frac, _, _, _ in procs:
+        for process, rate_dt, finish_frac in procs:
             if finish_frac is not None:
                 return self._no_leap("completion", probed, 1)
             horizon = process.model.steady_work_horizon(process)

@@ -9,45 +9,39 @@ multiplexing and sampling jitter.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
+
+from repro.sim.process import SimProcess
 
 
 class PerfCounters:
-    """Per-process instruction counters with read-side noise."""
+    """Per-process instruction counters with read-side noise.
+
+    The counts themselves are the processes' ``instructions``
+    accumulators, which the engine advances in its world's ledger.
+    """
 
     def __init__(self, noise_std: float = 0.02, seed: int | None = None):
         if noise_std < 0:
             raise ValueError("noise_std must be >= 0")
         self.noise_std = noise_std
         self._rng = np.random.default_rng(seed)
-        self._instructions: dict[int, float] = {}
-        self._cpu_time: dict[int, float] = {}
-
-    def accumulate(self, pid: int, ips: float, dt_s: float, cpu_time_s: float) -> None:
-        """Advance counters: ``ips`` instructions/s over ``dt_s`` seconds."""
-        if dt_s < 0 or ips < 0 or cpu_time_s < 0:
-            raise ValueError("negative perf accumulation")
-        self._instructions[pid] = self._instructions.get(pid, 0.0) + ips * dt_s
-        self._cpu_time[pid] = self._cpu_time.get(pid, 0.0) + cpu_time_s
+        #: The processes these counters read: the owning world binds its
+        #: process table.
+        self.processes: Mapping[int, SimProcess] = {}
 
     def read_instructions(self, pid: int) -> float:
         """Cumulative instruction count for a process (exact, like perf)."""
-        return self._instructions.get(pid, 0.0)
+        process = self.processes.get(pid)
+        return 0.0 if process is None else process.instructions
 
     def noisy_rate(self, rate: float) -> float:
         """Apply sampling/multiplexing noise to an interval-derived rate."""
         if self.noise_std > 0 and rate > 0:
             rate *= max(0.0, 1.0 + self._rng.normal(0.0, self.noise_std))
         return rate
-
-    def read_cpu_time(self, pid: int) -> float:
-        """Cumulative CPU seconds for a process (noise-free, like /proc)."""
-        return self._cpu_time.get(pid, 0.0)
-
-    def drop(self, pid: int) -> None:
-        """Forget counters of an exited process."""
-        self._instructions.pop(pid, None)
-        self._cpu_time.pop(pid, None)
 
 
 class IntervalReader:

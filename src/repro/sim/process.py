@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.apps.base import ApplicationModel
@@ -15,6 +18,12 @@ class ThreadId(NamedTuple):
 
     pid: int
     tidx: int
+
+
+#: Offsets in a process's accumulator block: work done, ground-truth
+#: energy, retired instructions, then CPU seconds per core type (one slot
+#: per core type of the owning world's platform, in platform order).
+WORK_DONE, ENERGY_TRUE_J, INSTRUCTIONS, CPU_TIME = 0, 1, 2, 3
 
 
 #: Safety margin (in ticks) subtracted from analytic work horizons.  The
@@ -101,11 +110,11 @@ class SimProcess:
         nthreads: current number of worker threads (adaptable at runtime).
         affinity: hardware-thread ids the process may run on (None = all).
         knobs: current adaptivity-knob values (custom applications).
-        work_done / finished: progress bookkeeping.
-        cpu_time_by_type: seconds of CPU time consumed per core type —
-            the input to EnergAt-style energy attribution.
-        energy_true_j: ground-truth attributed energy, used only to
-            *validate* the attribution (never visible to the RM).
+        finished: progress bookkeeping, with :attr:`work_done`.
+
+    The accumulator properties read the process's block of its world's
+    ledger (``World._acc``), where the engine adds to them; a process
+    built outside a world reads a private block without core types.
     """
 
     pid: int
@@ -113,7 +122,6 @@ class SimProcess:
     nthreads: int
     affinity: frozenset[int] | None = None
     knobs: dict = field(default_factory=dict)
-    work_done: float = 0.0
     finished: bool = False
     # True when the process was terminated by World.kill(silent=True): it
     # died without notifying anyone, and the RM must discover the death
@@ -121,8 +129,6 @@ class SimProcess:
     crashed: bool = False
     start_time_s: float = 0.0
     finish_time_s: float | None = None
-    cpu_time_by_type: dict[str, float] = field(default_factory=dict)
-    energy_true_j: float = 0.0
     threads: list[SimThread] = field(default_factory=list)
     on_finish: list[Callable[["SimProcess"], None]] = field(default_factory=list)
     managed: bool = False
@@ -137,10 +143,43 @@ class SimProcess:
         if self.nthreads < 1:
             raise ValueError("nthreads must be >= 1")
         self._sync_threads()
+        # The ledger's owner and this process's block offset in it, where
+        # work done comes first: a private one-block ledger without core
+        # types until a world's ``spawn`` re-points both.
+        self._owner = SimpleNamespace(_acc=np.zeros(CPU_TIME), _type_names=())
+        self._base = 0
 
     @property
     def name(self) -> str:
         return self.model.name
+
+    @property
+    def work_done(self) -> float:
+        """Work units completed."""
+        return self._owner._acc.item(self._base)
+
+    @work_done.setter
+    def work_done(self, value: float) -> None:
+        self._owner._acc[self._base] = value
+
+    @property
+    def energy_true_j(self) -> float:
+        """Ground-truth attributed energy, used only to *validate* the
+        attribution (never visible to the RM)."""
+        return self._owner._acc.item(self._base + ENERGY_TRUE_J)
+
+    @property
+    def instructions(self) -> float:
+        """Instructions retired, the count perf reads."""
+        return self._owner._acc.item(self._base + INSTRUCTIONS)
+
+    @property
+    def cpu_time_by_type(self) -> dict[str, float]:
+        """CPU seconds consumed per core type, for each type with nonzero
+        time — the input to EnergAt-style energy attribution."""
+        names, start = self._owner._type_names, self._base + CPU_TIME
+        times = self._owner._acc[start:start + len(names)].tolist()
+        return {name: t for name, t in zip(names, times) if t}
 
     def set_nthreads(self, nthreads: int) -> None:
         """Adjust the parallelization degree (malleability, §4.1.3)."""

@@ -33,6 +33,7 @@ from repro.sim import (
     World,
     make_world,
 )
+from repro.sim.engine import _PATTERN_UNCACHEABLE
 from repro.sim.schedulers import eas as eas_module
 from repro.sim.schedulers.eas import _catch_up, _pelt_decay
 
@@ -1213,3 +1214,102 @@ class TestRunUntilCap:
             world.spawn(model, nthreads=2)
             spans.append(world.run_until_all_finished(max_seconds=30.0))
         assert spans[0] == spans[1]
+
+
+class TestLedger:
+    """Every accumulator lives in the world's ledger, and ``step()`` and
+    the leap commit apply a tick's plan of adds through one path."""
+
+    # One accumulator's adds whose float sum depends on their order:
+    # from 1.0, the sequential adds give 0.0 after every tick, one
+    # pre-summed add per tick keeps 1.0, and a fancy-index ``+=`` (which
+    # keeps only the last add of a repeated index) reaches -9e16.
+    START, INCS, TICKS = 1.0, (1e16, 1.0, -1e16), 9
+
+    def _scalar(self) -> float:
+        value = self.START
+        for _ in range(self.TICKS):
+            for add in self.INCS:
+                value += add
+        return value
+
+    def _order_pattern(self, world: World) -> tuple:
+        """The idle pattern with its plan swapped for the three adds to
+        ledger index 0 (busy seconds of the first core type)."""
+        procs, ran, _, package_power, core_util = world._idle_pattern
+        plan = (np.zeros(3, dtype=np.intp), np.array(self.INCS))
+        return procs, ran, plan, package_power, core_util
+
+    def test_order_data_discriminates(self) -> None:
+        presummed = self.START
+        fancy = np.array([self.START])
+        for _ in range(self.TICKS):
+            presummed += sum(self.INCS)
+            fancy[np.zeros(3, dtype=np.intp)] += np.array(self.INCS)
+        assert len({self._scalar(), presummed, float(fancy[0])}) == 3
+
+    def test_step_applies_adds_in_order(self, monkeypatch) -> None:
+        world = make_world(make_platform("intel"), CfsScheduler(),
+                           engine="event", seed=0)
+        pattern = self._order_pattern(world)
+        monkeypatch.setattr(
+            world, "_evaluate_tick", lambda placement, freqs: (pattern, _PATTERN_UNCACHEABLE)
+        )
+        world._acc[0] = self.START
+        for _ in range(self.TICKS):
+            world.step()
+        assert world._acc[0] == self._scalar()
+
+    def test_commit_applies_adds_in_order_across_chunks(
+        self, monkeypatch
+    ) -> None:
+        import repro.sim.engine as engine_module
+
+        # Two ticks per chunk: four tiled chunks and a one-tick rest.
+        monkeypatch.setattr(engine_module, "_ADDS_PER_CHUNK", 2 * len(self.INCS))
+        world = make_world(make_platform("intel"), CfsScheduler(),
+                           engine="event", seed=0)
+        world._acc[0] = self.START
+        world._commit(self.TICKS, self._order_pattern(world))
+        assert world.tick_index == self.TICKS
+        assert world._acc[0] == self._scalar()
+
+    def _run_growing(self, engine: str) -> tuple[dict, tuple, int, int]:
+        """Spawn a process every 0.2 s until the ledger has grown; return
+        the fingerprint, the first process's accumulators, and the
+        ledger's first and final capacity."""
+        world, exit_order = _build_world(0, engine)  # cfs / intel
+        first = world.spawn(replace(resolve_model("cg.C"), total_work=500.0),
+                            nthreads=2)
+        capacity = len(world._acc)
+        rng = np.random.default_rng(3)
+        for i in range(12):
+            world.run_for(0.2)
+            before = (first.work_done, first.energy_true_j,
+                      first.cpu_time_by_type)
+            model = replace(resolve_model(_APPS[i % len(_APPS)]))
+            model.total_work = float(rng.uniform(0.2, 1.5))
+            world.spawn(model, nthreads=int(rng.integers(1, 4)))
+            # A growth copies every block: the first process reads on.
+            assert (first.work_done, first.energy_true_j,
+                    first.cpu_time_by_type) == before
+        world.run_for(1.0)
+        reads = (
+            first.work_done,
+            first.energy_true_j,
+            first.cpu_time_by_type,
+            world.perf.read_instructions(first.pid),
+        )
+        return _fingerprint(world, exit_order), reads, capacity, len(world._acc)
+
+    def test_growth_parity(self) -> None:
+        tick, tick_reads, capacity, grown = self._run_growing("tick")
+        assert grown > capacity
+        event: list = []
+        leaps = _busy_leap_count(
+            lambda: event.extend(self._run_growing("event"))
+        )
+        assert leaps > 0
+        assert event[0] == tick
+        assert event[1] == tick_reads
+        assert all(tick_reads[:2]) and tick_reads[2] and tick_reads[3]

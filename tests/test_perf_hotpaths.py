@@ -22,6 +22,7 @@ from repro.core.resource_vector import ErvLayout, ExtendedResourceVector
 from repro.platform.power import CorePowerModel
 from repro.platform.topology import odroid_xu3e, raptor_lake_i9_13900k
 from repro.sim.engine import World
+from repro.sim.process import ENERGY_TRUE_J
 from repro.sim.schedulers.cfs import CfsScheduler
 
 N_INSTANCES = 200
@@ -323,6 +324,13 @@ def test_power_tick_matches_scalar_oracle(make_platform):
         pids.append(world.spawn(model).pid)
     rng = np.random.default_rng(7)
     platform = world.platform
+    # Ledger index → what it accumulates: busy seconds per type first,
+    # then energy per type, then each process's ground-truth energy.
+    n_types = len(platform.core_types)
+    energy_at = {
+        n_types + i: ct.name for i, ct in enumerate(platform.core_types)
+    }
+    true_at = {world.processes[pid]._base + ENERGY_TRUE_J: pid for pid in pids}
     for _ in range(50):
         busy_fraction: dict[int, float] = {}
         app_busy_on_core: dict[int, dict[int, float]] = {}
@@ -343,22 +351,26 @@ def test_power_tick_matches_scalar_oracle(make_platform):
             )
             for c in platform.cores
         }
-        package, _, _, stat_energy, acc_ops = world._power_tick(
-            busy_fraction, app_busy_on_core, freqs
+        idx: list[int] = []
+        inc: list[float] = []
+        package, _ = world._power_tick(
+            busy_fraction, app_busy_on_core, freqs, idx, inc
         )
         acc_energy: dict[str, float] = {}
         acc_true: dict[int, float] = {}
-        for is_attr, container, key, inc in acc_ops:
-            if is_attr:
-                assert key == "energy_true_j"
-                acc_true[container.pid] = acc_true.get(container.pid, 0.0) + inc
-            elif container is world.energy_by_type_j:
-                acc_energy[key] = acc_energy.get(key, 0.0) + inc
+        for i, add in zip(idx, inc):
+            if i in energy_at:
+                name = energy_at[i]
+                acc_energy[name] = acc_energy.get(name, 0.0) + add
+            elif i in true_at:
+                pid = true_at[i]
+                acc_true[pid] = acc_true.get(pid, 0.0) + add
+            else:
+                assert i < n_types  # busy seconds per core type
         want_package, want_energy, want_true = _scalar_power_oracle(
             world, busy_fraction, app_busy_on_core, freqs
         )
         assert package == pytest.approx(want_package, rel=1e-12)
-        assert stat_energy == pytest.approx(want_energy, rel=1e-12)
         assert acc_energy == pytest.approx(want_energy, rel=1e-12)
         assert acc_true == pytest.approx(want_true, rel=1e-12)
         assert acc_true  # the tick attributed dynamic energy

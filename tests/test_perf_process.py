@@ -3,32 +3,50 @@
 import pytest
 
 from repro.apps import npb_model
+from repro.apps.base import ApplicationModel
+from repro.sim.engine import World
 from repro.sim.perf import IntervalReader, PerfCounters
 from repro.sim.process import SimProcess, SimThread, ThreadId
+from repro.sim.schedulers.cfs import CfsScheduler
 from repro.sim.schedulers.eas import EasScheduler, _catch_up, _pelt_decay
 
 
+def _perf_world(intel):
+    """A noise-free world running one single-threaded app alone on a P
+    hardware thread: 1 work unit/s, so 1e9 instructions/s."""
+    world = World(
+        intel, CfsScheduler(), seed=0, sensor_noise=0.0, perf_noise=0.0
+    )
+    model = ApplicationModel(
+        name="synthetic", total_work=100.0, serial_fraction=0.0
+    )
+    return world, world.spawn(model, nthreads=1, affinity=frozenset({0}))
+
+
+class _NegativeIps(ApplicationModel):
+    """Reports a negative instruction rate."""
+
+    def perf(self, slots, process):
+        return super().perf(slots, process)._replace(ips=-1.0)
+
+
 class TestPerfCounters:
-    def test_accumulate_and_read(self):
-        perf = PerfCounters(noise_std=0.0)
-        perf.accumulate(1, ips=1e9, dt_s=0.5, cpu_time_s=0.4)
-        assert perf.read_instructions(1) == pytest.approx(5e8)
-        assert perf.read_cpu_time(1) == pytest.approx(0.4)
+    def test_accumulate_and_read(self, intel):
+        world, proc = _perf_world(intel)
+        world.run_for(0.5)
+        assert world.perf.read_instructions(proc.pid) == proc.instructions
+        assert proc.instructions == pytest.approx(5e8, rel=0.01)
+        assert proc.cpu_time_by_type == {"P": pytest.approx(0.5)}
 
     def test_unknown_pid_zero(self):
         perf = PerfCounters()
         assert perf.read_instructions(9) == 0.0
 
-    def test_drop(self):
-        perf = PerfCounters()
-        perf.accumulate(1, 1e9, 0.1, 0.1)
-        perf.drop(1)
-        assert perf.read_instructions(1) == 0.0
-
-    def test_negative_rejected(self):
-        perf = PerfCounters()
-        with pytest.raises(ValueError):
-            perf.accumulate(1, -1.0, 0.1, 0.1)
+    def test_negative_rejected(self, intel):
+        world = World(intel, CfsScheduler(), seed=0)
+        world.spawn(_NegativeIps(name="negative"), nthreads=1)
+        with pytest.raises(ValueError, match="negative instruction rate"):
+            world.step()
 
     def test_noisy_rate_close(self):
         perf = PerfCounters(noise_std=0.02, seed=0)
@@ -36,24 +54,26 @@ class TestPerfCounters:
         mean = sum(rates) / len(rates)
         assert mean == pytest.approx(1e9, rel=0.01)
 
-    def test_interval_reader_first_sample_none(self):
-        perf = PerfCounters(noise_std=0.0)
-        reader = IntervalReader(perf)
-        assert reader.sample_ips(1, 0.0) is None
+    def test_interval_reader_first_sample_none(self, intel):
+        world, proc = _perf_world(intel)
+        reader = IntervalReader(world.perf)
+        assert reader.sample_ips(proc.pid, 0.0) is None
 
-    def test_interval_reader_derives_rate(self):
-        perf = PerfCounters(noise_std=0.0)
-        reader = IntervalReader(perf)
-        reader.sample_ips(1, 0.0)
-        perf.accumulate(1, ips=2e9, dt_s=0.05, cpu_time_s=0.05)
-        rate = reader.sample_ips(1, 0.05)
-        assert rate == pytest.approx(2e9)
+    def test_interval_reader_derives_rate(self, intel):
+        world, proc = _perf_world(intel)
+        reader = IntervalReader(world.perf)
+        reader.sample_ips(proc.pid, world.time_s)
+        world.run_for(0.05)
+        rate = reader.sample_ips(proc.pid, world.time_s)
+        assert rate == pytest.approx(proc.instructions / 0.05)
+        assert rate == pytest.approx(1e9, rel=0.01)
 
-    def test_interval_reader_zero_interval(self):
-        perf = PerfCounters(noise_std=0.0)
-        reader = IntervalReader(perf)
-        reader.sample_ips(1, 1.0)
-        assert reader.sample_ips(1, 1.0) is None
+    def test_interval_reader_zero_interval(self, intel):
+        world, proc = _perf_world(intel)
+        reader = IntervalReader(world.perf)
+        world.run_for(0.05)
+        reader.sample_ips(proc.pid, world.time_s)
+        assert reader.sample_ips(proc.pid, world.time_s) is None
 
 
 class _Clock:
