@@ -54,6 +54,7 @@ class CappedGovernor(Governor):
         """Cap a core at ``scale`` × its maximum frequency (0 < scale ≤ 1)."""
         if not 0.0 < scale <= 1.0:
             raise ValueError("scale must be in (0, 1]")
+        self._last_choice = None
         if scale >= 1.0:
             self._caps.pop(core_id, None)
         else:
@@ -61,6 +62,7 @@ class CappedGovernor(Governor):
 
     def clear_caps(self, core_ids: list[int] | None = None) -> None:
         """Remove caps from the given cores (all cores when None)."""
+        self._last_choice = None
         if core_ids is None:
             self._caps.clear()
             return

@@ -20,6 +20,11 @@ class Governor(ABC):
 
     name: str
 
+    #: ``(utilization dict, frequencies)`` of the last :meth:`select_all`
+    #: call, or ``None``; a governor whose choice also depends on its own
+    #: settings drops it when they change.
+    _last_choice: tuple | None = None
+
     def __init__(self, platform: Platform):
         self.platform = platform
 
@@ -28,11 +33,27 @@ class Governor(ABC):
         """Next frequency (MHz) for ``core`` given utilization in [0, 1]."""
 
     def select_all(self, utilization_by_core: dict[int, float]) -> dict[int, float]:
-        """Frequencies for every core; missing cores are treated as idle."""
+        """Frequencies for every core; missing cores are treated as idle.
+
+        The last choice is remembered.  Called again with the same dict
+        object, this returns the same frequencies dict without choosing
+        again: the engine passes the core utilization of the tick
+        pattern it last applied, which repeats while a stretch repeats.
+        A new choice equal to the last one also returns the last dict,
+        so the engine's frequency-keyed memories can compare by
+        identity.  A caller must therefore not mutate a utilization dict
+        it has passed, nor the frequencies it got back.
+        """
+        last = self._last_choice
+        if last is not None and last[0] is utilization_by_core:
+            return last[1]
         freqs = {}
         for core in self.platform.cores:
             util = utilization_by_core.get(core.core_id, 0.0)
             freqs[core.core_id] = self.select_freq(core, util)
+        if last is not None and freqs == last[1]:
+            freqs = last[1]
+        self._last_choice = (utilization_by_core, freqs)
         return freqs
 
 

@@ -78,6 +78,36 @@ class AppPerf(NamedTuple):
     ips: float
 
 
+class _Fragment(NamedTuple):
+    """One placed process's part of a fresh tick evaluation.
+
+    :meth:`World._evaluate_tick` keeps each slot-pure process's last
+    fragment and reuses it whole while the process is clean.  Its inputs
+    and ``perf()`` response (the first five fields) also serve as the
+    process's ``perf()`` memory.  A fragment built on a tick the process
+    finished has its adds scaled by the finish fraction and ``key``
+    ``None``, and is never reused.
+    """
+
+    demand: float
+    revision: int
+    knobs: dict | None
+    slots: tuple[ThreadSlot, ...]
+    perf: AppPerf
+    #: The tick's ledger adds (work, CPU time per slot, instructions).
+    idx: list[int]
+    inc: list[float]
+    #: ``(hw thread, activity·share)`` per slot, for the busy fractions.
+    busy: list[tuple[int, float]]
+    #: Core → summed activity·share, in first-use order, for the power
+    #: kernel's per-core application mix.
+    core_busy: dict[int, float]
+    ran: list[tuple[SimThread, float]]
+    #: The process's pattern entries: ``procs`` and the pattern key.
+    proc: tuple
+    key: tuple | None
+
+
 @dataclass
 class TickStats:
     """The last tick's start time and package power (traces read them)."""
@@ -162,6 +192,7 @@ class World:
         # asserts its thread_demand is (and stays) zero until unblock().
         self._awake: dict[int, SimProcess] = {}
         self._hw_by_id = {t.thread_id: t for t in platform.hw_threads}
+        self._hw_core = {t.thread_id: t.core_id for t in platform.hw_threads}
         self._hw_ids = [t.thread_id for t in platform.hw_threads]
         self._n_hw_threads = platform.n_hw_threads
         # Two-entry placement memory, keyed by the scheduler's signature:
@@ -173,11 +204,15 @@ class World:
         self._placement_cache: dict[ThreadId, int] = {}
         self._placement_prev: tuple[tuple, dict[ThreadId, int]] | None = None
         self._patterns: list[tuple] = []
-        # Per-process perf() memory (:meth:`_evaluate_tick`): pid →
-        # (slots, threads_revision, knobs snapshot, AppPerf) of the last
-        # perf() call of a slot-pure model.  A process's entry is dropped
-        # when it finishes or is killed.
-        self._perf_memo: dict[int, tuple] = {}
+        # Per-process memory of fresh evaluations (:meth:`_evaluate_tick`):
+        # pid → the _Fragment of its last evaluation as a slot-pure model.
+        # A process's entry is dropped when it finishes or is killed.
+        self._perf_memo: dict[int, _Fragment] = {}
+        # The inputs of the last fresh evaluation, which the next one
+        # diffs to find its dirty processes: (placement, demand per hw
+        # thread, busy siblings per core, frequencies, pids whose
+        # fragment they produced).
+        self._last_eval: tuple = ({}, {}, {}, {}, frozenset())
         # Static per-core arrays for the power kernel (:meth:`_power_tick`);
         # hw threads are grouped by core so per-core reductions are
         # reduceat segments.
@@ -206,6 +241,8 @@ class World:
         self._hw_grouped = [
             t.thread_id for c in cores for t in c.hw_threads
         ]
+        # The DVFS power scale of the last frequencies dict the kernel got.
+        self._freq_scale: tuple | None = None
         self._group_starts = np.concatenate(
             ([0], np.cumsum([len(c.hw_threads) for c in cores])[:-1])
         ).astype(int)
@@ -433,9 +470,11 @@ class World:
         daemon), or when a placed process finishes on it (its exact
         ``finish_time_s`` comes from the fresh evaluation).  Both memories
         are cleared whenever a process exits or is killed, so they never
-        retain finished processes.  A fresh evaluation still reuses the
-        ``perf()`` response of each slot-pure process whose slots repeat
-        (see :meth:`_evaluate_tick`).
+        retain finished processes.  A fresh evaluation re-evaluates only
+        the processes the state change touched, and calls ``perf()`` only
+        for those whose slots changed (see :meth:`_evaluate_tick`); the
+        governor answers a repeated utilization dict from its last
+        choice (``Governor.select_all``).
 
         The event engine's busy-leap probe evaluates its tick the same
         way; when it does not leap, this step applies what the probe
@@ -517,33 +556,67 @@ class World:
         per-slot busy fractions feed the power kernel, which appends the
         per-type and attribution adds.  A fresh response reporting
         negative ``ips`` raises ``ValueError``.
-        A process whose model reports no work horizon (slot-pure, see
-        ``ApplicationModel.steady_work_horizon``) reuses its last
-        ``perf()`` response while its slots, ``threads_revision`` and
-        knobs equal the ones that produced it (``_perf_memo``), so a
-        state change re-evaluates only the processes it touched.
-        Nothing is mutated except what ``perf()`` itself mutates (a
-        stateful model) and that memory.  Returns the pattern and its
+
+        A state change re-evaluates only the processes it touched.  Each
+        slot-pure process (no work horizon, see
+        ``ApplicationModel.steady_work_horizon``) keeps the
+        :class:`_Fragment` of its last evaluation in ``_perf_memo``: its
+        slots, ``AppPerf``, the ledger adds of a tick it does not finish,
+        its busy contributions and ``ran`` entries.  Against the inputs
+        of the last fresh evaluation (``_last_eval``) a process is
+        *dirty* when one of its threads moved, a hardware thread it runs
+        on changed its total demand, one of its cores changed its
+        busy-sibling count or frequency, its own demand,
+        ``threads_revision`` or knobs changed, it reports a work horizon,
+        or its fragment did not come from that evaluation.  A clean
+        process that does not finish on the tick reuses its fragment
+        without building slots.  Any other process builds its slots and
+        a new fragment, and reuses its last ``perf()`` response while
+        the slots, revision and knobs equal the fragment's, so ``perf()``
+        runs exactly when they change.  Contributions are summed in pid
+        order either way, so every float add keeps its order.  Nothing
+        is mutated except what ``perf()`` itself mutates (a stateful
+        model) and these memories.  Returns the pattern and its
         ``sim.pattern_cache`` handle index; see :meth:`step` for the
         pattern layout and for which ticks are not remembered.
         """
         dt = self.tick_s
         proc_demand = self._proc_demand
+        hw_core = self._hw_core
         threads_on_hw: dict[int, list[ThreadId]] = {}
         for tid, hw_id in placement.items():
             threads_on_hw.setdefault(hw_id, []).append(tid)
-        shares: dict[ThreadId, float] = {}
-        busy_hw_per_core: dict[int, int] = {}
+        load: dict[int, float] = {}
+        siblings: dict[int, int] = {}
         for hw_id, tids in threads_on_hw.items():
-            total = sum(proc_demand[tid.pid] for tid in tids)
-            for tid in tids:
-                d = proc_demand[tid.pid]
-                if total <= 1.0:
-                    shares[tid] = d if d > 0 else 0.0
-                else:
-                    shares[tid] = d / total
-            core_id = self._hw_by_id[hw_id].core_id
-            busy_hw_per_core[core_id] = busy_hw_per_core.get(core_id, 0) + 1
+            load[hw_id] = sum([proc_demand[tid.pid] for tid in tids])
+            core_id = hw_core[hw_id]
+            siblings[core_id] = siblings.get(core_id, 0) + 1
+
+        # The dirty set: processes whose slot inputs moved since the last
+        # fresh evaluation.
+        last_placement, last_load, last_siblings, last_freqs, last_pids = (
+            self._last_eval
+        )
+        dirty: set[int] = set()
+        if placement is not last_placement:
+            for tid, hw_id in placement.items():
+                if last_placement.get(tid) != hw_id:
+                    dirty.add(tid.pid)
+            for tid in last_placement:
+                if tid not in placement:
+                    dirty.add(tid.pid)
+        freqs_moved = freqs is not last_freqs
+        for hw_id, tids in threads_on_hw.items():
+            core_id = hw_core[hw_id]
+            if (
+                load[hw_id] != last_load.get(hw_id)
+                or siblings[core_id] != last_siblings.get(core_id)
+                or freqs_moved
+                and freqs.get(core_id) != last_freqs.get(core_id)
+            ):
+                for tid in tids:
+                    dirty.add(tid.pid)
 
         busy_fraction: dict[int, float] = {}
         app_busy_on_core: dict[int, dict[int, float]] = {}
@@ -551,95 +624,143 @@ class World:
         ran: list[tuple[SimThread, float]] = []
         idx: list[int] = []
         inc: list[float] = []
-        cpu_offset = self._cpu_offset
         # Only a placement held by the placement memory can key a pattern.
         keys: list[tuple] | None = (
             [] if placement is self._placement_cache else None
         )
         perf_memo = self._perf_memo
+        acc = self._acc  # perf() spawns nothing, so the ledger stays put
+        cpu_offset = self._cpu_offset
+        fresh_pids: set[int] = set()
         for pid in sorted({tid.pid for tid in placement}):
             process = self.processes[pid]
-            base = process._base
-            slots: list[ThreadSlot] = []
-            slot_threads: list[SimThread] = []
-            for thread in process.active_threads:
-                hw_id = placement.get(thread.tid)
-                if hw_id is None:
-                    continue
-                hw = self._hw_by_id[hw_id]
-                share = shares[thread.tid]
-                siblings = busy_hw_per_core[hw.core_id]
-                speed = hw.core_type.thread_speed(
-                    siblings, freqs.get(hw.core_id)
-                ) * share
-                slots.append(
-                    ThreadSlot(hw_id, hw.core_id, hw.core_type.name, speed, share)
-                )
-                slot_threads.append(thread)
-            if not slots:
-                continue
             model = process.model
-            if model.steady_work_horizon(process) is not None:
-                keys = None
-                perf = model.perf(slots, process)
+            demand = proc_demand[pid]
+            horizon = model.steady_work_horizon(process)
+            frag = perf_memo.get(pid)
+            if (
+                pid not in dirty
+                and pid in last_pids
+                and frag is not None
+                and horizon is None
+                and frag.demand == demand
+                and frag.revision == process.threads_revision
+                and frag.knobs == process.knobs
+                and not (
+                    frag.perf.rate > 0
+                    and frag.proc[1] >= max(
+                        0.0, model.total_work - acc.item(process._base)
+                    )
+                )
+            ):
+                # Clean, and not finishing: the fragment is this tick's part.
+                fresh_pids.add(pid)
+                for hw_id, used in frag.busy:
+                    busy_fraction[hw_id] = busy_fraction.get(hw_id, 0.0) + used
             else:
-                # Slot-pure: perf() repeats while its slots, thread list
-                # and knobs repeat.
+                # Dirty, or finishing: build the fragment afresh.
+                slots: list[ThreadSlot] = []
+                slot_threads: list[SimThread] = []
+                for thread in process.active_threads:
+                    hw_id = placement.get(thread.tid)
+                    if hw_id is None:
+                        continue
+                    hw = self._hw_by_id[hw_id]
+                    total = load[hw_id]
+                    if total <= 1.0:
+                        share = demand if demand > 0 else 0.0
+                    else:
+                        share = demand / total
+                    speed = hw.core_type.thread_speed(
+                        siblings[hw.core_id], freqs.get(hw.core_id)
+                    ) * share
+                    slots.append(
+                        ThreadSlot(hw_id, hw.core_id, hw.core_type.name, speed, share)
+                    )
+                    slot_threads.append(thread)
+                if not slots:
+                    continue
                 slots_key = tuple(slots)
                 revision = process.threads_revision
-                memo = perf_memo.get(pid)
-                if (
-                    memo is not None
-                    and memo[0] == slots_key
-                    and memo[1] == revision
-                    and memo[2] == process.knobs
+                if horizon is not None:
+                    knobs = None
+                    perf = model.perf(slots, process)
+                elif (
+                    # Slot-pure: perf() repeats while its slots, thread
+                    # list and knobs repeat.
+                    frag is not None
+                    and frag.slots == slots_key
+                    and frag.revision == revision
+                    and frag.knobs == process.knobs
                 ):
-                    knobs, perf = memo[2], memo[3]
+                    knobs, perf = frag.knobs, frag.perf
                 else:
                     knobs = process.knobs
                     knobs = copy.deepcopy(knobs) if knobs else _NO_KNOBS
                     perf = model.perf(slots, process)
-                    perf_memo[pid] = (slots_key, revision, knobs, perf)
-            if perf.ips < 0:
-                raise ValueError(f"negative instruction rate for pid {pid}")
-            rate_dt = perf.rate * dt
-            remaining = process.remaining_work()
-            frac = 1.0
-            finish_frac = None
-            if perf.rate > 0 and rate_dt >= remaining:
-                frac = finish_frac = (
-                    remaining / rate_dt if remaining > 0 else 0.0
-                )
-                keys = None
-            else:
-                idx.append(base)
-                inc.append(rate_dt)
-            for slot, thread, activity in zip(
-                slots, slot_threads, perf.activities
-            ):
-                act_share = activity * slot.share
-                used = act_share * frac
-                busy_fraction[slot.hw_thread_id] = (
-                    busy_fraction.get(slot.hw_thread_id, 0.0) + used
-                )
-                core_mix = app_busy_on_core.setdefault(slot.core_id, {})
-                core_mix[pid] = core_mix.get(pid, 0.0) + used
-                idx.append(base + cpu_offset[slot.core_type])
-                inc.append(used * dt)
-                ran.append((thread, act_share))
-            idx.append(base + INSTRUCTIONS)
-            inc.append(perf.ips * frac * dt)
-            procs.append((process, rate_dt, finish_frac))
-            if keys is not None:
-                keys.append(
-                    (
-                        process,
-                        proc_demand[pid],
-                        revision,
-                        knobs,
+                if perf.ips < 0:
+                    raise ValueError(f"negative instruction rate for pid {pid}")
+                # The ledger adds: work (none on a finishing tick), CPU
+                # time per slot, instructions; a finishing tick scales the
+                # slots' busy time and the instructions by its fraction.
+                base = process._base
+                rate_dt = perf.rate * dt
+                remaining = process.remaining_work()
+                if perf.rate > 0 and rate_dt >= remaining:
+                    finish_frac = remaining / rate_dt if remaining > 0 else 0.0
+                    frac, f_idx, f_inc, key = finish_frac, [], [], None
+                else:
+                    finish_frac = None
+                    frac, f_idx, f_inc = 1.0, [base], [rate_dt]
+                    key = (
+                        process, demand, revision, knobs,
                         rate_dt if perf.rate > 0 else None,
                     )
+                busy: list[tuple[int, float]] = []
+                core_busy: dict[int, float] = {}
+                f_ran: list[tuple[SimThread, float]] = []
+                for slot, thread, activity in zip(
+                    slots, slot_threads, perf.activities
+                ):
+                    act_share = activity * slot.share
+                    used = act_share * frac
+                    hw_id = slot.hw_thread_id
+                    busy.append((hw_id, used))
+                    busy_fraction[hw_id] = busy_fraction.get(hw_id, 0.0) + used
+                    core_busy[slot.core_id] = (
+                        core_busy.get(slot.core_id, 0.0) + used
+                    )
+                    f_idx.append(base + cpu_offset[slot.core_type])
+                    f_inc.append(used * dt)
+                    f_ran.append((thread, act_share))
+                f_idx.append(base + INSTRUCTIONS)
+                f_inc.append(perf.ips * frac * dt)
+                frag = _Fragment(
+                    demand, revision, knobs, slots_key, perf, f_idx, f_inc,
+                    busy, core_busy, f_ran, (process, rate_dt, finish_frac), key,
                 )
+                if horizon is None:
+                    perf_memo[pid] = frag
+                    if finish_frac is None:
+                        fresh_pids.add(pid)
+                else:
+                    keys = None
+            idx += frag.idx
+            inc += frag.inc
+            for core_id, used in frag.core_busy.items():
+                core_mix = app_busy_on_core.get(core_id)
+                if core_mix is None:
+                    app_busy_on_core[core_id] = {pid: used}
+                else:
+                    core_mix[pid] = used
+            ran += frag.ran
+            procs.append(frag.proc)
+            if keys is not None:
+                if frag.key is None:
+                    keys = None  # a completion
+                else:
+                    keys.append(frag.key)
+        self._last_eval = (placement, load, siblings, freqs, fresh_pids)
         package_power, core_util = self._power_tick(
             busy_fraction, app_busy_on_core, freqs, idx, inc
         )
@@ -663,7 +784,9 @@ class World:
         patterns = self._patterns
         proc_demand = self._proc_demand
         for i, (e_placement, e_freqs, keys, pattern) in enumerate(patterns):
-            if e_placement is not placement or e_freqs != freqs:
+            if e_placement is not placement or (
+                e_freqs is not freqs and e_freqs != freqs
+            ):
                 continue
             for process, demand, revision, knobs, work_step in keys:
                 if (
@@ -828,9 +951,14 @@ class World:
         The formulas are those of :meth:`CorePowerModel.power_fractional`
         over arrays of cores: per-core busy fractions reduce to segment
         max/sum, and the cubic DVFS scale and the SMT increment apply
-        elementwise.  Per-type sums come from one ``bincount`` each.  The
-        sparse instruction-mix and energy-attribution corrections stay
-        dict-driven; they touch only the cores that ran application work.
+        elementwise, and the DVFS scale is kept for the frequencies dict
+        it was computed from (the governor hands out one dict while its
+        choice repeats).  Per-type sums come from one ``bincount`` each.
+        The sparse instruction-mix and energy-attribution corrections stay
+        dict-driven and touch only the cores that ran application work:
+        one pass over ``app_busy_on_core`` computes each process's
+        weight, which sets the core's intensity and later splits its
+        dynamic energy.
         Package-level superlinearity: VRM losses and current-dependent
         leakage make per-core active power rise slightly with total load,
         so package power is not a purely linear function of the
@@ -851,9 +979,14 @@ class World:
                     busy[pos] = frac if frac < 1.0 else 1.0
         fsum = np.add.reduceat(busy, self._group_starts)
         fmax = np.maximum.reduceat(busy, self._group_starts)
-        freq = np.array([freqs[cid] for cid in self._core_ids], dtype=float)
-        ratio = freq / self._core_max_freq
-        scale = STATIC_FRACTION + (1.0 - STATIC_FRACTION) * ratio**3
+        remembered = self._freq_scale
+        if remembered is not None and remembered[0] is freqs:
+            scale = remembered[1]
+        else:
+            freq = np.array([freqs[cid] for cid in self._core_ids], dtype=float)
+            ratio = freq / self._core_max_freq
+            scale = STATIC_FRACTION + (1.0 - STATIC_FRACTION) * ratio**3
+            self._freq_scale = (freqs, scale)
         power = (
             self._core_idle_w
             + self._core_active_w * scale * fmax
@@ -861,14 +994,22 @@ class World:
         )
         # Instruction-mix effect: scale the active (above-idle) power by
         # the weighted power intensity of the applications on each core.
+        # The same weights split each core's dynamic energy below.
         intensity = np.ones(len(self._core_ids))
+        mixes: list[tuple[int, list[SimProcess], list[float], float]] = []
+        processes = self.processes
         for core_id, mix in app_busy_on_core.items():
+            row = self._core_row[core_id]
+            owners = [processes[pid] for pid in mix]
+            weights = [
+                used * p.model.power_intensity
+                for p, used in zip(owners, mix.values())
+            ]
+            total_weight = sum(weights)
             total_busy = sum(mix.values())
             if total_busy > 0:
-                intensity[self._core_row[core_id]] = sum(
-                    used * self.processes[pid].model.power_intensity
-                    for pid, used in mix.items()
-                ) / total_busy
+                intensity[row] = total_weight / total_busy
+            mixes.append((row, owners, weights, total_weight))
         power = (
             self._core_idle_w
             + (power - self._core_idle_w) * intensity * superlinear
@@ -890,20 +1031,14 @@ class World:
         # Ground-truth dynamic-energy attribution for validation: weighted
         # by each application's actual power intensity, which the γ-based
         # attribution of Eq. 3 cannot observe.
-        for core_id, contributions in app_busy_on_core.items():
-            row = self._core_row[core_id]
-            dynamic = float(power[row] - self._core_idle_w[row])
-            if dynamic <= 0 or not contributions:
-                continue
-            weights = {
-                pid: used * self.processes[pid].model.power_intensity
-                for pid, used in contributions.items()
-            }
-            total_weight = sum(weights.values())
-            if total_weight > 0:
-                for pid, weight in weights.items():
-                    idx.append(self.processes[pid]._base + ENERGY_TRUE_J)
-                    inc.append(dynamic * dt * weight / total_weight)
+        if mixes:
+            dynamic = (power - self._core_idle_w).tolist()
+            for row, owners, weights, total_weight in mixes:
+                if dynamic[row] > 0 and total_weight > 0:
+                    dynamic_dt = dynamic[row] * dt
+                    for process, weight in zip(owners, weights):
+                        idx.append(process._base + ENERGY_TRUE_J)
+                        inc.append(dynamic_dt * weight / total_weight)
         return package_power, core_util
 
     def _validate_placement(self, placement: dict[ThreadId, int]) -> None:

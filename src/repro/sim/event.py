@@ -47,11 +47,17 @@ from __future__ import annotations
 import heapq
 import math
 
+import numpy as np
+
 from repro.obs import OBS
 from repro.platform.dvfs import Governor
 from repro.platform.topology import Platform
-from repro.sim.engine import _PATTERN_HIT, TickStats, World
-from repro.sim.process import ticks_until_work_expiry, work_before_completion
+from repro.sim.engine import (
+    _PATTERN_HIT, _PATTERN_UNCACHEABLE, TickStats, World,
+)
+from repro.sim.process import (
+    WORK_EXPIRY_GUARD_TICKS, ticks_until_work_expiry, work_before_completion,
+)
 
 
 #: A busy leap must replace at least this many ticks to pay for its
@@ -66,6 +72,11 @@ _MIN_BUSY_LEAP_TICKS = 2
 #: completion or phase flip backs off only until that boundary tick:
 #: the tick is known exactly, and from it the stretch can leap again.
 _BUSY_LEAP_BACKOFF_TICKS = 4
+
+#: A busy-leap probe screens a pattern of at least this many placed
+#: processes for near completions with one array expression; below it,
+#: building the arrays costs more than the scalar loop it saves.
+_MIN_SCREENED_PROCS = 8
 
 #: Bucket bounds of the ``sim.busy_leap_ticks`` leap-length histogram.
 _BUSY_LEAP_TICKS_BUCKETS = (
@@ -271,7 +282,11 @@ class EventWorld(World):
         (:func:`~repro.sim.process.ticks_until_work_expiry`) cannot rule
         the boundary out.  The leap stops on the tick before that
         boundary: the next probe leaps on in the new phase, or vetoes the
-        completion tick, which is stepped.  A committed leap counts the
+        completion tick, which is stepped.  On a remembered or cacheable
+        pattern of at least :data:`_MIN_SCREENED_PROCS` processes, one
+        array expression over the ledger applies the closed form to all
+        of them first (:meth:`_expiry_candidates`), and only the
+        processes it flags are scanned.  A committed leap counts the
         first of these checks, in that order, that set its length in
         ``sim.busy_leap_bound{bound=budget|preemption|work_expiry|phase}``
         (``work_expiry`` a completion, ``phase`` a phase flip) and its
@@ -329,9 +344,18 @@ class EventWorld(World):
         if self.governor.select_all(core_util) != freqs:
             return self._no_leap("governor", probed)
 
+        # A remembered or cacheable pattern has no completion and no work
+        # horizon; on a large one, one array screen finds the processes
+        # whose completion might bind, and only those are scanned.
+        candidates = procs
+        if (
+            outcome != _PATTERN_UNCACHEABLE
+            and len(procs) >= _MIN_SCREENED_PROCS
+        ):
+            candidates = [procs[i] for i in self._expiry_candidates(procs, n)]
         # (process, rate_dt, horizon, work_steps) of every scanned process.
         scanned: list[tuple] = []
-        for process, rate_dt, finish_frac in procs:
+        for process, rate_dt, finish_frac in candidates:
             if finish_frac is not None:
                 return self._no_leap("completion", probed, 1)
             horizon = process.model.steady_work_horizon(process)
@@ -386,6 +410,26 @@ class EventWorld(World):
             OBS.counter("sim.busy_leap_bound", bound=bound).inc()
             OBS.counter("sim.busy_probe", result="leap").inc()
         return True
+
+    def _expiry_candidates(self, procs: list[tuple], n: int) -> list[int]:
+        """Indices into ``procs`` (no completion, no work horizon) of the
+        processes :func:`~repro.sim.process.ticks_until_work_expiry`
+        does not clear for an ``n``-tick leap.
+
+        The same test as the scalar loop's, on arrays: the budget
+        ``total_work - work_done`` over ``rate·dt`` is one float division
+        per process, and its whole ticks less the guard fall short of
+        ``n`` exactly when the quotient itself is below ``n`` plus the
+        guard.  A process without progress is never a candidate.
+        """
+        bases = np.array([p._base for p, _, _ in procs], dtype=np.intp)
+        totals = np.array([p.model.total_work for p, _, _ in procs])
+        rates = np.array([rate_dt for _, rate_dt, _ in procs])
+        moving = rates > 0.0
+        quotient = (totals - self._acc[bases]) / np.where(moving, rates, 1.0)
+        return np.flatnonzero(
+            moving & (quotient < n + WORK_EXPIRY_GUARD_TICKS)
+        ).tolist()
 
     def _no_leap(
         self,

@@ -12,7 +12,7 @@ from repro.ext.dvfs import (
     DvfsAwareManager,
     explore_application_dvfs,
 )
-from repro.platform.dvfs import PerformanceGovernor, make_governor
+from repro.platform.dvfs import Governor, PerformanceGovernor, make_governor
 from repro.sim.engine import World
 from repro.sim.schedulers.pinned import PinnedScheduler
 
@@ -59,6 +59,25 @@ class TestCappedGovernor:
             gov.set_cap(0, 0.0)
         with pytest.raises(ValueError):
             gov.set_cap(0, 1.5)
+
+    def test_cap_changes_drop_the_remembered_choice(self, intel):
+        """``select_all`` answers the same utilization dict from its last
+        choice; a cap change must make it choose again."""
+        gov = CappedGovernor(PerformanceGovernor(intel))
+        util = {c.core_id: 1.0 for c in intel.cores}
+        core = intel.cores[0]
+        full = float(core.core_type.max_freq_mhz)
+        first = gov.select_all(util)
+        assert gov.select_all(util) is first  # remembered
+        assert first[core.core_id] == full
+        gov.set_cap(core.core_id, 0.5)
+        assert gov.select_all(util)[core.core_id] == pytest.approx(0.5 * full)
+        gov.clear_caps([core.core_id])
+        assert gov.select_all(util)[core.core_id] == full
+        gov.set_cap(core.core_id, 0.5)
+        gov.select_all(util)
+        gov.clear_caps()
+        assert gov.select_all(util)[core.core_id] == full
 
 
 class TestDvfsProbing:
@@ -135,6 +154,50 @@ class TestDvfsAwareManager:
         assert any(governor.cap_of(cid) == 0.7 for cid in e_core_ids)
         world.run_until_all_finished()
         assert all(governor.cap_of(cid) == 1.0 for cid in e_core_ids)
+
+    def test_remembered_choice_is_invisible(self, intel, monkeypatch):
+        """A managed run whose manager caps and releases cores, with a
+        cap moved mid-stretch, gives ``==`` results with the governor's
+        remembered choice bypassed."""
+
+        def run():
+            governor = CappedGovernor(make_governor("powersave", intel))
+            world = World(intel, PinnedScheduler(), governor=governor, seed=0)
+            points = [
+                {"erv": [0, 0, 16], "utility": 6.0, "power": 40.0,
+                 "knobs": {FREQ_SCALE_KNOB: 0.7}, "measured": True,
+                 "samples": 1},
+            ]
+            config = ManagerConfig(explore=False, startup_delay_s=0.02)
+            manager = DvfsAwareManager(
+                world, config, offline_tables={"mg.C": points}
+            )
+            model = npb_model("mg.C")
+            model.total_work = 20.0
+            proc = world.spawn(model, managed=True)
+            world.run_for(0.5)
+            capped = sorted(
+                c.core_id for c in intel.cores
+                if governor.cap_of(c.core_id) < 1.0
+            )
+            for core_id in capped:  # mid-stretch, the placement unchanged
+                governor.set_cap(core_id, 0.85)
+            makespan = world.run_until_all_finished()
+            manager.shutdown()
+            return (
+                capped, makespan, world.total_energy_j(),
+                world.energy_by_type_j, proc.energy_true_j,
+                proc.cpu_time_by_type,
+            )
+
+        remembered = run()
+        with monkeypatch.context() as m:
+            m.setattr(Governor, "_last_choice", property(
+                lambda self: None, lambda self, choice: None
+            ))
+            chosen_every_call = run()
+        assert remembered[0]  # the manager capped cores
+        assert remembered == chosen_every_call
 
     def test_failed_push_releases_caps(self, intel):
         """A session reaped for a failed push leaves no core capped."""

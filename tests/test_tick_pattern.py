@@ -1,15 +1,18 @@
 """The tick-pattern and placement memories of ``World.step()``.
 
 ``step()`` remembers its two most recent cacheable tick patterns and
-placements and re-applies one while its key repeats, and a fresh
-evaluation reuses a slot-pure process's ``perf()`` response while its
-slots, thread list and knobs repeat.  The claim is that this is
-invisible: every run here is compared with ``==`` against the same run
-with all three memories forced to miss (the oracle), and each
-targeted case also checks that the memory was actually used, so a
-passing comparison is not vacuous.  Each targeted case guards one part
-of the pattern key or one bypass rule; dropping that part from
-``World._remembered_pattern`` makes the case fail.
+placements and re-applies one while its key repeats; a fresh
+evaluation reuses a clean process's fragment of the last one, and a
+dirty slot-pure process's ``perf()`` response while its slots, thread
+list and knobs repeat; and the governor returns its last frequencies
+for the same utilization dict.  The claim is that this is invisible:
+every run here is compared with ``==`` against the same run with all
+of these memories forced to miss (the oracle), and each targeted case
+also checks that the memory was actually used, so a passing comparison
+is not vacuous.  Each targeted case guards one part of the pattern key
+or one bypass rule; dropping that part from
+``World._remembered_pattern`` makes the case fail.  ``TestDirtySet``
+does the same for each rule that makes a process dirty.
 
 The event engine's busy-leap probe evaluates its tick through the same
 memories and hands a tick it does not leap to that tick's step; the
@@ -20,6 +23,7 @@ the probe evaluates each tick at most once.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -35,11 +39,11 @@ from repro.fault import Fault, FaultKind, FaultPlan, SimFaultInjector
 from repro.fleet import FleetAppSpec, FleetSim
 from repro.libharp.adaptivity import SimProcessAdapter
 from repro.obs import OBS
-from repro.platform.dvfs import make_governor
+from repro.platform.dvfs import Governor, make_governor
 from repro.scenario.driver import TraceDriver
 from repro.scenario.generator import SessionPlan
 from repro.sim import CfsScheduler, PinnedScheduler, World, make_world
-from repro.sim.process import SimProcess
+from repro.sim.process import SimProcess, ThreadId
 
 from test_eventsim import _build_world, _fingerprint, _run_instance
 
@@ -50,8 +54,10 @@ def _run(monkeypatch, scenario, cache: bool = True):
     """Run ``scenario()`` with the memories on, or forced to miss.
 
     Forced to miss, the busy-leap probe also evaluates afresh and hands
-    nothing to the step, which evaluates the tick again, and every
-    evaluation calls ``perf()`` (the per-process memo is bypassed).  Returns
+    nothing to the step, which evaluates the tick again, every
+    evaluation builds every process's slots and calls its ``perf()``
+    (the fragment memory is bypassed), and the governor chooses the
+    frequencies on every call.  Returns
     ``(result, served)``: ``served`` lists, for every tick served from
     the pattern memory (by a step or a probe), its tick index and the
     processes whose increments it applied.
@@ -77,6 +83,9 @@ def _run(monkeypatch, scenario, cache: bool = True):
             m.setattr(World, "_perf_memo", property(
                 lambda self: {}, lambda self, memo: None
             ), raising=False)
+            m.setattr(Governor, "_last_choice", property(
+                lambda self: None, lambda self, choice: None
+            ))
         result = scenario()
     return result, served
 
@@ -180,10 +189,11 @@ class TestCacheOffOracle:
 # -- targeted key and bypass cases (tick engine: every tick is a step) -------------
 
 
-def _intel_world(scheduler=None, governor=None) -> World:
+def _intel_world(scheduler=None, governor=None, engine="tick") -> World:
     platform = make_platform("intel")
-    return World(
-        platform, scheduler or PinnedScheduler(), governor=governor, seed=3
+    return make_world(
+        platform, scheduler or PinnedScheduler(), engine=engine,
+        governor=governor, seed=3,
     )
 
 
@@ -598,7 +608,33 @@ class TestBusyProbe:
         assert results.get("stateful", 0) > 0 and results.get("leap", 0) > 0
 
 
-# -- the per-process perf() memo (tick engine, pattern memory off) ---------------
+# -- the dirty set of a fresh evaluation (both engines, pattern memory off) -----
+
+
+class _Throttled(_Counting):
+    """A counting model whose CPU demand the test sets."""
+
+    demand = 1.0
+
+    def thread_demand(self, process: SimProcess) -> float:
+        return self.demand
+
+
+def _throttled(world: World, name: str, demand: float) -> _Throttled:
+    model = _Throttled(name=name, total_work=1e4, serial_fraction=0.05)
+    model.calls = []
+    model.world = world
+    model.demand = demand
+    return model
+
+
+class _Horizoned(_Counting):
+    """A counting model that reports a work horizon while ``flagged``."""
+
+    flagged = False
+
+    def steady_work_horizon(self, process: SimProcess) -> float | None:
+        return math.inf if self.flagged else None
 
 
 class _CountingKpn(KpnApplicationModel):
@@ -609,70 +645,172 @@ class _CountingKpn(KpnApplicationModel):
         return super().perf(slots, process)
 
 
-def _memo_calls(monkeypatch, scenario) -> list[int]:
-    """Run ``scenario()`` -> ``(result, perf call ticks)`` with every
-    tick evaluated afresh (the pattern memory always misses, so each
-    tick meets the perf() memo); check the result ``==`` the oracle,
-    which calls ``perf()`` on every tick, and return the call ticks."""
+class _DroppingScheduler(PinnedScheduler):
+    """Pinned placement that leaves thread 1 of ``pid`` unplaced once
+    ``drop`` is set; it has no signature, so nothing is remembered."""
+
+    pid = 0
+    drop = False
+
+    def placement_signature(self, world: World) -> None:
+        return None
+
+    def place(self, world: World) -> dict:
+        placement = super().place(world)
+        if self.drop:
+            placement.pop(ThreadId(self.pid, 1), None)
+        return placement
+
+
+def _bystander(world: World) -> _Counting:
+    """A counted steady process alone on the last E-core, which none of
+    the dirty-set cases touches."""
+    model = _counting(world, "bystander", 1e4)
+    hw = _hw_of_type(world, "E")[-1]
+    world.spawn(model, nthreads=1, affinity=frozenset({hw}))
+    return model
+
+
+def _dirty_calls(monkeypatch, scenario) -> tuple:
+    """Run ``scenario()`` -> ``(result, counted perf() ticks, bystander
+    perf() ticks)`` with the pattern memory off, so every evaluated tick
+    meets the fragments; check the result ``==`` the oracle and that the
+    bystander kept its fragment where the oracle called its ``perf()``
+    on every evaluation.  Returns the result and the counted ticks."""
     with monkeypatch.context() as m:
         m.setattr(
             World, "_remembered_pattern", lambda self, placement, freqs: None
         )
-        (on, calls), _ = _run(monkeypatch, scenario)
-    (off, oracle_calls), _ = _run(monkeypatch, scenario, cache=False)
+        (on, calls, bystander), _ = _run(monkeypatch, scenario)
+    (off, _, oracle_bystander), _ = _run(monkeypatch, scenario, cache=False)
     assert on == off
-    assert len(oracle_calls) > len(calls)
-    return calls
+    assert len(oracle_bystander) > len(bystander)
+    return on, calls
 
 
-class TestPerfMemo:
-    """A fresh evaluation calls a slot-pure model's ``perf()`` only when
-    its memo key — slots, ``threads_revision``, knobs — changes.  Each
-    case changes one key part between two stretches, so the model is
-    called on the first tick and on the first tick after the change."""
+@pytest.mark.parametrize("engine", ENGINES)
+class TestDirtySet:
+    """A fresh evaluation rebuilds a process's slots only when it is
+    dirty: one of its threads moved, a hardware thread it runs on
+    changed its total demand, one of its cores changed its busy-sibling
+    count or frequency, its own demand, thread list or knobs changed, or
+    it reports a work horizon.  Each case changes one of these for the
+    counted process mid-run, with the pattern memory off so every
+    evaluated tick meets the fragments: its ``perf()`` must run on the
+    tick of the change, and the run must equal the oracle."""
 
-    def test_share_change(self, monkeypatch) -> None:
-        class Throttled(ApplicationModel):
-            demand = 1.0
-
-            def thread_demand(self, process: SimProcess) -> float:
-                return self.demand
-
+    def test_corunner_demand_flip_on_shared_hw_thread(
+        self, monkeypatch, engine: str
+    ) -> None:
         def scenario():
-            world = _intel_world()
-            shared = frozenset({0})
-            throttled = Throttled(name="throttled", total_work=1e4)
+            world = _intel_world(engine=engine)
+            bystander = _bystander(world)
             model = _counting(world, "counted", 1e4)
-            world.spawn(throttled, nthreads=1, affinity=shared)
-            world.spawn(model, nthreads=1, affinity=shared)
+            corunner = _throttled(world, "corunner", 1.0)
+            world.spawn(model, nthreads=1, affinity=frozenset({0}))
+            world.spawn(corunner, nthreads=1, affinity=frozenset({0}))
             world.run_for(0.2)
-            throttled.demand = 0.5  # the counted thread's share moves
+            corunner.demand = 0.5  # the counted thread's share moves
             world.run_for(0.2)
-            return _fingerprint(world, []), model.calls
+            corunner.demand = 1.0
+            world.run_for(0.2)
+            return _fingerprint(world, []), model.calls, bystander.calls
 
-        assert _memo_calls(monkeypatch, scenario) == [0, 20]
+        assert _dirty_calls(monkeypatch, scenario)[1] == [0, 20, 40]
 
-    def test_set_nthreads_regrow(self, monkeypatch) -> None:
+    def test_smt_sibling_busy_then_idle(self, monkeypatch, engine: str) -> None:
         def scenario():
-            world = _intel_world(CfsScheduler())
+            world = _intel_world(engine=engine)
+            bystander = _bystander(world)
+            hw, sibling_hw = _hw_of_type(world, "P")[:2]
+            model = _counting(world, "counted", 1e4)
+            sibling = _throttled(world, "sibling", 0.0)
+            world.spawn(model, nthreads=1, affinity=frozenset({hw}))
+            world.spawn(sibling, nthreads=1, affinity=frozenset({sibling_hw}))
+            world.run_for(0.2)
+            sibling.demand = 1.0  # the counted thread's core gets busier
+            world.run_for(0.2)
+            sibling.demand = 0.0
+            world.run_for(0.2)
+            return _fingerprint(world, []), model.calls, bystander.calls
+
+        assert _dirty_calls(monkeypatch, scenario)[1] == [0, 20, 40]
+
+    def test_powersave_moves_a_frequency(self, monkeypatch, engine: str) -> None:
+        """Two sub-unit demands share one E-core thread: the co-runner's
+        rise leaves the counted share as it is but raises the core's
+        utilization, so the governor moves the frequency a tick later
+        (as it did on tick 1, from the idle start)."""
+
+        def scenario():
+            platform = make_platform("intel")
+            world = _intel_world(
+                governor=make_governor("powersave", platform), engine=engine
+            )
+            bystander = _bystander(world)
+            shared = frozenset(_hw_of_type(world, "E")[:1])
+            model = _throttled(world, "counted", 0.25)
+            corunner = _throttled(world, "corunner", 0.25)
+            world.spawn(model, nthreads=1, affinity=shared)
+            world.spawn(corunner, nthreads=1, affinity=shared)
+            world.run_for(0.2)
+            corunner.demand = 0.5
+            world.run_for(0.2)
+            return _fingerprint(world, []), model.calls, bystander.calls
+
+        assert _dirty_calls(monkeypatch, scenario)[1] == [0, 1, 21]
+
+    def test_earlier_completion_shifts_the_cfs_fill(
+        self, monkeypatch, engine: str
+    ) -> None:
+        def scenario():
+            world = _intel_world(CfsScheduler(), engine=engine)
+            bystander = _bystander(world)
+            short = world.spawn(_ep(total_work=1.3), nthreads=2)
+            model = _counting(world, "counted", 1e4)
+            counted = world.spawn(model, nthreads=2)
+            finish_ticks: list[int] = []
+            short.on_finish.append(
+                lambda p: finish_ticks.append(world.tick_index - 1)
+            )
+            world.run_for(0.1)
+            before = dict(world._placement_cache)
+            world.run_for(1.0)
+            after = world._placement_cache
+            moved = [
+                tid for tid in before
+                if tid.pid == counted.pid and after[tid] != before[tid]
+            ]
+            result = (_fingerprint(world, []), finish_ticks, moved)
+            return result, model.calls, bystander.calls
+
+        (_, (finish,), moved), calls = _dirty_calls(monkeypatch, scenario)
+        assert moved  # the fill moved the counted threads
+        assert calls == [0, finish + 1]
+
+    def test_set_nthreads_regrow(self, monkeypatch, engine: str) -> None:
+        """Same thread ids, same placement: only the thread list moves."""
+
+        def scenario():
+            world = _intel_world(CfsScheduler(), engine=engine)
+            bystander = _bystander(world)
             model = _counting(world, "counted", 1e4)
             process = world.spawn(model, nthreads=4)
             world.run_for(0.1)
-            # Same slots, new SimThread objects: only the revision moves.
             process.set_nthreads(2)
             process.set_nthreads(4)
             world.run_for(0.1)
-            return _fingerprint(world, []), model.calls
+            return _fingerprint(world, []), model.calls, bystander.calls
 
-        assert _memo_calls(monkeypatch, scenario) == [0, 10]
+        assert _dirty_calls(monkeypatch, scenario)[1] == [0, 10]
 
-    def test_kpn_replicas_knob_under_harp(self, monkeypatch) -> None:
-        """A HARP-managed adaptive KPN app: libharp's adapter moves the
-        replicas knob over the same six mixed P/E hardware threads, so
-        only the knobs change, and the custom stage mapping with them."""
+    def test_knob_change(self, monkeypatch, engine: str) -> None:
+        """libharp's adapter moves a KPN app's replicas knob over the
+        same six hardware threads."""
 
         def scenario():
-            world = _intel_world()
+            world = _intel_world(engine=engine)
+            bystander = _bystander(world)
             model = _CountingKpn(
                 name="two-stage",
                 adaptivity=AdaptivityType.CUSTOM,
@@ -695,8 +833,74 @@ class TestPerfMemo:
             adapter.apply_allocation(6, {REPLICAS_KNOB: {"a": 2, "b": 2}}, hw)
             world.run_for(0.2)
             adapter.apply_allocation(6, {REPLICAS_KNOB: {"a": 3, "b": 1}}, hw)
-            assert process.nthreads == 6
             world.run_for(0.2)
-            return _fingerprint(world, []), model.calls
+            return _fingerprint(world, []), model.calls, bystander.calls
 
-        assert _memo_calls(monkeypatch, scenario) == [0, 20]
+        assert _dirty_calls(monkeypatch, scenario)[1] == [0, 20]
+
+    def test_own_demand_with_the_same_total(
+        self, monkeypatch, engine: str
+    ) -> None:
+        """Two demands on one hardware thread swap: its total stays
+        0.75, but the counted share moves with its own demand."""
+
+        def scenario():
+            world = _intel_world(engine=engine)
+            bystander = _bystander(world)
+            model = _throttled(world, "counted", 0.25)
+            corunner = _throttled(world, "corunner", 0.5)
+            world.spawn(model, nthreads=1, affinity=frozenset({0}))
+            world.spawn(corunner, nthreads=1, affinity=frozenset({0}))
+            world.run_for(0.2)
+            model.demand, corunner.demand = 0.5, 0.25
+            world.run_for(0.2)
+            return _fingerprint(world, []), model.calls, bystander.calls
+
+        assert _dirty_calls(monkeypatch, scenario)[1] == [0, 20]
+
+    def test_work_horizon_for_a_while(self, monkeypatch, engine: str) -> None:
+        """While the counted model reports a horizon, every evaluation
+        calls its ``perf()`` and keeps no fragment; its co-runner's
+        demand moves meanwhile, so the fragment from before is stale when
+        the horizon goes away again."""
+
+        def scenario():
+            world = _intel_world(engine=engine)
+            bystander = _bystander(world)
+            model = _Horizoned(name="counted", total_work=1e4)
+            model.calls = []
+            model.world = world
+            corunner = _throttled(world, "corunner", 1.0)
+            world.spawn(model, nthreads=1, affinity=frozenset({0}))
+            world.spawn(corunner, nthreads=1, affinity=frozenset({0}))
+            world.run_for(0.2)
+            model.flagged = True
+            world.run_for(0.1)
+            corunner.demand = 0.5
+            world.run_for(0.1)
+            model.flagged = False
+            world.run_for(0.2)
+            return _fingerprint(world, []), model.calls, bystander.calls
+
+        # The event engine leaps through the horizon stretch: a model
+        # whose horizon is infinite bounds no leap.
+        during = list(range(20, 40)) if engine == "tick" else [20, 30]
+        assert _dirty_calls(monkeypatch, scenario)[1] == [0, *during, 40]
+
+    def test_thread_leaves_the_placement(self, monkeypatch, engine: str) -> None:
+        def scenario():
+            scheduler = _DroppingScheduler()
+            world = _intel_world(scheduler, engine=engine)
+            bystander = _bystander(world)
+            model = _counting(world, "counted", 1e4)
+            hw = _hw_of_type(world, "P")
+            process = world.spawn(
+                model, nthreads=2, affinity=frozenset({hw[0], hw[2]})
+            )
+            scheduler.pid = process.pid
+            world.run_for(0.2)
+            scheduler.drop = True
+            world.run_for(0.2)
+            return _fingerprint(world, []), model.calls, bystander.calls
+
+        assert _dirty_calls(monkeypatch, scenario)[1] == [0, 20]
