@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.platform.topology import Platform
 from repro.sim.engine import AppPerf, ThreadSlot
@@ -128,6 +129,17 @@ class ApplicationModel:
         """
         return 1.0
 
+    #: True for a model whose demand is a backlog that each tick it is
+    #: placed drains (the RM daemon's pending busy time).  Its ``perf()``
+    #: stays slot-pure — it reads the backlog only through the demand —
+    #: and the world calls :meth:`burn` once per such tick, right after
+    #: the tick's ledger apply and before any exit or event callback,
+    #: whether the tick was evaluated afresh or served from memory.
+    burns_backlog: ClassVar[bool] = False
+
+    def burn(self, process: SimProcess) -> None:
+        """Drain one tick of backlog (called only if ``burns_backlog``)."""
+
     def steady_work_horizon(self, process: SimProcess) -> float | None:
         """Work units this model can absorb with behaviour guaranteed fixed.
 
@@ -142,13 +154,13 @@ class ApplicationModel:
 
         * ``None`` — ``perf`` and ``thread_demand`` depend only on the
           slots and on state that changes exclusively at event boundaries
-          (knobs, activity flags).  The composite model and its subclasses
-          qualify: progress feeds back into nothing.  The pattern memory
-          keys on ``process.knobs``, ``process.threads_revision`` and the
-          demand ``thread_demand`` reports, and the ``perf()`` memory on
-          the slots (whose shares carry the demand), the revision and
-          the knobs, so such state must reach ``perf`` through one of
-          those.
+          (knobs, activity flags, a backlog drained by :meth:`burn`).  The
+          composite model and its subclasses qualify: progress feeds back
+          into nothing.  The pattern memory keys on ``process.knobs``,
+          ``process.threads_revision`` and the demand ``thread_demand``
+          reports, and the ``perf()`` memory on the slots, the demand,
+          the revision and the knobs, so such state must reach ``perf``
+          through one of those.
         * a float above ``process.work_done`` — an absolute work level:
           behaviour is slot-pure on every tick that starts with
           ``work_done`` below it, and may change on the first tick that
@@ -156,11 +168,6 @@ class ApplicationModel:
           threshold the model compares against; ``math.inf`` for none).
           Leaps stop on the tick before, and ``step()`` evaluates every
           tick afresh.
-        * a float at or below ``process.work_done`` (the RM daemon
-          reports ``-math.inf``) — ``perf`` mutates model state every
-          call (e.g. burning pending busy time); the engine never leaps,
-          and ``step()`` never reuses a pattern, while such a process
-          holds a slot.
         """
         return None
 
@@ -190,13 +197,13 @@ class ApplicationModel:
 
         The engine may not call this on every tick.  While
         :meth:`steady_work_horizon` reports ``None`` the response must be
-        slot-pure: the same slots, ``process.threads_revision`` and
-        ``process.knobs`` give the same ``AppPerf``, and the call has no
-        side effect, because the engine reuses a remembered response (a
-        tick pattern, a busy leap, the per-process ``perf()`` memory)
+        slot-pure: the same slots, demand, ``process.threads_revision``
+        and ``process.knobs`` give the same ``AppPerf``, and the call has
+        no side effect, because the engine reuses a remembered response
+        (a tick pattern, a busy leap, the per-process ``perf()`` memory)
         instead of calling again.  A model whose response depends on
-        anything else (its progress, internal state it mutates) must
-        report a work horizon.
+        anything else (its progress) must report a work horizon; one
+        whose running drains state does so in :meth:`burn`.
         """
         if not slots:
             return AppPerf(0.0, [], 0.0)

@@ -16,7 +16,6 @@ reproducing the §6.6 overhead experiment.
 from __future__ import annotations
 
 import contextlib
-import math
 from dataclasses import dataclass, field
 
 from repro.core.allocator import LagrangianAllocator
@@ -90,24 +89,20 @@ class RmDaemonModel(ApplicationModel):
     def thread_demand(self, process: SimProcess) -> float:
         return min(1.0, self.pending_busy_s / self._tick_hint_s)
 
-    def steady_work_horizon(self, process: SimProcess) -> float:
-        """Never reusable: ``perf`` burns pending busy time on every call.
+    #: Each tick the daemon holds a slot burns a tick of pending time.
+    burns_backlog = True
 
-        A level of ``-inf``, below any progress, marks this model as
-        stateful — each tick the daemon runs changes its demand for the
-        next one — so the event engine's busy stretches end whenever the
-        daemon holds a slot, and ``World.step()`` on both engines
-        evaluates such a tick afresh instead of serving it from its
-        tick-pattern memory.  (While it is idle its demand is zero, it
-        never gets placed, and leaps and pattern reuse proceed normally.)
-        """
-        return -math.inf
+    def burn(self, process: SimProcess) -> None:
+        """Consume the tick the daemon just ran from its pending time."""
+        self.pending_busy_s = max(0.0, self.pending_busy_s - self._tick_hint_s)
 
     def perf(self, slots: list[ThreadSlot], process: SimProcess) -> AppPerf:
+        """Slot-pure: the daemon is active for its demand and mutates
+        nothing; the world calls :meth:`burn` after each tick that
+        places it."""
         if not slots:
             return AppPerf(0.0, [], 0.0)
-        activity = min(1.0, self.pending_busy_s / self._tick_hint_s)
-        self.pending_busy_s = max(0.0, self.pending_busy_s - self._tick_hint_s)
+        activity = self.thread_demand(process)
         activities = [activity] + [0.0] * (len(slots) - 1)
         return AppPerf(0.0, activities, activity * 1.5e9)
 

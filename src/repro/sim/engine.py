@@ -37,6 +37,9 @@ from repro.sim.schedulers.base import Scheduler
 #: :meth:`World._obs_hot`'s handle tuple.
 _PATTERN_HIT, _PATTERN_MISS, _PATTERN_UNCACHEABLE = 5, 6, 7
 
+#: Tick patterns remembered: steady, RM daemon burn, governor transient.
+_PATTERN_ENTRIES = 3
+
 #: The knobs snapshot of a process without knobs (shared, never mutated).
 _NO_KNOBS: dict = {}
 
@@ -197,8 +200,8 @@ class World:
         self._n_hw_threads = platform.n_hw_threads
         # Two-entry placement memory, keyed by the scheduler's signature:
         # ``_placement_sig``/``_placement_cache`` is the most recent entry,
-        # ``_placement_prev`` the one before it.  And the matching tick-
-        # pattern memory (:meth:`_remembered_pattern`), most recent first.
+        # ``_placement_prev`` the one before it.  And the tick-pattern
+        # memory (:meth:`_remembered_pattern`), most recent first.
         # Both are cleared whenever a process exits or is killed.
         self._placement_sig: tuple | None = None
         self._placement_cache: dict[ThreadId, int] = {}
@@ -444,18 +447,21 @@ class World:
 
         The tick's slot/perf/power evaluation (:meth:`_evaluate_tick`)
         yields a *pattern* ``(procs, ran, plan, package_power,
-        core_util)``: per placed process ``(process, rate·dt, finish
-        fraction or None)``; every placed thread's
+        core_util, burns)``: per placed process ``(process, rate·dt,
+        finish fraction or None)``; every placed thread's
         ``(thread, activity·share)``, which the scheduler's
         :meth:`~repro.sim.schedulers.base.Scheduler.account` observes;
         the *plan* ``(indices, increments)``, the tick's float adds to
         the ledger ``_acc`` in order, applied by one ``np.add.at``
         (:meth:`_add_ticks`; a finishing process's ``work_done`` is
-        assigned instead); and the power kernel's outputs.  Applying a
-        pattern performs every float op of the tick in one fixed order,
-        so the world remembers its two most recent cacheable patterns
-        and re-applies one — without calling ``perf()``, building slots
-        or running the power kernel — while its key repeats.  The key (:meth:`_remembered_pattern`) is:
+        assigned instead); the power kernel's outputs; and the placed
+        processes that burn a backlog (``ApplicationModel.burn``, the RM
+        daemon), burned right after the apply.  Applying a pattern
+        performs every float op of the tick in one fixed order, so the
+        world remembers its :data:`_PATTERN_ENTRIES` most recent
+        cacheable patterns and re-applies one — without calling
+        ``perf()``, building slots or running the power kernel — while
+        its key repeats.  The key (:meth:`_remembered_pattern`) is:
 
         * the placement, by identity: the placement memory hands out one
           dict per scheduler signature (runnable threads, affinities);
@@ -465,16 +471,13 @@ class World:
           its ``knobs``.
 
         A tick is evaluated afresh and not remembered when the scheduler
-        has no placement signature (EAS), when a placed model's
-        ``steady_work_horizon()`` is not ``None`` (phased models, the RM
-        daemon), or when a placed process finishes on it (its exact
-        ``finish_time_s`` comes from the fresh evaluation).  Both memories
-        are cleared whenever a process exits or is killed, so they never
-        retain finished processes.  A fresh evaluation re-evaluates only
-        the processes the state change touched, and calls ``perf()`` only
-        for those whose slots changed (see :meth:`_evaluate_tick`); the
-        governor answers a repeated utilization dict from its last
-        choice (``Governor.select_all``).
+        has no placement signature (EAS), a placed model reports a work
+        horizon (phased models), or a placed process finishes on it (its
+        exact ``finish_time_s`` comes from the fresh evaluation).  Both
+        memories are cleared whenever a process exits or is killed.  A
+        fresh evaluation re-evaluates only the processes a state change
+        touched (:meth:`_evaluate_tick`), and the governor answers a
+        repeated utilization from its last choice (``select_all``).
 
         The event engine's busy-leap probe evaluates its tick the same
         way; when it does not leap, this step applies what the probe
@@ -496,9 +499,11 @@ class World:
             outcome = _PATTERN_HIT
         if pattern is None:
             pattern, outcome = self._evaluate_tick(placement, freqs)
-        procs, ran, plan, package_power, core_util = pattern
+        procs, ran, plan, package_power, core_util, burns = pattern
 
         self._add_ticks(plan, 1)
+        for process in burns:
+            process.model.burn(process)
         just_finished: list[SimProcess] = []
         for process, _, finish_frac in procs:
             if finish_frac is not None:
@@ -572,11 +577,10 @@ class World:
         process that does not finish on the tick reuses its fragment
         without building slots.  Any other process builds its slots and
         a new fragment, and reuses its last ``perf()`` response while
-        the slots, revision and knobs equal the fragment's, so ``perf()``
-        runs exactly when they change.  Contributions are summed in pid
-        order either way, so every float add keeps its order.  Nothing
-        is mutated except what ``perf()`` itself mutates (a stateful
-        model) and these memories.  Returns the pattern and its
+        the slots, demand, revision and knobs equal the fragment's, so
+        ``perf()`` runs exactly when they change.  Contributions are
+        summed in pid order, so every float add keeps its order.  Only
+        these memories are mutated.  Returns the pattern and its
         ``sim.pattern_cache`` handle index; see :meth:`step` for the
         pattern layout and for which ticks are not remembered.
         """
@@ -686,10 +690,11 @@ class World:
                     knobs = None
                     perf = model.perf(slots, process)
                 elif (
-                    # Slot-pure: perf() repeats while its slots, thread
-                    # list and knobs repeat.
+                    # Slot-pure: perf() repeats while its slots, demand
+                    # (shares alone can collide), threads and knobs repeat.
                     frag is not None
                     and frag.slots == slots_key
+                    and frag.demand == demand
                     and frag.revision == revision
                     and frag.knobs == process.knobs
                 ):
@@ -765,11 +770,12 @@ class World:
             busy_fraction, app_busy_on_core, freqs, idx, inc
         )
         plan = (np.array(idx, dtype=np.intp), np.array(inc, dtype=float))
-        pattern = (procs, ran, plan, package_power, core_util)
+        burns = [p for p, _, _ in procs if p.model.burns_backlog]
+        pattern = (procs, ran, plan, package_power, core_util, burns)
         if keys is None:
             return pattern, _PATTERN_UNCACHEABLE
         entry = (placement, freqs, keys, pattern)
-        self._patterns = [entry] + self._patterns[:1]
+        self._patterns = [entry] + self._patterns[:_PATTERN_ENTRIES - 1]
         return pattern, _PATTERN_MISS
 
     def _remembered_pattern(

@@ -250,10 +250,10 @@ class EventWorld(World):
         sensor (batched noise draws), ``last_stats``, ``tick_index`` and
         the core utilization; and the scheduler observes the ``n`` ticks
         in one ``account`` call.  The caller guarantees that no replayed
-        tick completes a process or flips its behaviour.
+        tick completes a process, flips its behaviour or burns a backlog.
         """
         dt = self.tick_s
-        _, ran, plan, package_power, core_util = pattern
+        _, ran, plan, package_power, core_util, _ = pattern
         self._add_ticks(plan, n)
         self.scheduler.account(self, ran, n)
 
@@ -293,15 +293,14 @@ class EventWorld(World):
         length in the ``sim.busy_leap_ticks`` histogram.
 
         The probe takes its placement and pattern exactly as ``step()``
-        does, from the placement and pattern memories or, on a miss,
-        from :meth:`World._evaluate_tick` — after screening out stateful
-        models (the RM daemon), whose ``perf()`` must not be called.
+        does (the memories, else :meth:`World._evaluate_tick`).
         Preconditions (enforced by :meth:`_advance_one`): something is
         runnable, budget ≥ 2.  Returns ``False`` if the scheduler has no
-        signature (EAS), nothing is placed, a placed model is stateful, a
+        signature (EAS), nothing is placed, the pattern burns a backlog
+        (``stateful``: the RM daemon's demand moves on the next tick), a
         preemption, completion or phase flip is too close, or the
-        frequencies are not a fixpoint of the pattern's utilization; what
-        the probe evaluated is then applied by this tick's ``step()``.
+        frequencies are not a fixpoint of the pattern's utilization;
+        what the probe evaluated is then applied by this tick's ``step()``.
         """
         obs_on = OBS.enabled
         t0_wall = OBS.walltime() if obs_on else 0.0
@@ -327,16 +326,11 @@ class EventWorld(World):
         pattern = self._remembered_pattern(placement, freqs)
         outcome = _PATTERN_HIT
         if pattern is None:
-            # A stateful model (no work absorbable) must be screened
-            # *before* its perf() is called — the call would mutate it.
-            for pid in {tid.pid for tid in placement}:
-                process = self.processes[pid]
-                horizon = process.model.steady_work_horizon(process)
-                if horizon is not None and horizon <= process.work_done:
-                    return self._no_leap("stateful", probed)
             pattern, outcome = self._evaluate_tick(placement, freqs)
         probed = (placement, freqs, pattern, outcome)
-        procs, _, _, _, core_util = pattern
+        procs, _, _, _, core_util, burns = pattern
+        if burns:
+            return self._no_leap("stateful", probed)
         # Frequency stability: the stretch utilization must reproduce the
         # stretch frequencies, else tick 2 would run at different clocks.
         # Exact dict equality is intended — any moved frequency breaks

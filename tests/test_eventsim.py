@@ -1044,15 +1044,30 @@ class TestExpiryPredictionApi:
         process.work_done = 6.0  # the last phase ends at completion
         assert model.steady_work_horizon(process) == float("inf")
 
-    def test_rm_daemon_never_leaps(self) -> None:
-        world, _ = _build_world(4, "tick")
+    def test_rm_daemon_never_leaps(self, monkeypatch) -> None:
+        """The daemon is slot-pure (no work horizon) but burns a backlog,
+        so its demand moves on the tick after it runs: no busy leap
+        commits a pattern that places it."""
+        placed: list[bool] = []
+        commit = EventWorld._commit
+
+        def recorded(self, n, pattern):
+            placed.append(any(p.daemon for p, _, _ in pattern[0]))
+            commit(self, n, pattern)
+
+        monkeypatch.setattr(EventWorld, "_commit", recorded)
+        world, _ = _build_world(4, "event")
         manager = HarpManager(world, config=ManagerConfig(epoch_window_s=0.02))
-        daemons = [p for p in world.processes.values() if p.daemon]
-        assert daemons
-        # A level at or below work_done: no progress is reusable.
-        horizon = daemons[0].model.steady_work_horizon(daemons[0])
-        assert horizon <= daemons[0].work_done
+        daemon = next(p for p in world.processes.values() if p.daemon)
+        assert daemon.model.steady_work_horizon(daemon) is None
+        assert daemon.model.burns_backlog
+        model = replace(resolve_model("ep.C"))
+        model.total_work = 2.0
+        world.spawn(model, nthreads=2, managed=True)
+        world.run_for(2.0)
         manager.shutdown()
+        assert sum(daemon.cpu_time_by_type.values()) > 0.0
+        assert placed and not any(placed)
 
     def test_ticks_until_work_expiry(self) -> None:
         from repro.sim.process import (
@@ -1236,9 +1251,9 @@ class TestLedger:
     def _order_pattern(self, world: World) -> tuple:
         """The idle pattern with its plan swapped for the three adds to
         ledger index 0 (busy seconds of the first core type)."""
-        procs, ran, _, package_power, core_util = world._idle_pattern
+        procs, ran, _, package_power, core_util, burns = world._idle_pattern
         plan = (np.zeros(3, dtype=np.intp), np.array(self.INCS))
-        return procs, ran, plan, package_power, core_util
+        return procs, ran, plan, package_power, core_util, burns
 
     def test_order_data_discriminates(self) -> None:
         presummed = self.START

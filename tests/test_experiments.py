@@ -1,5 +1,8 @@
 """Smoke tests for the per-figure experiment harness (small scales)."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.experiments import (
@@ -71,6 +74,79 @@ class TestFig6:
         )
         means = cmp.geomeans()
         assert ("itd", "single") in means
+
+
+def _table_rows(text: str) -> list[list[str]]:
+    """The cells of every body row of the markdown tables in ``text``."""
+    return [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in text.splitlines()
+        if line.startswith("| ") and not line.startswith("|---")
+    ]
+
+
+class TestFig6Quotes:
+    """EXPERIMENTS.md's Fig. 6 "Measured" column quotes the committed
+    quick-profile table: a configuration row its policy's geometric-mean
+    row, a scenario row that scenario's online-HARP row."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+    GEOMEAN_ROWS = {
+        "ITD, single": ("itd", "single"),
+        "ITD, multi": ("itd", "multi"),
+        "HARP, single": ("harp", "single"),
+        "HARP, multi": ("harp", "multi"),
+        "HARP (Offline), single": ("harp-offline", "single"),
+        "HARP (Offline), multi": ("harp-offline", "multi"),
+        "HARP (No Scaling), single": ("harp-noscaling", "single"),
+        "HARP (No Scaling), multi": ("harp-noscaling", "multi"),
+    }
+    SCENARIO_ROWS = {
+        "binpack outlier": "binpack",
+        "lu loses under HARP (IPS ≠ true utility)": "lu.C",
+        "primes hurt by startup overhead": "primes",
+    }
+
+    def _committed(self) -> tuple[dict, dict]:
+        text = (
+            self.ROOT / "benchmarks/results/fig6_raptor_lake.md"
+        ).read_text()
+        per_scenario, geomeans = text.split("## Geometric means")
+        scenarios = {
+            (row[0], row[2]): row[3:5]
+            for row in _table_rows(per_scenario)[1:]
+        }
+        means = {
+            (row[0], row[1]): row[2:4] for row in _table_rows(geomeans)[1:]
+        }
+        return scenarios, means
+
+    def _quoted(self) -> dict[str, list[str]]:
+        text = (self.ROOT / "EXPERIMENTS.md").read_text()
+        section = text.split("## Fig. 6")[1].split("\n## ")[0]
+        return {
+            row[0]: re.findall(r"(\d+\.\d+)×", row[2])
+            for row in _table_rows(section)[1:]
+        }
+
+    def test_every_row_is_checked(self):
+        assert set(self._quoted()) == (
+            set(self.GEOMEAN_ROWS) | set(self.SCENARIO_ROWS)
+        )
+
+    def test_configuration_rows_quote_the_geomeans(self):
+        _, means = self._committed()
+        quoted = self._quoted()
+        for label, key in self.GEOMEAN_ROWS.items():
+            assert quoted[label] == means[key], label
+
+    def test_scenario_rows_quote_online_harp(self):
+        scenarios, _ = self._committed()
+        quoted = self._quoted()
+        for label, scenario in self.SCENARIO_ROWS.items():
+            numbers = quoted[label]
+            assert numbers, label
+            assert numbers == scenarios[(scenario, "harp")][:len(numbers)]
 
 
 class TestOverheadAndAttribution:

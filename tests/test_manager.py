@@ -167,15 +167,29 @@ class TestRmDaemon:
         assert daemons[0].model.name == "harp-rm"
 
     def test_charge_accumulates_and_drains(self, intel):
-        model = RmDaemonModel(tick_hint_s=0.01)
-        model.charge(0.005)
-        assert model.thread_demand(None) == pytest.approx(0.5)
         from repro.sim.engine import ThreadSlot
 
+        model = RmDaemonModel(tick_hint_s=0.01)
+        model.charge(0.005)
+        model.charge(0.002)
+        assert model.thread_demand(None) == pytest.approx(0.7)
         slots = [ThreadSlot(0, 0, "P", 1.0, 1.0)]
         perf = model.perf(slots, None)
-        assert perf.activities[0] == pytest.approx(0.5)
+        assert perf.activities[0] == pytest.approx(0.7)
+        # perf() is slot-pure: it drains nothing and repeats exactly.
+        assert model.pending_busy_s == pytest.approx(0.007)
+        assert model.perf(slots, None) == perf
+        assert model.burns_backlog
+        model.burn(None)  # the world burns each tick the daemon ran
         assert model.pending_busy_s == 0.0
+        assert model.thread_demand(None) == 0.0
+        # More than a tick of work drains over several ticks.
+        model.charge(0.025)
+        drained = []
+        while model.thread_demand(None) > 0.0:
+            drained.append(model.perf(slots, None).activities[0])
+            model.burn(None)
+        assert drained == [1.0, 1.0, pytest.approx(0.5)]
 
     def test_negative_charge_rejected(self):
         with pytest.raises(ValueError):

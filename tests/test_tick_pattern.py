@@ -1,15 +1,15 @@
 """The tick-pattern and placement memories of ``World.step()``.
 
-``step()`` remembers its two most recent cacheable tick patterns and
-placements and re-applies one while its key repeats; a fresh
+``step()`` remembers its three most recent cacheable tick patterns and
+two placements and re-applies one while its key repeats; a fresh
 evaluation reuses a clean process's fragment of the last one, and a
-dirty slot-pure process's ``perf()`` response while its slots, thread
-list and knobs repeat; and the governor returns its last frequencies
-for the same utilization dict.  The claim is that this is invisible:
-every run here is compared with ``==`` against the same run with all
-of these memories forced to miss (the oracle), and each targeted case
-also checks that the memory was actually used, so a passing comparison
-is not vacuous.  Each targeted case guards one part of the pattern key
+dirty slot-pure process's ``perf()`` response while its slots, demand,
+thread list and knobs repeat; and the governor returns its last
+frequencies for the same utilization dict.  The claim is that this is
+invisible: every run here is compared with ``==`` against the same run
+with all of these memories forced to miss (the oracle), and each
+targeted case also checks that the memory was actually used, so a
+passing comparison is not vacuous.  Each targeted case guards one part of the pattern key
 or one bypass rule; dropping that part from
 ``World._remembered_pattern`` makes the case fail.  ``TestDirtySet``
 does the same for each rule that makes a process dirty.
@@ -17,7 +17,9 @@ does the same for each rule that makes a process dirty.
 The event engine's busy-leap probe evaluates its tick through the same
 memories and hands a tick it does not leap to that tick's step; the
 oracle also turns that hand-off off, and ``TestBusyProbe`` checks that
-the probe evaluates each tick at most once.
+the probe evaluates each tick at most once.  ``TestRmDaemon`` covers the
+RM daemon, whose ticks are served like any other while ``step()`` burns
+its pending time after each tick that places it.
 """
 
 from __future__ import annotations
@@ -356,24 +358,6 @@ class TestPatternBypass:
             p.model.name == "phased" for _, procs in served for p in procs
         )
 
-    def test_rm_daemon_never_served(self, monkeypatch) -> None:
-        def scenario():
-            world, exit_order = _build_world(4, "tick")
-            manager = HarpManager(
-                world, config=ManagerConfig(epoch_window_s=0.02)
-            )
-            for app in ("ep.C", "is.C"):
-                model = replace(resolve_model(app))
-                model.total_work = 2.0
-                world.spawn(model, nthreads=2, managed=True)
-            world.run_for(3.0)
-            manager.shutdown()
-            return _fingerprint(world, exit_order)
-
-        served = _assert_oracle(monkeypatch, scenario)
-        assert served
-        assert not any(p.daemon for _, procs in served for p in procs)
-
     def test_completion_inside_repeated_stretch(self, monkeypatch) -> None:
         def scenario():
             world = _intel_world(CfsScheduler())
@@ -451,13 +435,15 @@ class TestMemoryHygiene:
         world.kill(victim.pid)
         assert set(world._perf_memo) == {survivor.pid}
 
-    def test_at_most_two_entries(self) -> None:
+    def test_at_most_three_entries(self) -> None:
         world = _intel_world()
         process = world.spawn(_ep(), nthreads=2)
+        sizes = []
         for hw in (0, 2, 4, 6):
             process.set_affinity(frozenset({hw, hw + 1}))
             world.run_for(0.05)
-            assert len(world._patterns) <= 2
+            sizes.append(len(world._patterns))
+        assert sizes == [1, 2, 3, 3]
 
     def test_obs_counters(self) -> None:
         OBS.reset()
@@ -569,9 +555,9 @@ class TestBusyProbe:
     def test_stateful_model_same_perf_calls_on_both_engines(
         self, monkeypatch
     ) -> None:
-        """The RM daemon's ``perf()`` burns its pending time, so the
-        probe must veto it before calling ``perf()``: both engines call
-        it exactly as often."""
+        """The RM daemon's demand moves on the tick after it runs, so
+        the probe vetoes every pattern that places it and hands the tick
+        to the step: both engines call its ``perf()`` exactly as often."""
         calls: list[int] = []
         burn = RmDaemonModel.perf
 
@@ -606,6 +592,157 @@ class TestBusyProbe:
         assert event == tick
         assert event_calls == tick_calls > 0
         assert results.get("stateful", 0) > 0 and results.get("leap", 0) > 0
+
+
+# -- the RM daemon: a slot-pure model whose ticks step() burns --------------------
+
+
+def _charged_world(engine: str, charge_s: float, every: int, governor=None):
+    """A CFS world with an RM daemon that a listener charges ``charge_s``
+    every ``every`` ticks, beside a steady two-thread process.  Returns
+    the world and the daemon's pending time seen before each charge."""
+    world = _intel_world(CfsScheduler(), governor=governor, engine=engine)
+    daemon = RmDaemonModel(tick_hint_s=world.tick_s)
+    world.spawn(daemon, nthreads=1, daemon=True)
+    world.spawn(_ep(), nthreads=2)
+    before_charge: list[float] = []
+
+    def charge(w: World) -> None:
+        if w.tick_index % every == 0:
+            before_charge.append(daemon.pending_busy_s)
+            daemon.charge(charge_s)
+        w.request_wakeup(w.tick_index + every - w.tick_index % every)
+
+    world.on_event.append(charge)
+    world.request_wakeup(every)
+    return world, before_charge
+
+
+def _managed_run(engine: str) -> tuple:
+    """Three seconds of a HARP-managed CFS world running ep.C and is.C:
+    ``(fingerprint, allocation epochs, sim.busy_probe counts)``."""
+    world, exit_order = _build_world(4, engine)
+    manager = HarpManager(world, config=ManagerConfig(epoch_window_s=0.02))
+    for app in ("ep.C", "is.C"):
+        model = replace(resolve_model(app))
+        model.total_work = 2.0
+        world.spawn(model, nthreads=2, managed=True)
+    results = _probe_results(lambda: world.run_for(3.0))
+    epochs = manager.allocation_epochs
+    manager.shutdown()
+    return _fingerprint(world, exit_order), epochs, results
+
+
+class TestRmDaemon:
+    """The RM daemon reads its pending time only through its demand, so
+    its ticks are served from the memories like any slot-pure model's;
+    ``step()`` burns a tick of pending time after the ledger apply of
+    every tick that places it, served or fresh."""
+
+    def test_daemon_ticks_served(self, monkeypatch) -> None:
+        served = _assert_oracle(monkeypatch, lambda: _managed_run("tick"))
+        assert any(p.daemon for _, procs in served for p in procs)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_served_tick_burns_like_a_fresh_one(
+        self, monkeypatch, engine: str
+    ) -> None:
+        """Every charge is the same, so each burn tick after the first
+        repeats one remembered pattern; each must leave no pending time
+        for the next charge, exactly as the memories-off oracle's fresh
+        evaluations do."""
+
+        def scenario():
+            world, before_charge = _charged_world(engine, 0.004, 5)
+            world.run_for(1.0)
+            return _fingerprint(world, []), before_charge
+
+        served = _assert_oracle(monkeypatch, scenario)
+        burn_ticks = [
+            tick for tick, procs in served if any(p.daemon for p in procs)
+        ]
+        assert len(burn_ticks) >= 15
+        (_, before_charge), _ = _run(monkeypatch, scenario)
+        assert before_charge == [0.0] * 20
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_equal_slots_from_a_new_demand_call_perf(
+        self, monkeypatch, engine: str
+    ) -> None:
+        """Pending times one ulp either side of 0.007 give demands 0.7
+        and its float successor.  Beside a full-demand worker on the
+        same hardware thread both round to one share, so the daemon's
+        slot repeats while its activity must not: the ``perf()`` memory
+        calls ``perf()`` again for the new demand."""
+        calls: list[tuple] = []
+        perf = RmDaemonModel.perf
+
+        def logged(self, slots, process):
+            calls.append((tuple(slots), self.pending_busy_s))
+            return perf(self, slots, process)
+
+        monkeypatch.setattr(RmDaemonModel, "perf", logged)
+
+        def scenario():
+            world = _intel_world(engine=engine)
+            daemon = RmDaemonModel(tick_hint_s=world.tick_s)
+            world.spawn(daemon, nthreads=1, daemon=True,
+                        affinity=frozenset({0}))
+            world.spawn(_ep(), nthreads=1, affinity=frozenset({0}))
+            for pending in (0.006999999999999999, 0.007000000000000001):
+                world.run_for(0.05)
+                daemon.charge(pending)
+                world.run_for(0.05)
+            result = _fingerprint(world, []), list(calls)
+            calls.clear()
+            return result
+
+        (fingerprint, logged_calls), _ = _run(monkeypatch, scenario)
+        (oracle, _), _ = _run(monkeypatch, scenario, cache=False)
+        assert fingerprint == oracle
+        (first, p1), (second, p2) = logged_calls
+        assert first == second and p1 != p2
+
+    def test_event_engine_vetoes_a_placed_daemon(self) -> None:
+        """A HARP manager charges the daemon; the busy probe vetoes each
+        pattern that places it (``stateful``), and the event engine
+        equals the tick engine."""
+
+        tick, tick_epochs, _ = _managed_run("tick")
+        event, event_epochs, results = _managed_run("event")
+        assert (event, event_epochs) == (tick, tick_epochs)
+        assert results.get("stateful", 0) > 0 and results.get("leap", 0) > 0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_managed_cycle_of_three_patterns_served(
+        self, monkeypatch, engine: str
+    ) -> None:
+        """Under powersave each charge cycle runs three patterns: the
+        steady tick, the daemon's burn and the governor's transient
+        after it.  All three stay remembered, so once the cycle has
+        been seen every tick is served."""
+        misses: list[int] = []
+        evaluate = World._evaluate_tick
+
+        def counted(self, placement, freqs):
+            misses.append(self.tick_index)
+            return evaluate(self, placement, freqs)
+
+        monkeypatch.setattr(World, "_evaluate_tick", counted)
+
+        def scenario():
+            platform = make_platform("intel")
+            governor = make_governor("powersave", platform)
+            world, before_charge = _charged_world(
+                engine, 0.004, 10, governor
+            )
+            world.run_for(1.0)
+            return _fingerprint(world, []), before_charge
+
+        _assert_oracle(monkeypatch, scenario)
+        misses.clear()
+        _run(monkeypatch, scenario)
+        assert misses and max(misses) < 50
 
 
 # -- the dirty set of a fresh evaluation (both engines, pattern memory off) -----
