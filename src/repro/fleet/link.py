@@ -21,7 +21,10 @@ Fault hooks: ``partitioned`` severs both directions (requests and rpcs
 raise :class:`ProtocolError`, pushes drop) without stopping the node's
 world — the graceful-degradation scenario; ``dead`` is the permanent
 variant a node crash sets.  Every message still round-trips through the
-JSON codec, so anything a link carries is wire-clean by construction.
+codec's dictionaries, so the receiver never shares a container with the
+sender; the link never serializes to JSON text.  The fleet chaos matrix
+checks that every message it carries decodes from its JSON text to what
+this round trip hands over.
 """
 
 from __future__ import annotations
@@ -67,8 +70,8 @@ class NodeLink:
     # -- traffic ----------------------------------------------------------------------
 
     def _codec_roundtrip(self, message: Message) -> Message:
-        # Fleet frames go through the same JSON codec as application
-        # frames, so every exchanged message is proven serializable.
+        # Fleet frames go through the same codec as application frames,
+        # short of the JSON text a socket would write.
         return decode_message(encode_message(message))
 
     def _check_up(self) -> None:

@@ -20,11 +20,59 @@ control flow:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import cache
 
 
 class ProtocolViolation(ValueError):
     """A structurally invalid or unknown message."""
+
+
+#: Exact types of the immutable leaves ``_tree_copy`` keeps as they are.
+_LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+@dataclass
+class _Boxed:
+    """One value, so ``asdict`` can copy a value on its own."""
+
+    value: object
+
+
+def _tree_copy(value: object) -> object:
+    """``dataclasses.asdict``'s copy of one field value, without its
+    ``copy.deepcopy`` of every leaf: immutable leaves (``str``, ``int``,
+    ``float``, ``bool``, ``None`` and their subclasses, such as
+    ``numpy.float64``) are kept, plain ``dict``, ``list`` and ``tuple``
+    values are rebuilt (one C-level copy when they hold only leaves of
+    those exact types), and anything else (a nested dataclass, a
+    container subclass, an array) is copied by ``asdict`` itself."""
+    cls = type(value)
+    if cls in _LEAF_TYPES:
+        return value
+    all_leaves = _LEAF_TYPES.issuperset
+    if cls is dict:
+        if all_leaves(map(type, value)) and all_leaves(
+            map(type, value.values())
+        ):
+            return dict(value)
+        return {_tree_copy(k): _tree_copy(v) for k, v in value.items()}
+    if cls is list:
+        if all_leaves(map(type, value)):
+            return list(value)
+        return [_tree_copy(v) for v in value]
+    if cls is tuple:
+        if all_leaves(map(type, value)):
+            return value  # immutable all the way down
+        return tuple(_tree_copy(v) for v in value)
+    if isinstance(value, (str, int, float)):
+        return value
+    return asdict(_Boxed(value))["value"]
 
 
 @dataclass(frozen=True)
@@ -34,7 +82,12 @@ class Message:
     TYPE = "message"
 
     def to_dict(self) -> dict[str, object]:
-        data = asdict(self)
+        """``{**dataclasses.asdict(self), "type": TYPE}``, sharing no
+        container with this message."""
+        data = {
+            name: _tree_copy(getattr(self, name))
+            for name in _field_names(type(self))
+        }
         data["type"] = self.TYPE
         return data
 
@@ -330,7 +383,8 @@ def decode_message(data: dict[str, object]) -> Message:
     cls = _MESSAGE_TYPES.get(tag)
     if cls is None:
         raise ProtocolViolation(f"unknown message type {tag!r}")
-    payload = {k: v for k, v in data.items() if k != "type"}
+    payload = dict(data)
+    del payload["type"]
     try:
         return cls(**payload)
     except TypeError as exc:

@@ -58,10 +58,12 @@ class EnergySensor:
             raise ValueError("power_w must be >= 0")
         base = power_w * dt_s
         if self.noise_std > 0:
-            noise = self._rng.normal(0.0, self.noise_std, size=n)
+            # Python floats, so the counter stays a ``float`` as
+            # accumulate() leaves it, not a ``numpy.float64``.
+            noise = self._rng.normal(0.0, self.noise_std, size=n).tolist()
             energy = self._energy_j
-            for i in range(n):
-                energy += base * max(0.0, 1.0 + noise[i])
+            for draw in noise:
+                energy += base * max(0.0, 1.0 + draw)
             self._energy_j = energy
         else:
             energy = self._energy_j

@@ -65,14 +65,6 @@ from repro.sim.process import (
 #: nothing, so the commit is its cost.
 _MIN_BUSY_LEAP_TICKS = 2
 
-#: After a failed busy-leap probe, skip probing for this many ticks: the
-#: conditions that break a probe (an RM daemon holding a slot, a governor
-#: not yet at its fixpoint) persist for a few ticks, and re-probing every
-#: tick would cost more than stepping.  A probe vetoed by a near
-#: completion or phase flip backs off only until that boundary tick:
-#: the tick is known exactly, and from it the stretch can leap again.
-_BUSY_LEAP_BACKOFF_TICKS = 4
-
 #: A busy-leap probe screens a pattern of at least this many placed
 #: processes for near completions with one array expression; below it,
 #: building the arrays costs more than the scalar loop it saves.
@@ -96,7 +88,6 @@ class EventWorld(World):
         # so a repeated request costs no heap entry.
         self._heap: list[int] = []
         self._wakeup_ticks: set[int] = set()
-        self._busy_backoff_until = 0
         # The idle tick's pattern: no placed process, and the power kernel
         # with nothing busy — exactly what step() applies then.  Zero busy
         # fractions zero the DVFS term, so any frequencies do.
@@ -137,22 +128,19 @@ class EventWorld(World):
         The tick budget to the next wakeup (or the limit) is leapt:
         via the idle leap when nothing is runnable, via the busy-stretch
         fast-forward when the runnable set is in a stable stretch.  A
-        failed busy probe steps normally and backs off (:meth:`_no_leap`).
+        failed busy probe steps that tick, and the next boundary probes
+        again (:meth:`_no_leap`).
         """
         runnable = self._has_runnable()
         next_tick = self._heap[0] if self._heap else None
         leap_to = limit_tick if next_tick is None else min(next_tick, limit_tick)
         budget = leap_to - self.tick_index
         if runnable:
-            if (
-                budget >= _MIN_BUSY_LEAP_TICKS
-                and self.tick_index >= self._busy_backoff_until
-            ):
-                if self._try_busy_leap(budget):
-                    for callback in self.on_event:
-                        callback(self)
-                    self._drain_due()
-                    return
+            if budget >= _MIN_BUSY_LEAP_TICKS and self._try_busy_leap(budget):
+                for callback in self.on_event:
+                    callback(self)
+                self._drain_due()
+                return
             self.step()
             self._drain_due()
             return
@@ -300,7 +288,9 @@ class EventWorld(World):
         (``stateful``: the RM daemon's demand moves on the next tick), a
         preemption, completion or phase flip is too close, or the
         frequencies are not a fixpoint of the pattern's utilization;
-        what the probe evaluated is then applied by this tick's ``step()``.
+        what the probe evaluated is then applied by this tick's ``step()``,
+        and the next tick is probed again — on a managed node, the tick
+        after the daemon's burn or the governor's transient leaps.
         """
         obs_on = OBS.enabled
         t0_wall = OBS.walltime() if obs_on else 0.0
@@ -351,7 +341,7 @@ class EventWorld(World):
         scanned: list[tuple] = []
         for process, rate_dt, finish_frac in candidates:
             if finish_frac is not None:
-                return self._no_leap("completion", probed, 1)
+                return self._no_leap("completion", probed)
             horizon = process.model.steady_work_horizon(process)
             if horizon is None:
                 horizon = math.inf
@@ -370,7 +360,7 @@ class EventWorld(World):
                 if n < _MIN_BUSY_LEAP_TICKS:
                     # Step up to the boundary tick; its own probe steps a
                     # completion or leaps on in the new phase.
-                    return self._no_leap("work_expiry", probed, n)
+                    return self._no_leap("work_expiry", probed)
                 bound = "phase" if work_steps[-1] >= horizon else "work_expiry"
             scanned.append((process, rate_dt, horizon, work_steps))
 
@@ -425,17 +415,12 @@ class EventWorld(World):
             moving & (quotient < n + WORK_EXPIRY_GUARD_TICKS)
         ).tolist()
 
-    def _no_leap(
-        self,
-        result: str,
-        probed: tuple | None = None,
-        backoff: int = _BUSY_LEAP_BACKOFF_TICKS,
-    ) -> bool:
+    def _no_leap(self, result: str, probed: tuple | None = None) -> bool:
         """End a busy probe without leaping: count the vetoing check in
-        ``sim.busy_probe{result}``, hand ``probed`` to the step, and skip
-        probing for the next ``backoff`` ticks."""
+        ``sim.busy_probe{result}`` and hand ``probed`` to this tick's
+        step.  The next boundary probes again: a failed probe costs that
+        step nothing, since it applies what the probe evaluated."""
         self._probed_tick = probed
-        self._busy_backoff_until = self.tick_index + backoff
         if OBS.enabled:
             OBS.counter("sim.busy_probe", result=result).inc()
         return False

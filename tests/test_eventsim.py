@@ -812,14 +812,21 @@ class TestBusyStretchFastForward:
         with pytest.raises(RuntimeError, match="overran a completion or phase"):
             world.run_for(4.0)
 
-    def test_backoff_after_failed_probe(self) -> None:
-        # EAS never leaps; the backoff keeps the probe from re-running
-        # every tick in such regimes.
+    @pytest.mark.parametrize("engine", ["tick", "event"])
+    def test_energy_counter_stays_float(self, engine: str) -> None:
+        """The package sensor's batched noise draws are added as Python
+        floats: after an idle leap and a busy leap the counter is a
+        ``float`` on both engines, as scalar accumulation leaves it."""
         platform = make_platform("intel")
-        world = make_world(platform, EasScheduler(), engine="event", seed=0)
-        _spawn_dense(world, n=1)
-        world.run_for(0.1)
-        assert world._busy_backoff_until > 0
+        world = make_world(platform, CfsScheduler(), engine=engine, seed=0)
+        readings = []
+        world.run_for(0.5)  # nothing spawned: an idle leap
+        readings.append(world.total_energy_j())
+        _spawn_dense(world)
+        world.run_for(1.0)  # a busy leap
+        readings.append(world.total_energy_j())
+        assert [type(r) for r in readings] == [float, float]
+        assert readings[0] > 0.0 and readings[1] > readings[0]
 
 
 class TestLazyPelt:

@@ -373,6 +373,31 @@ class TestFleetChaosMatrix:
         assert once("tick") == once("event")
 
     @pytest.mark.parametrize("plan", _NODE_FAULTS)
+    def test_link_traffic_is_wire_faithful(self, plan, monkeypatch):
+        """Every message a chaos run carries decodes from its JSON text
+        to what the link's in-process codec round trip hands over: the
+        link never calls ``json``, so this is what makes its traffic
+        wire-clean."""
+        carried = []
+        roundtrip = NodeLink._codec_roundtrip
+
+        def recorded(self, message):
+            carried.append(message)
+            return roundtrip(self, message)
+
+        monkeypatch.setattr(NodeLink, "_codec_roundtrip", recorded)
+        fleet = _fleet(
+            apps=_apps(4, work_scale=0.5), engine="event", plan=plan, seed=41
+        )
+        fleet.run_until_done(max_epochs=300)
+        assert {"node_register", "node_report", "node_directive"} <= {
+            m.TYPE for m in carried
+        }
+        for message in carried:
+            wire = json.loads(json.dumps(encode_message(message)))
+            assert decode_message(wire) == roundtrip(None, message)
+
+    @pytest.mark.parametrize("plan", _NODE_FAULTS)
     def test_dense_event_engine_matches_tick(self, plan):
         """Dense chaos: heavy sessions keep every node busy, so the event
         engine rides busy-stretch fast-forwards between epochs — and a

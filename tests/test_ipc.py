@@ -1,11 +1,14 @@
 """Tests for the IPC layer: messages, framing, and real Unix sockets."""
 
+import dataclasses
 import os
+import random
 import socket
 import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,7 @@ from repro.ipc.messages import (
     RegisterRequest,
     UtilityReply,
     UtilityRequest,
+    _MESSAGE_TYPES,
     decode_message,
     encode_message,
 )
@@ -84,6 +88,86 @@ class TestMessages:
     def test_bad_adaptivity_rejected(self):
         with pytest.raises(ProtocolViolation):
             RegisterRequest(pid=1, app_name="x", adaptivity="magic")
+
+
+@dataclasses.dataclass
+class _Sample:
+    """A dataclass nested in a message field."""
+
+    value: float
+    tags: list
+
+
+def _payload(rng: random.Random, depth: int = 0) -> object:
+    """A seeded JSON-like value mixing nested dict, list and tuple
+    values, ``numpy.float64``, ``None`` and a nested dataclass."""
+    kinds = ["int", "float", "np", "str", "none", "bool"]
+    if depth < 3:
+        kinds += ["dict", "list", "tuple", "dataclass"]
+    kind = rng.choice(kinds)
+    if kind == "int":
+        return rng.randint(-5, 5)
+    if kind == "float":
+        return rng.random()
+    if kind == "np":
+        return np.float64(rng.random())
+    if kind == "str":
+        return rng.choice(["a", "bc", ""])
+    if kind == "none":
+        return None
+    if kind == "bool":
+        return rng.random() < 0.5
+    width = rng.randint(0, 3)
+    if kind == "dict":
+        return {f"k{i}": _payload(rng, depth + 1) for i in range(width)}
+    if kind == "list":
+        return [_payload(rng, depth + 1) for _ in range(width)]
+    if kind == "tuple":
+        return tuple(_payload(rng, depth + 1) for _ in range(width))
+    return _Sample(rng.random(), [_payload(rng, depth + 1)])
+
+
+def _containers(value: object):
+    """Every mutable container reachable from ``value``."""
+    if isinstance(value, dict):
+        yield value
+        for item in value.values():
+            yield from _containers(item)
+    elif isinstance(value, (list, tuple)):
+        if isinstance(value, list):
+            yield value
+        for item in value:
+            yield from _containers(item)
+
+
+class TestCodecMatchesAsdict:
+    """``Message.to_dict`` copies each field as ``dataclasses.asdict``
+    does, and the decoded message shares no container with the sent
+    one."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("tag", sorted(_MESSAGE_TYPES))
+    def test_to_dict_equals_asdict(self, tag: str, seed: int) -> None:
+        cls = _MESSAGE_TYPES[tag]
+        rng = random.Random(f"{tag}/{seed}")
+        kept = ("granularity", "adaptivity")  # validated on construction
+        msg = cls(**{
+            f.name: _payload(rng)
+            for f in dataclasses.fields(cls)
+            if f.name not in kept
+        })
+        expected = {**dataclasses.asdict(msg), "type": msg.TYPE}
+        assert msg.to_dict() == expected
+        snapshot = dataclasses.asdict(msg)
+
+        decoded = decode_message(encode_message(msg))
+        for field in dataclasses.fields(decoded):
+            for container in _containers(getattr(decoded, field.name)):
+                if isinstance(container, dict):
+                    container["mutated"] = 1
+                else:
+                    container.append("mutated")
+        assert dataclasses.asdict(msg) == snapshot
 
 
 class TestFraming:

@@ -47,7 +47,9 @@ from repro.scenario.generator import SessionPlan
 from repro.sim import CfsScheduler, PinnedScheduler, World, make_world
 from repro.sim.process import SimProcess, ThreadId
 
-from test_eventsim import _build_world, _fingerprint, _run_instance
+from test_eventsim import (
+    _build_world, _fingerprint, _record_steps, _run_instance,
+)
 
 ENGINES = ("tick", "event")
 
@@ -743,6 +745,35 @@ class TestRmDaemon:
         misses.clear()
         _run(monkeypatch, scenario)
         assert misses and max(misses) < 50
+
+    @pytest.mark.parametrize("governor", [None, "powersave"])
+    def test_managed_cycle_leaps_after_its_vetoes(
+        self, monkeypatch, governor: str | None
+    ) -> None:
+        """A failed probe costs its tick's step nothing, so the next
+        tick probes again: of each 5-tick charge cycle the event engine
+        steps only the daemon's burn (``stateful``) and, under
+        powersave, the governor's transient after it (plus tick 0,
+        whose frequencies start off powersave's fixpoint); the rest of
+        the cycle leaps."""
+
+        def run(engine: str) -> dict:
+            platform = make_platform("intel")
+            world, _ = _charged_world(
+                engine, 0.004, 5,
+                governor and make_governor(governor, platform),
+            )
+            world.run_for(1.0)
+            return _fingerprint(world, [])
+
+        tick = run("tick")
+        stepped = _record_steps(monkeypatch)
+        assert run("event") == tick
+        burns = list(range(5, 100, 5))
+        if governor is None:
+            assert stepped == burns
+        else:
+            assert stepped == [0] + [t for b in burns for t in (b, b + 1)]
 
 
 # -- the dirty set of a fresh evaluation (both engines, pattern memory off) -----
