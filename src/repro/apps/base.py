@@ -121,24 +121,19 @@ class ApplicationModel:
     def efficiency(self, core_type: str) -> float:
         return self.type_efficiency.get(core_type, 1.0)
 
-    def thread_demand(self, process: SimProcess) -> float:
-        """CPU demand per thread in [0, 1] for proportional time-sharing.
-
-        Normal worker threads want a full slice; daemon-style processes
-        override this with their actual busy fraction.
-        """
-        return 1.0
-
     #: True for a model whose demand is a backlog that each tick it is
     #: placed drains (the RM daemon's pending busy time).  Its ``perf()``
-    #: stays slot-pure — it reads the backlog only through the demand —
-    #: and the world calls :meth:`burn` once per such tick, right after
-    #: the tick's ledger apply and before any exit or event callback,
-    #: whether the tick was evaluated afresh or served from memory.
+    #: stays slot-pure — it reads the backlog only through
+    #: ``process.demand`` — and the world calls :meth:`burn` once per
+    #: such tick, right after the tick's ledger apply and before any exit
+    #: or event callback, whether the tick was evaluated afresh or served
+    #: from memory, and publishes the demand it returns.
     burns_backlog: ClassVar[bool] = False
 
-    def burn(self, process: SimProcess) -> None:
-        """Drain one tick of backlog (called only if ``burns_backlog``)."""
+    def burn(self, process: SimProcess) -> float:
+        """Drain one tick of backlog (called only if ``burns_backlog``);
+        returns the process's demand after it."""
+        return process.demand
 
     def steady_work_horizon(self, process: SimProcess) -> float | None:
         """Work units this model can absorb with behaviour guaranteed fixed.
@@ -152,15 +147,16 @@ class ApplicationModel:
         per-process ``perf()`` memory, which reuses one process's last
         response while its slots repeat.  The contract (*slot purity*):
 
-        * ``None`` — ``perf`` and ``thread_demand`` depend only on the
-          slots and on state that changes exclusively at event boundaries
-          (knobs, activity flags, a backlog drained by :meth:`burn`).  The
-          composite model and its subclasses qualify: progress feeds back
-          into nothing.  The pattern memory keys on ``process.knobs``,
-          ``process.threads_revision`` and the demand ``thread_demand``
-          reports, and the ``perf()`` memory on the slots, the demand,
-          the revision and the knobs, so such state must reach ``perf``
-          through one of those.
+        * ``None`` — ``perf`` depends only on the slots and on state that
+          changes exclusively at event boundaries (knobs, a backlog
+          drained by :meth:`burn`), and the process's demand is written
+          only there, through ``World.set_demand``.  The composite model
+          and its subclasses qualify: progress feeds back into nothing.
+          The pattern memory keys on ``process.knobs``,
+          ``process.threads_revision`` and ``process.demand``, and the
+          ``perf()`` memory on the slots, the demand, the revision and
+          the knobs, so such state must reach ``perf`` through one of
+          those.
         * a float above ``process.work_done`` — an absolute work level:
           behaviour is slot-pure on every tick that starts with
           ``work_done`` below it, and may change on the first tick that

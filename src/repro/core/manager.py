@@ -80,21 +80,26 @@ class RmDaemonModel(ApplicationModel):
         self.pending_busy_s = 0.0
         self._tick_hint_s = tick_hint_s
 
-    def charge(self, seconds: float) -> None:
-        """Account RM work to be burned on the daemon thread."""
+    def charge(self, seconds: float) -> float:
+        """Account RM work to be burned on the daemon thread; returns the
+        daemon's demand."""
         if seconds < 0:
             raise ValueError("cannot charge negative time")
         self.pending_busy_s += seconds
+        return self._demand()
 
-    def thread_demand(self, process: SimProcess) -> float:
+    def _demand(self) -> float:
+        # The pending time in ticks, up to one.
         return min(1.0, self.pending_busy_s / self._tick_hint_s)
 
     #: Each tick the daemon holds a slot burns a tick of pending time.
     burns_backlog = True
 
-    def burn(self, process: SimProcess) -> None:
-        """Consume the tick the daemon just ran from its pending time."""
+    def burn(self, process: SimProcess) -> float:
+        """Consume the tick the daemon just ran from its pending time;
+        returns the daemon's demand after it."""
         self.pending_busy_s = max(0.0, self.pending_busy_s - self._tick_hint_s)
+        return self._demand()
 
     def perf(self, slots: list[ThreadSlot], process: SimProcess) -> AppPerf:
         """Slot-pure: the daemon is active for its demand and mutates
@@ -102,7 +107,7 @@ class RmDaemonModel(ApplicationModel):
         places it."""
         if not slots:
             return AppPerf(0.0, [], 0.0)
-        activity = self.thread_demand(process)
+        activity = process.demand
         activities = [activity] + [0.0] * (len(slots) - 1)
         return AppPerf(0.0, activities, activity * 1.5e9)
 
@@ -246,6 +251,7 @@ class HarpManager:
         self._session_backlog: dict[int, dict] = {}
         self._rm_model = RmDaemonModel(tick_hint_s=world.tick_s)
         self._rm_process = world.spawn(self._rm_model, nthreads=1, daemon=True)
+        world.set_demand(self._rm_process, 0.0)
         world.on_process_start.append(self._on_process_start)
         world.on_process_exit.append(self._on_process_exit)
         # The RM listens on the engine's event hook: fired every tick on
@@ -724,7 +730,7 @@ class HarpManager:
         return delivered
 
     def _charge(self, seconds: float) -> None:
-        self._rm_model.charge(seconds)
+        self.world.set_demand(self._rm_process, self._rm_model.charge(seconds))
 
     # -- RM crash recovery (docs/robustness.md) ------------------------------------------
 

@@ -15,7 +15,7 @@ See ``docs/fleet_scenarios.md`` for the scenario JSON schema.
 
 from repro.scenario.spec import PROFILES, ScenarioSpec
 from repro.scenario.generator import SessionPlan, generate_trace
-from repro.scenario.session import FleetSessionModel, make_session_model
+from repro.scenario.session import make_session_model
 from repro.scenario.driver import TraceDriver, run_trace
 from repro.scenario.sweep import run_sweep, summarize, sweep_job
 
@@ -24,7 +24,6 @@ __all__ = [
     "ScenarioSpec",
     "SessionPlan",
     "generate_trace",
-    "FleetSessionModel",
     "make_session_model",
     "TraceDriver",
     "run_trace",

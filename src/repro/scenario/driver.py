@@ -36,12 +36,11 @@ _SCHEDULERS = {
 
 
 class _LiveSession:
-    __slots__ = ("plan", "process", "model", "phase_k")
+    __slots__ = ("plan", "process", "phase_k")
 
-    def __init__(self, plan: SessionPlan, process: SimProcess, model) -> None:
+    def __init__(self, plan: SessionPlan, process: SimProcess) -> None:
         self.plan = plan
         self.process = process
-        self.model = model
         self.phase_k = 0
 
 
@@ -120,13 +119,12 @@ class TraceDriver:
         if self.max_live is not None and len(self._live) >= self.max_live:
             self.rejected += 1
             return
-        model = make_session_model(
-            plan.app, plan.work_scale, interactive=bool(plan.phases)
-        )
         process = self.world.spawn(
-            model, nthreads=plan.nthreads, managed=self.managed
+            make_session_model(plan.app, plan.work_scale),
+            nthreads=plan.nthreads,
+            managed=self.managed,
         )
-        session = _LiveSession(plan, process, model)
+        session = _LiveSession(plan, process)
         self._live[process.pid] = session
         self.spawned += 1
         if len(self._live) > self.peak_live:
@@ -143,15 +141,9 @@ class TraceDriver:
         # precomputed (burst, think) pairs.
         pair = phases[(k // 2) % len(phases)]
         duration_ticks = self.world.ticks_in(pair[0] if k % 2 == 0 else pair[1])
-        active = k % 2 == 0
-        session.model.active = active
-        # Tell the engine the session sleeps (its demand is exactly zero
-        # while inactive), so the per-tick runnable scan skips it — this
-        # is what keeps a tick O(bursting) instead of O(live).
-        if active:
-            self.world.unblock(session.process.pid)
-        else:
-            self.world.block(session.process.pid)
+        # A bursting session wants full slices; a thinking one sleeps,
+        # off the runnable set until its next burst.
+        self.world.set_demand(session.process, 1.0 if k % 2 == 0 else 0.0)
         heapq.heappush(self._phase_heap, (now + duration_ticks, session.process.pid))
 
     def _wake(self) -> None:

@@ -8,12 +8,12 @@ decays) but has zero CPU demand, so the scheduler treats it exactly like
 a thread blocked in the kernel — this is what lets thousands of sessions
 be concurrently live while only the bursting few are runnable.
 
-The session class is derived dynamically from the base model's own class
-(``FleetSessionModel`` mixed in front), so type-dispatched behaviour —
-e.g. the KPN adaptivity path's ``isinstance(model, KpnApplicationModel)``
-— keeps working.  Phase flipping is owned by the
+A session model is a plain copy of the base model, so type-dispatched
+behaviour — e.g. the KPN adaptivity path's ``isinstance(model,
+KpnApplicationModel)`` — keeps working.  Phases are owned by the
 :class:`~repro.scenario.driver.TraceDriver` (the model has no clock),
-which makes the behaviour identical on the fixed-tick and event engines.
+which publishes each flip's demand through ``World.set_demand``; that
+makes the behaviour identical on the fixed-tick and event engines.
 """
 
 from __future__ import annotations
@@ -22,45 +22,10 @@ from dataclasses import replace
 
 from repro.analysis.scenarios import resolve_model
 from repro.apps.base import ApplicationModel
-from repro.sim.process import SimProcess
 
 
-class FleetSessionModel:
-    """Mixin gating an application model's CPU demand on an activity flag.
-
-    Instances are created by :func:`make_session_model`; ``interactive``
-    sessions have zero thread demand while ``active`` is False.
-    """
-
-    interactive: bool = False
-    active: bool = True
-
-    def thread_demand(self, process: SimProcess) -> float:
-        if self.interactive and not self.active:
-            return 0.0
-        return super().thread_demand(process)
-
-
-_session_classes: dict[type, type] = {}
-
-
-def _session_class(base_cls: type) -> type:
-    cls = _session_classes.get(base_cls)
-    if cls is None:
-        cls = type(
-            f"FleetSession_{base_cls.__name__}", (FleetSessionModel, base_cls), {}
-        )
-        _session_classes[base_cls] = cls
-    return cls
-
-
-def make_session_model(
-    app: str, work_scale: float, interactive: bool
-) -> ApplicationModel:
+def make_session_model(app: str, work_scale: float) -> ApplicationModel:
     """A fresh, session-scaled instance of the named benchmark model."""
     model = replace(resolve_model(app))
-    model.__class__ = _session_class(type(model))
     model.total_work = max(model.total_work * work_scale, 1e-6)
-    model.interactive = interactive
-    model.active = True
     return model

@@ -183,17 +183,12 @@ class World:
         self._cpu_offset = {n: CPU_TIME + i for i, n in enumerate(self._type_names)}
         self._next_pid = 1
         self._core_util: dict[int, float] = {}
-        # Per-tick runnable snapshot: one thread_demand call per live
-        # process per tick, shared by the scheduler, the share computation
-        # and the event engine's runnable probe.  Stamped by tick_index;
-        # spawn/kill invalidate it explicitly.
-        self._runnable_stamp = -1
-        self._runnable_pairs: list[tuple[SimProcess, SimThread]] = []
-        self._proc_demand: dict[int, float] = {}
-        # Processes not declared sleeping via block(): only these are
-        # probed for CPU demand each tick.  A caller who block()s a pid
-        # asserts its thread_demand is (and stays) zero until unblock().
-        self._awake: dict[int, SimProcess] = {}
+        # The runnable set: live processes whose published demand
+        # (set_demand) is above 1e-6.  Its (process, thread) pairs are
+        # rebuilt on first use after the set or a member's thread list
+        # changes (``None`` until then).
+        self._runnable: dict[int, SimProcess] = {}
+        self._runnable_pairs: list[tuple[SimProcess, SimThread]] | None = []
         self._hw_by_id = {t.thread_id: t for t in platform.hw_threads}
         self._hw_core = {t.thread_id: t.core_id for t in platform.hw_threads}
         self._hw_ids = [t.thread_id for t in platform.hw_threads]
@@ -303,8 +298,8 @@ class World:
             self._acc = np.concatenate((self._acc, np.zeros_like(self._acc)))
         self.processes[process.pid] = process
         self._running[process.pid] = process
-        self._awake[process.pid] = process
-        self._runnable_stamp = -1
+        self._runnable[process.pid] = process
+        self._runnable_pairs = self._probed_tick = None
         if OBS.enabled:
             OBS.event(
                 "process.start", track=f"app:{model.name}",
@@ -330,12 +325,9 @@ class World:
         process.finished = True
         process.crashed = silent
         process.finish_time_s = self.time_s
-        self._running.pop(pid, None)
-        self._awake.pop(pid, None)
-        self._perf_memo.pop(pid, None)
-        self._runnable_stamp = -1
+        self._retire(process)
         # A kill can race a placement-signature hit: a process whose demand
-        # was already ~0 (a blocked daemon) leaves the signature unchanged,
+        # was already ~0 (an idle daemon) leaves the signature unchanged,
         # so a remembered placement would be served without revalidation.
         self._clear_tick_memories()
         if OBS.enabled:
@@ -362,57 +354,49 @@ class World:
         return [p for p in self._running.values() if not p.finished]
 
     def runnable_pairs(self) -> list[tuple[SimProcess, SimThread]]:
-        """This tick's runnable (process, thread) pairs, computed once.
+        """The runnable (process, thread) pairs, in ascending pid order.
 
-        One pass over the live processes per boundary: each process's
-        ``thread_demand`` is evaluated exactly once and the per-process
-        values are kept for the share computation, so a tick costs one
-        demand call per live app instead of one per consumer.  Pairs come
-        out in spawn order, which is ascending-pid order (pids are never
-        reused).  The snapshot is stamped with ``tick_index``;
-        spawn/kill invalidate it immediately, and listener callbacks run
-        after the tick index advances, so demand changes they make are
-        picked up at the next boundary.
+        Rebuilt from the runnable set only after spawn, kill, finish or a
+        demand write changed the set, or ``set_nthreads`` a thread list;
+        otherwise the same list is returned, so no boundary loops over
+        the live processes.  Pids are never reused, so pid order is
+        spawn order.
         """
-        if self._runnable_stamp == self.tick_index:
-            return self._runnable_pairs
-        pairs: list[tuple[SimProcess, SimThread]] = []
-        proc_demand: dict[int, float] = {}
-        awake = self._awake
-        for pid in sorted(awake) if len(awake) > 1 else awake:
-            process = awake[pid]
-            if process.finished:
-                continue
-            d = process.model.thread_demand(process)
-            proc_demand[pid] = d
-            if d <= 1e-6:
-                continue
-            for thread in process.threads:
-                pairs.append((process, thread))
-        self._proc_demand = proc_demand
-        self._runnable_pairs = pairs
-        self._runnable_stamp = self.tick_index
+        pairs = self._runnable_pairs
+        if pairs is None:
+            pairs = self._runnable_pairs = [
+                (process, thread)
+                for _, process in sorted(self._runnable.items())
+                for thread in process.threads
+            ]
         return pairs
 
-    def block(self, pid: int) -> None:
-        """Declare a live process sleeping: skip its per-tick demand probe.
+    def set_demand(self, process: SimProcess, demand: float) -> None:
+        """Publish ``process``'s CPU demand per thread, in [0, 1].
 
-        This is a pure scan-skip hint for fleet-scale drivers — the
-        caller asserts the process's ``thread_demand`` is zero and stays
-        zero until :meth:`unblock`.  Identical on both engines, so it
-        never affects tick/event parity.  Blocked processes still exist and
-        are still killable.
+        The one write of ``SimProcess.demand``, made at the event that
+        changes it (a phase flip, an RM charge, a daemon burn).  A live
+        process is runnable while its demand is above 1e-6; a finished
+        or killed one never is.  A write also drops the busy-leap
+        probe's hand-off, which was evaluated with the old demand.
         """
-        if pid in self._running:
-            self._awake.pop(pid, None)
-            self._runnable_stamp = -1
+        process.demand = demand
+        self._probed_tick = None
+        pid = process.pid
+        runnable = demand > 1e-6 and pid in self._running
+        if runnable != (pid in self._runnable):
+            if runnable:
+                self._runnable[pid] = process
+            else:
+                del self._runnable[pid]
+            self._runnable_pairs = None
 
-    def unblock(self, pid: int) -> None:
-        """Undo :meth:`block`: the process is probed for demand again."""
-        process = self._running.get(pid)
-        if process is not None:
-            self._awake[pid] = process
-            self._runnable_stamp = -1
+    def _retire(self, process: SimProcess) -> None:
+        """Drop a finished or killed process from the live bookkeeping."""
+        self._running.pop(process.pid, None)
+        self._perf_memo.pop(process.pid, None)
+        if self._runnable.pop(process.pid, None) is not None:
+            self._runnable_pairs = None
 
     def request_wakeup(self, tick: int) -> None:
         """Ask to be advanced at tick ``tick`` (event engine only).
@@ -487,10 +471,9 @@ class World:
         t0_wall = OBS.walltime() if obs_on else 0.0
         dt = self.tick_s
         probed, self._probed_tick = self._probed_tick, None
-        if probed is not None and self._runnable_stamp == self.tick_index:
+        if probed is not None:
             placement, freqs, pattern, outcome = probed
         else:
-            self.runnable_pairs()  # refresh the per-tick demand snapshot
             placement = self._placement_for()
             freqs = self.governor.select_all(self._core_util)
             pattern = None
@@ -503,7 +486,7 @@ class World:
 
         self._add_ticks(plan, 1)
         for process in burns:
-            process.model.burn(process)
+            self.set_demand(process, process.model.burn(process))
         just_finished: list[SimProcess] = []
         for process, _, finish_frac in procs:
             if finish_frac is not None:
@@ -523,9 +506,7 @@ class World:
         if just_finished:
             self._clear_tick_memories()
         for process in just_finished:
-            self._running.pop(process.pid, None)
-            self._awake.pop(process.pid, None)
-            self._perf_memo.pop(process.pid, None)
+            self._retire(process)
         for process in just_finished:
             if obs_on:
                 OBS.event(
@@ -585,7 +566,7 @@ class World:
         pattern layout and for which ticks are not remembered.
         """
         dt = self.tick_s
-        proc_demand = self._proc_demand
+        processes = self.processes
         hw_core = self._hw_core
         threads_on_hw: dict[int, list[ThreadId]] = {}
         for tid, hw_id in placement.items():
@@ -593,7 +574,7 @@ class World:
         load: dict[int, float] = {}
         siblings: dict[int, int] = {}
         for hw_id, tids in threads_on_hw.items():
-            load[hw_id] = sum([proc_demand[tid.pid] for tid in tids])
+            load[hw_id] = sum([processes[tid.pid].demand for tid in tids])
             core_id = hw_core[hw_id]
             siblings[core_id] = siblings.get(core_id, 0) + 1
 
@@ -637,9 +618,9 @@ class World:
         cpu_offset = self._cpu_offset
         fresh_pids: set[int] = set()
         for pid in sorted({tid.pid for tid in placement}):
-            process = self.processes[pid]
+            process = processes[pid]
             model = process.model
-            demand = proc_demand[pid]
+            demand = process.demand
             horizon = model.steady_work_horizon(process)
             frag = perf_memo.get(pid)
             if (
@@ -788,7 +769,6 @@ class World:
         The entry found becomes the most recent one.
         """
         patterns = self._patterns
-        proc_demand = self._proc_demand
         for i, (e_placement, e_freqs, keys, pattern) in enumerate(patterns):
             if e_placement is not placement or (
                 e_freqs is not freqs and e_freqs != freqs
@@ -796,7 +776,7 @@ class World:
                 continue
             for process, demand, revision, knobs, work_step in keys:
                 if (
-                    proc_demand.get(process.pid) != demand
+                    process.demand != demand
                     or process.threads_revision != revision
                     or process.knobs != knobs
                 ):
@@ -856,10 +836,16 @@ class World:
             return 0
         return max(1, math.ceil(seconds / self.tick_s - 1e-9))
 
+    def _advance_one(self, limit_tick: int) -> None:
+        """Advance to the next boundary, never past ``limit_tick``: here
+        one :meth:`step`; the event engine may leap several ticks."""
+        self.step()
+
     def run_for(self, seconds: float) -> None:
         """Advance by a fixed duration."""
-        for _ in range(self.ticks_in(seconds)):
-            self.step()
+        target = self.tick_index + self.ticks_in(seconds)
+        while self.tick_index < target:
+            self._advance_one(target)
 
     def run_until_all_finished(self, max_seconds: float | None = 10_000.0) -> float:
         """Run until every process finished; returns the makespan.
@@ -868,7 +854,8 @@ class World:
         from time zero of the world.  Hitting ``max_seconds`` raises
         rather than silently truncating the scenario; pass
         ``max_seconds=None`` to opt into an unbounded run (e.g. a
-        simulated hour of a 10k-session fleet).
+        simulated hour of a 10k-session fleet), which advances in
+        hour-sized windows until the workload drains.
         """
         max_ticks = None if max_seconds is None else self.ticks_in(max_seconds)
         while any(not p.daemon for p in self.running_processes()):
@@ -876,13 +863,14 @@ class World:
                 raise RuntimeError(
                     f"simulation exceeded {max_seconds}s without finishing"
                 )
-            self.step()
-        finish_times = [
-            p.finish_time_s
-            for p in self.processes.values()
-            if p.finish_time_s is not None
-        ]
-        return max(finish_times) if finish_times else self.time_s
+            self._advance_one(
+                self.tick_index + 360_000 if max_ticks is None else max_ticks + 1
+            )
+        return max(
+            (p.finish_time_s for p in self.processes.values()
+             if p.finish_time_s is not None),
+            default=self.time_s,
+        )
 
     # -- helpers -----------------------------------------------------------------
 

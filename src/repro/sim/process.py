@@ -133,6 +133,10 @@ class SimProcess:
     on_finish: list[Callable[["SimProcess"], None]] = field(default_factory=list)
     managed: bool = False
     daemon: bool = False
+    #: CPU demand per thread in [0, 1] for proportional time-sharing; at
+    #: most 1e-6 means sleeping.  Written only through
+    #: ``World.set_demand``, which keeps the runnable set current.
+    demand: float = field(default=1.0, init=False)
     #: Bumped whenever ``threads`` gains or loses a ``SimThread``: a thread
     #: list regrown to an earlier length holds new objects under the same
     #: ids, and the engine's tick-pattern memory must not mistake it for
@@ -186,7 +190,10 @@ class SimProcess:
         if nthreads < 1:
             raise ValueError("nthreads must be >= 1")
         self.nthreads = nthreads
-        self._sync_threads()
+        if len(self.threads) != nthreads:
+            self._sync_threads()
+            # The owning world's runnable pairs name the old threads.
+            self._owner._runnable_pairs = None
 
     def set_affinity(self, hw_threads: frozenset[int] | None) -> None:
         """Restrict the process to a set of hardware threads."""

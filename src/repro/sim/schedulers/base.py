@@ -72,11 +72,11 @@ class Scheduler(ABC):
     def runnable(world: "World") -> list[tuple[SimProcess, SimThread]]:
         """All (process, thread) pairs eligible to run, deterministic order.
 
-        Threads with (near-)zero CPU demand are sleeping — a blocked
-        daemon does not sit on a run queue — and are skipped entirely.
-        Pairs come in ascending-pid order (spawn order; pids are never
-        reused) from the world's per-tick snapshot, so calling this
-        several times in one tick costs one pass over the live processes.
+        A process whose published demand (``World.set_demand``) is
+        (near-)zero is sleeping — an idle daemon does not sit on a run
+        queue — and its threads are absent.  Pairs come in ascending-pid
+        order (spawn order; pids are never reused), and the world hands
+        out one list until its runnable set or a thread list changes.
         """
         return world.runnable_pairs()
 

@@ -403,32 +403,36 @@ class TestEventHeap:
 
 
 class TestRunnableScan:
-    """block()/unblock(): the fleet driver's scan-skip contract."""
+    """set_demand(): the one write that keeps the runnable set current."""
 
-    def test_block_removes_from_runnable_scan(self) -> None:
+    def test_zero_demand_leaves_runnable_set(self) -> None:
         world, _ = _build_world(0, "tick")
         model = replace(resolve_model("ep.C"))
         model.total_work = 50.0
         process = world.spawn(model, nthreads=2)
         assert len(world.runnable_pairs()) == 2
         world.step()
-        world.block(process.pid)
+        world.set_demand(process, 0.0)
         assert world.runnable_pairs() == []
-        world.step()  # blocked: no progress
-        work_blocked = process.work_done
-        world.unblock(process.pid)
+        world.step()  # sleeping: no progress
+        work_asleep = process.work_done
+        world.set_demand(process, 1.0)
         assert len(world.runnable_pairs()) == 2
         world.step()
-        assert process.work_done > work_blocked
+        assert process.work_done > work_asleep
 
     def test_kill_cleans_blocked_process(self) -> None:
         world, _ = _build_world(0, "tick")
         model = replace(resolve_model("ep.C"))
         model.total_work = 50.0
         process = world.spawn(model, nthreads=1)
-        world.block(process.pid)
+        world.set_demand(process, 0.0)
         world.kill(process.pid)
-        world.unblock(process.pid)  # dead: must stay out of the scan
+        world.set_demand(process, 1.0)  # dead: must stay out of the set
+        assert world.runnable_pairs() == []
+        running = world.spawn(model, nthreads=1)
+        world.kill(running.pid)  # killed while runnable
+        world.set_demand(running, 0.5)
         assert world.runnable_pairs() == []
 
 
@@ -873,10 +877,10 @@ class TestLazyPelt:
             threads = process.threads
             world.run_for(1.0)
             awake = [t.utilization for t in threads]
-            world.block(process.pid)
+            world.set_demand(process, 0.0)
             world.run_for(sleep_ticks * world.tick_s)
             slept = [t.pelt_tick for t in threads]
-            world.unblock(process.pid)
+            world.set_demand(process, 1.0)
             world.run_for(world.tick_s)  # one tick: place() reads them
             return {
                 "awake": awake,
@@ -973,12 +977,12 @@ class TestPeltUnderflowInLeaps:
             world.run_for(1.0)
             watched[:] = blocked.threads
             awake = [(t.utilization, t.pelt_tick) for t in blocked.threads]
-            world.block(blocked.pid)
+            world.set_demand(blocked, 0.0)
             world.run_for(sleep_ticks * world.tick_s)
             # Asleep, the threads were never touched.
             assert [(t.utilization, t.pelt_tick) for t in blocked.threads] == awake
             assert all(u > 0.5 for u, _ in awake)
-            world.unblock(blocked.pid)
+            world.set_demand(blocked, 1.0)
             world.run_for(world.tick_s)  # one tick: account() catches up
             assert not exit_order
             return {

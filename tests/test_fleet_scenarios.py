@@ -24,7 +24,9 @@ from repro.scenario import (
     run_sweep,
     run_trace,
 )
-from repro.scenario.session import FleetSessionModel
+from repro.analysis.scenarios import make_platform
+from repro.scenario.generator import SessionPlan
+from repro.sim import CfsScheduler, make_world
 
 
 def _small_spec(**overrides) -> ScenarioSpec:
@@ -124,31 +126,50 @@ class TestGenerator:
 
 
 class TestSessionModel:
-    def test_interactive_gating(self) -> None:
-        model = make_session_model("ep.C", 0.5, interactive=True)
-        assert isinstance(model, FleetSessionModel)
-        assert model.thread_demand(None) == 1.0
-        model.active = False
-        assert model.thread_demand(None) == 0.0
+    @staticmethod
+    def _demands(plan: SessionPlan, ticks: int) -> list[tuple[float, bool]]:
+        """(published demand, runnable) of one session after each tick."""
+        world = make_world(make_platform("intel"), CfsScheduler(), seed=0)
+        TraceDriver(world, [plan])
+        world.step()  # the arrival is admitted at the end of tick 0
+        process = world.processes[1]
+        seen = []
+        for _ in range(ticks):
+            world.step()
+            seen.append(
+                (process.demand, any(p is process for p, _ in world.runnable_pairs()))
+            )
+        return seen
 
-    def test_batch_session_ignores_active_flag(self) -> None:
-        model = make_session_model("ep.C", 0.5, interactive=False)
-        model.active = False
-        assert model.thread_demand(None) == 1.0
+    def test_interactive_gating(self) -> None:
+        # Burst 3 ticks, think 2: TraceDriver publishes 1.0 and 0.0 at
+        # each flip, and a thinking session is off the runnable set.
+        plan = SessionPlan(0.0, "ep.C", 2, 50.0, phases=[(0.03, 0.02)])
+        awake, asleep = (1.0, True), (0.0, False)
+        assert self._demands(plan, 10) == [
+            awake, awake, asleep, asleep, awake,
+            awake, awake, asleep, asleep, awake,
+        ]
+
+    def test_batch_session_keeps_full_demand(self) -> None:
+        plan = SessionPlan(0.0, "ep.C", 2, 50.0)
+        assert self._demands(plan, 10) == [(1.0, True)] * 10
 
     def test_work_scaling(self) -> None:
         from repro.analysis.scenarios import resolve_model
 
         base = resolve_model("ep.C")
-        model = make_session_model("ep.C", 0.25, interactive=False)
+        model = make_session_model("ep.C", 0.25)
         assert model.total_work == pytest.approx(base.total_work * 0.25)
         # And the base registry instance is untouched.
         assert resolve_model("ep.C").total_work == base.total_work
 
-    def test_dynamic_class_preserves_base_type(self) -> None:
+    def test_session_model_keeps_base_type(self) -> None:
+        from repro.analysis.scenarios import resolve_model
         from repro.apps.kpn import KpnApplicationModel
 
-        model = make_session_model("lms", 1.0, interactive=True)
+        model = make_session_model("lms", 1.0)
+        assert type(model) is type(resolve_model("lms"))
         assert isinstance(model, KpnApplicationModel)
 
 

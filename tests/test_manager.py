@@ -169,26 +169,31 @@ class TestRmDaemon:
     def test_charge_accumulates_and_drains(self, intel):
         from repro.sim.engine import ThreadSlot
 
+        world = _world(intel)
         model = RmDaemonModel(tick_hint_s=0.01)
-        model.charge(0.005)
-        model.charge(0.002)
-        assert model.thread_demand(None) == pytest.approx(0.7)
+        process = world.spawn(model, nthreads=1, daemon=True)
+        world.set_demand(process, model.charge(0.0))
+        assert process.demand == 0.0 and world.runnable_pairs() == []
+        world.set_demand(process, model.charge(0.005))
+        world.set_demand(process, model.charge(0.002))
+        assert process.demand == pytest.approx(0.7)
+        assert world.runnable_pairs() == [(process, process.threads[0])]
         slots = [ThreadSlot(0, 0, "P", 1.0, 1.0)]
-        perf = model.perf(slots, None)
+        perf = model.perf(slots, process)
         assert perf.activities[0] == pytest.approx(0.7)
         # perf() is slot-pure: it drains nothing and repeats exactly.
         assert model.pending_busy_s == pytest.approx(0.007)
-        assert model.perf(slots, None) == perf
+        assert model.perf(slots, process) == perf
         assert model.burns_backlog
-        model.burn(None)  # the world burns each tick the daemon ran
+        world.step()  # places the daemon, burns its tick, republishes
         assert model.pending_busy_s == 0.0
-        assert model.thread_demand(None) == 0.0
+        assert process.demand == 0.0 and world.runnable_pairs() == []
         # More than a tick of work drains over several ticks.
-        model.charge(0.025)
+        world.set_demand(process, model.charge(0.025))
         drained = []
-        while model.thread_demand(None) > 0.0:
-            drained.append(model.perf(slots, None).activities[0])
-            model.burn(None)
+        while process.demand > 0.0 and len(drained) < 10:
+            drained.append(process.demand)
+            world.step()
         assert drained == [1.0, 1.0, pytest.approx(0.5)]
 
     def test_negative_charge_rejected(self):

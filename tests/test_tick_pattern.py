@@ -60,8 +60,9 @@ def _run(monkeypatch, scenario, cache: bool = True):
     Forced to miss, the busy-leap probe also evaluates afresh and hands
     nothing to the step, which evaluates the tick again, every
     evaluation builds every process's slots and calls its ``perf()``
-    (the fragment memory is bypassed), and the governor chooses the
-    frequencies on every call.  Returns
+    (the fragment memory is bypassed), the governor chooses the
+    frequencies on every call, and the runnable pairs come from a poll
+    of every live process's published demand.  Returns
     ``(result, served)``: ``served`` lists, for every tick served from
     the pattern memory (by a step or a probe), its tick index and the
     processes whose increments it applied.
@@ -90,8 +91,19 @@ def _run(monkeypatch, scenario, cache: bool = True):
             m.setattr(Governor, "_last_choice", property(
                 lambda self: None, lambda self, choice: None
             ))
+            m.setattr(World, "runnable_pairs", _polled_pairs)
         result = scenario()
     return result, served
+
+
+def _polled_pairs(world: World) -> list:
+    """The runnable pairs by a poll of every live process's demand."""
+    return [
+        (process, thread)
+        for _, process in sorted(world._running.items())
+        if process.demand > 1e-6
+        for thread in process.threads
+    ]
 
 
 def _assert_oracle(monkeypatch, scenario) -> list[tuple[int, list[SimProcess]]]:
@@ -282,20 +294,14 @@ class TestPatternKey:
         """Guards the demands: two processes share one hardware thread,
         and one's demand drops without changing the runnable set."""
 
-        class Throttled(ApplicationModel):
-            demand = 1.0
-
-            def thread_demand(self, process: SimProcess) -> float:
-                return self.demand
-
         def scenario():
             world = _intel_world()
             shared = frozenset({0})
-            throttled = Throttled(name="throttled", total_work=1e4)
-            world.spawn(throttled, nthreads=1, affinity=shared)
+            throttled = ApplicationModel(name="throttled", total_work=1e4)
+            process = world.spawn(throttled, nthreads=1, affinity=shared)
             world.spawn(_ep(), nthreads=1, affinity=shared)
             world.run_for(0.2)
-            throttled.demand = 0.5
+            world.set_demand(process, 0.5)
             world.run_for(0.2)
             return _fingerprint(world, [])
 
@@ -573,12 +579,13 @@ class TestBusyProbe:
             platform = make_platform("intel")
             world = make_world(platform, CfsScheduler(), engine=engine, seed=1)
             daemon = RmDaemonModel()
-            world.spawn(daemon, nthreads=1, daemon=True)
+            rm = world.spawn(daemon, nthreads=1, daemon=True)
+            world.set_demand(rm, 0.0)
             world.spawn(_ep(), nthreads=2)
 
             def charge(w: World) -> None:
                 if w.tick_index % 9 == 0:
-                    daemon.charge(0.015)
+                    w.set_demand(rm, daemon.charge(0.015))
                 w.request_wakeup(w.tick_index + 9 - w.tick_index % 9)
 
             world.on_event.append(charge)
@@ -605,14 +612,15 @@ def _charged_world(engine: str, charge_s: float, every: int, governor=None):
     the world and the daemon's pending time seen before each charge."""
     world = _intel_world(CfsScheduler(), governor=governor, engine=engine)
     daemon = RmDaemonModel(tick_hint_s=world.tick_s)
-    world.spawn(daemon, nthreads=1, daemon=True)
+    rm = world.spawn(daemon, nthreads=1, daemon=True)
+    world.set_demand(rm, 0.0)
     world.spawn(_ep(), nthreads=2)
     before_charge: list[float] = []
 
     def charge(w: World) -> None:
         if w.tick_index % every == 0:
             before_charge.append(daemon.pending_busy_s)
-            daemon.charge(charge_s)
+            w.set_demand(rm, daemon.charge(charge_s))
         w.request_wakeup(w.tick_index + every - w.tick_index % every)
 
     world.on_event.append(charge)
@@ -688,12 +696,13 @@ class TestRmDaemon:
         def scenario():
             world = _intel_world(engine=engine)
             daemon = RmDaemonModel(tick_hint_s=world.tick_s)
-            world.spawn(daemon, nthreads=1, daemon=True,
-                        affinity=frozenset({0}))
+            rm = world.spawn(daemon, nthreads=1, daemon=True,
+                             affinity=frozenset({0}))
+            world.set_demand(rm, 0.0)
             world.spawn(_ep(), nthreads=1, affinity=frozenset({0}))
             for pending in (0.006999999999999999, 0.007000000000000001):
                 world.run_for(0.05)
-                daemon.charge(pending)
+                world.set_demand(rm, daemon.charge(pending))
                 world.run_for(0.05)
             result = _fingerprint(world, []), list(calls)
             calls.clear()
@@ -779,21 +788,15 @@ class TestRmDaemon:
 # -- the dirty set of a fresh evaluation (both engines, pattern memory off) -----
 
 
-class _Throttled(_Counting):
-    """A counting model whose CPU demand the test sets."""
-
-    demand = 1.0
-
-    def thread_demand(self, process: SimProcess) -> float:
-        return self.demand
-
-
-def _throttled(world: World, name: str, demand: float) -> _Throttled:
-    model = _Throttled(name=name, total_work=1e4, serial_fraction=0.05)
-    model.calls = []
-    model.world = world
-    model.demand = demand
-    return model
+def _throttled(
+    world: World, name: str, demand: float, hw: int
+) -> tuple[_Counting, SimProcess]:
+    """A counting model spawned on hardware thread ``hw``, its demand
+    published as ``demand``; the test publishes later changes."""
+    model = _counting(world, name, 1e4)
+    process = world.spawn(model, nthreads=1, affinity=frozenset({hw}))
+    world.set_demand(process, demand)
+    return model, process
 
 
 class _Horizoned(_Counting):
@@ -874,13 +877,12 @@ class TestDirtySet:
             world = _intel_world(engine=engine)
             bystander = _bystander(world)
             model = _counting(world, "counted", 1e4)
-            corunner = _throttled(world, "corunner", 1.0)
             world.spawn(model, nthreads=1, affinity=frozenset({0}))
-            world.spawn(corunner, nthreads=1, affinity=frozenset({0}))
+            _, corunner = _throttled(world, "corunner", 1.0, 0)
             world.run_for(0.2)
-            corunner.demand = 0.5  # the counted thread's share moves
+            world.set_demand(corunner, 0.5)  # the counted share moves
             world.run_for(0.2)
-            corunner.demand = 1.0
+            world.set_demand(corunner, 1.0)
             world.run_for(0.2)
             return _fingerprint(world, []), model.calls, bystander.calls
 
@@ -892,13 +894,12 @@ class TestDirtySet:
             bystander = _bystander(world)
             hw, sibling_hw = _hw_of_type(world, "P")[:2]
             model = _counting(world, "counted", 1e4)
-            sibling = _throttled(world, "sibling", 0.0)
             world.spawn(model, nthreads=1, affinity=frozenset({hw}))
-            world.spawn(sibling, nthreads=1, affinity=frozenset({sibling_hw}))
+            _, sibling = _throttled(world, "sibling", 0.0, sibling_hw)
             world.run_for(0.2)
-            sibling.demand = 1.0  # the counted thread's core gets busier
+            world.set_demand(sibling, 1.0)  # the counted core gets busier
             world.run_for(0.2)
-            sibling.demand = 0.0
+            world.set_demand(sibling, 0.0)
             world.run_for(0.2)
             return _fingerprint(world, []), model.calls, bystander.calls
 
@@ -916,13 +917,11 @@ class TestDirtySet:
                 governor=make_governor("powersave", platform), engine=engine
             )
             bystander = _bystander(world)
-            shared = frozenset(_hw_of_type(world, "E")[:1])
-            model = _throttled(world, "counted", 0.25)
-            corunner = _throttled(world, "corunner", 0.25)
-            world.spawn(model, nthreads=1, affinity=shared)
-            world.spawn(corunner, nthreads=1, affinity=shared)
+            shared = _hw_of_type(world, "E")[0]
+            model, _ = _throttled(world, "counted", 0.25, shared)
+            _, corunner = _throttled(world, "corunner", 0.25, shared)
             world.run_for(0.2)
-            corunner.demand = 0.5
+            world.set_demand(corunner, 0.5)
             world.run_for(0.2)
             return _fingerprint(world, []), model.calls, bystander.calls
 
@@ -1015,12 +1014,11 @@ class TestDirtySet:
         def scenario():
             world = _intel_world(engine=engine)
             bystander = _bystander(world)
-            model = _throttled(world, "counted", 0.25)
-            corunner = _throttled(world, "corunner", 0.5)
-            world.spawn(model, nthreads=1, affinity=frozenset({0}))
-            world.spawn(corunner, nthreads=1, affinity=frozenset({0}))
+            model, counted = _throttled(world, "counted", 0.25, 0)
+            _, corunner = _throttled(world, "corunner", 0.5, 0)
             world.run_for(0.2)
-            model.demand, corunner.demand = 0.5, 0.25
+            world.set_demand(counted, 0.5)
+            world.set_demand(corunner, 0.25)
             world.run_for(0.2)
             return _fingerprint(world, []), model.calls, bystander.calls
 
@@ -1038,13 +1036,12 @@ class TestDirtySet:
             model = _Horizoned(name="counted", total_work=1e4)
             model.calls = []
             model.world = world
-            corunner = _throttled(world, "corunner", 1.0)
             world.spawn(model, nthreads=1, affinity=frozenset({0}))
-            world.spawn(corunner, nthreads=1, affinity=frozenset({0}))
+            _, corunner = _throttled(world, "corunner", 1.0, 0)
             world.run_for(0.2)
             model.flagged = True
             world.run_for(0.1)
-            corunner.demand = 0.5
+            world.set_demand(corunner, 0.5)
             world.run_for(0.1)
             model.flagged = False
             world.run_for(0.2)
