@@ -109,6 +109,10 @@ class Coordinator:
         self.config = config or CoordinatorConfig()
         self.nodes: dict[int, NodeRecord] = {}
         self.apps: dict[str, AppRecord] = {}
+        # Node → ids of the apps assigned to it (:meth:`_assign`); an id
+        # whose app left the node or stopped being placed is dropped when
+        # :meth:`_placed_on` reads the node.
+        self._on_node: dict[int, set[str]] = {}
         self.epoch = 0
         self._links: dict[int, NodeLink] = {}
         # Robustness counters.
@@ -179,7 +183,7 @@ class Coordinator:
             elif rec.state == "pending":
                 # The node survived a partition with the app intact:
                 # adopt the placement back instead of re-admitting.
-                rec.node_id = report.node_id
+                self._assign(rec, report.node_id)
                 rec.state = "finished" if finished else "placed"
                 rec.placed_epoch = self.epoch
                 rec.last_status = dict(status)
@@ -212,12 +216,19 @@ class Coordinator:
         return Ack(ok=True)
 
     def _placed_on(self, node_id: int) -> list[AppRecord]:
-        return [
-            self.apps[app_id]
-            for app_id in sorted(self.apps)
+        """The apps placed on ``node_id``, in app-id order."""
+        placed = sorted(
+            app_id for app_id in self._on_node.get(node_id, ())
             if self.apps[app_id].state == "placed"
             and self.apps[app_id].node_id == node_id
-        ]
+        )
+        self._on_node[node_id] = set(placed)
+        return [self.apps[app_id] for app_id in placed]
+
+    def _assign(self, rec: AppRecord, node_id: int) -> None:
+        """Set ``rec``'s node, and index it under that node."""
+        rec.node_id = node_id
+        self._on_node.setdefault(node_id, set()).add(rec.spec.app_id)
 
     # -- admission --------------------------------------------------------------------
 
@@ -304,7 +315,7 @@ class Coordinator:
             admissions.setdefault(best, []).append(entry)
             was_readmission = entry["work_done"] > 0.0
             rec.state = "placed"
-            rec.node_id = best
+            self._assign(rec, best)
             rec.placed_epoch = self.epoch
             if was_readmission:
                 self.readmissions += 1
@@ -387,7 +398,7 @@ class Coordinator:
                     timeout=DEFAULT_FLEET_TIMEOUT_S,
                 )
                 if isinstance(ack, Ack) and ack.ok:
-                    rec.node_id = target_node
+                    self._assign(rec, target_node)
                     rec.placed_epoch = self.epoch
                     rec.last_status = {
                         "app_id": app_id,
@@ -481,16 +492,18 @@ class Coordinator:
             )
         self.epoch = int(snapshot.get("epoch", 0))
         self.apps = {}
+        self._on_node = {}
         for data in snapshot.get("apps", []):
             spec = FleetAppSpec.from_wire(data["spec"])
-            self.apps[spec.app_id] = AppRecord(
+            self.apps[spec.app_id] = rec = AppRecord(
                 spec=spec,
-                node_id=data.get("node_id"),
                 state=str(data.get("state", "pending")),
                 last_status=dict(data.get("last_status", {})),
                 migrations=int(data.get("migrations", 0)),
                 placed_epoch=self.epoch,
             )
+            if data.get("node_id") is not None:
+                self._assign(rec, data["node_id"])
         self.nodes = {}
         for data in snapshot.get("nodes", []):
             node_id = int(data["node_id"])
@@ -547,7 +560,7 @@ class Coordinator:
                     record.pending_kills.append(str(status["app_id"]))
                     continue
                 if rec.node_id == node_id or rec.state == "pending":
-                    rec.node_id = node_id
+                    self._assign(rec, node_id)
                     rec.state = (
                         "finished"
                         if status.get("finished", False)

@@ -90,6 +90,9 @@ class NodeApp:
     # (the session is gone afterwards).
     final_attr_energy_j: float | None = field(default=None)
     finished: bool = False
+    #: A report listing it finished got ``Ack(ok=True)``: the coordinator
+    #: knows, and later reports leave it out.
+    finish_acked: bool = False
 
 
 class NodeManager:
@@ -278,18 +281,23 @@ class NodeManager:
     # -- coordinator traffic ----------------------------------------------------------
 
     def send_report(self) -> bool:
-        """Send the batched per-epoch report; degrade to autonomous on failure."""
+        """Send the batched per-epoch report; degrade to autonomous on failure.
+
+        The report lists every placement except the finished ones whose
+        finish an earlier report already got acknowledged; a finish that
+        was not acknowledged (a lost report) is listed again.
+        """
         self.report_epoch += 1
+        listed = [
+            app for _, app in sorted(self.apps.items()) if not app.finish_acked
+        ]
         report = NodeReport(
             node_id=self.node_id,
             epoch=self.report_epoch,
             time_s=self.world.time_s,
             energy_j=self.energy_j(),
             free_slots=self.free_slots(),
-            apps=[
-                self.app_status(app)
-                for _, app in sorted(self.apps.items())
-            ],
+            apps=[self.app_status(app) for app in listed],
         )
         try:
             reply = self.link.request(report, timeout=DEFAULT_FLEET_TIMEOUT_S)
@@ -304,7 +312,11 @@ class NodeManager:
             if OBS.enabled:
                 OBS.counter("fleet.node_reattached", node=self.node_id).inc()
         self.state = NodeState.ATTACHED
-        return isinstance(reply, Ack) and reply.ok
+        if not (isinstance(reply, Ack) and reply.ok):
+            return False
+        for app, status in zip(listed, report.apps):
+            app.finish_acked = status["finished"]
+        return True
 
     def handle_rpc(self, message: Message) -> Message:
         """Node side of coordinator rpcs and directive pushes."""

@@ -126,12 +126,11 @@ def _work_scale(spec: ScenarioSpec, rng: np.random.Generator) -> float:
 def _phases(spec: ScenarioSpec, rng: np.random.Generator) -> list[tuple[float, float]]:
     if spec.think_fraction <= 0:
         return []
-    pairs = []
-    for _ in range(_PHASE_CYCLE):
-        burst = float(rng.exponential(max(spec.burst_mean_s, 1e-3)))
-        think = float(rng.exponential(max(spec.think_mean_s, 1e-3)))
-        pairs.append((max(burst, 1e-3), max(think, 1e-3)))
-    return pairs
+    # One draw per session: the stream a (burst, think) scalar draw per
+    # pair would consume, in the same order, scaled per column.
+    scales = [max(spec.burst_mean_s, 1e-3), max(spec.think_mean_s, 1e-3)]
+    draws = rng.standard_exponential(2 * _PHASE_CYCLE).reshape(-1, 2) * scales
+    return [tuple(pair) for pair in np.maximum(draws, 1e-3).tolist()]
 
 
 def generate_trace(spec: ScenarioSpec, seed: int = 0) -> list[SessionPlan]:

@@ -82,15 +82,10 @@ class AppPerf(NamedTuple):
 
 
 class _Fragment(NamedTuple):
-    """One placed process's part of a fresh tick evaluation.
-
-    :meth:`World._evaluate_tick` keeps each slot-pure process's last
-    fragment and reuses it whole while the process is clean.  Its inputs
-    and ``perf()`` response (the first five fields) also serve as the
-    process's ``perf()`` memory.  A fragment built on a tick the process
-    finished has its adds scaled by the finish fraction and ``key``
-    ``None``, and is never reused.
-    """
+    """One placed process's part of a fresh tick evaluation, reused
+    whole while the process is clean; its first five fields are its
+    ``perf()`` memory.  One built on a tick the process finished, or
+    for a model reporting a work horizon, has ``key`` ``None``."""
 
     demand: float
     revision: int
@@ -102,13 +97,41 @@ class _Fragment(NamedTuple):
     inc: list[float]
     #: ``(hw thread, activity·share)`` per slot, for the busy fractions.
     busy: list[tuple[int, float]]
-    #: Core → summed activity·share, in first-use order, for the power
-    #: kernel's per-core application mix.
+    #: Core → summed activity·share, for the per-core application mix.
     core_busy: dict[int, float]
     ran: list[tuple[SimThread, float]]
     #: The process's pattern entries: ``procs`` and the pattern key.
     proc: tuple
     key: tuple | None
+
+
+class _Assembly:
+    """The assembled state of a world's last fresh tick evaluation.
+
+    :meth:`World._evaluate_tick` updates it where something changed: its
+    placement and frequencies; per hw thread its threads in placement
+    order (``on_hw``), total demand (``load``), busy fraction (``busy``)
+    and least thread (``first``, whose order is the order of first use);
+    busy siblings per core; placed pid → process and → fragment, in pid
+    order, and the placed pids whose model may report a work horizon; each placed thread's activity·share (``used``); per core that
+    ran application work its :meth:`World._mix_term` and least thread;
+    the hw threads and cores in order of first use; and the busy
+    fractions in ``_hw_grouped`` order, clamped at 1, and the mix
+    intensities per core.  A new one is
+    empty, and the next evaluation builds everything.
+    """
+
+    def __init__(self, n_hw_threads: int, n_cores: int) -> None:
+        self.placement: dict[ThreadId, int] = {}
+        self.freqs: dict[int, float] = {}
+        self.on_hw: dict[int, list[ThreadId]] = {}
+        self.load, self.busy, self.first, self.siblings = {}, {}, {}, {}
+        self.placed: dict[int, SimProcess] = {}
+        self.frags: dict[int, _Fragment] = {}
+        self.used, self.terms, self.core_first = {}, {}, {}
+        self.horizons: set[int] = set()
+        self.hw_order, self.core_order = [], []
+        self.busy_arr, self.intensity = np.zeros(n_hw_threads), np.ones(n_cores)
 
 
 @dataclass
@@ -128,6 +151,20 @@ class World:
     an event heap that leaps over idle stretches; both present the same
     API (``spawn``/``kill``/``run_for``/callbacks) and are bit-compatible
     on tick-equivalent scenarios.
+
+    Memories, each with the one set of events that invalidates it:
+    the runnable pairs and the CFS/ITD signatures kept per pairs list —
+    spawn, kill, finish, a demand write crossing 1e-6, ``set_nthreads``,
+    ``set_affinity``; the placement memory — any exit or kill (else keyed
+    by signature); the tick-pattern memory — any exit or kill (else keyed
+    by placement, frequencies and each placed process's demand, thread
+    list and knobs, and never served across a horizon or completion);
+    the probed tick — spawn, kill, exit, a demand write; the fragments
+    and the :class:`_Assembly` — the placement diff, the demand and
+    thread-list writes since the last evaluation (``_dirty``), moved
+    frequencies, knob changes, horizons and completions; the governor's
+    choice — a new utilization dict, ``set_cap``, ``clear_caps``; CFS's
+    fill order — another platform.
     """
 
     #: True on event-driven subclasses; listeners that need to be woken at
@@ -206,11 +243,10 @@ class World:
         # pid → the _Fragment of its last evaluation as a slot-pure model.
         # A process's entry is dropped when it finishes or is killed.
         self._perf_memo: dict[int, _Fragment] = {}
-        # The inputs of the last fresh evaluation, which the next one
-        # diffs to find its dirty processes: (placement, demand per hw
-        # thread, busy siblings per core, frequencies, pids whose
-        # fragment they produced).
-        self._last_eval: tuple = ({}, {}, {}, {}, frozenset())
+        # Pids whose demand or thread list was written since the last
+        # fresh evaluation, and that evaluation's assembly.
+        self._dirty: set[int] = set()
+        self._asm = _Assembly(platform.n_hw_threads, len(platform.cores))
         # Static per-core arrays for the power kernel (:meth:`_power_tick`);
         # hw threads are grouped by core so per-core reductions are
         # reduceat segments.
@@ -239,7 +275,12 @@ class World:
         self._hw_grouped = [
             t.thread_id for c in cores for t in c.hw_threads
         ]
-        # The DVFS power scale of the last frequencies dict the kernel got.
+        self._hw_pos = {hw_id: i for i, hw_id in enumerate(self._hw_grouped)}
+        self._core_hws = {
+            c.core_id: [t.thread_id for t in c.hw_threads] for c in cores
+        }
+        # The DVFS-scaled active and SMT powers of the last frequencies
+        # dict the kernel got.
         self._freq_scale: tuple | None = None
         self._group_starts = np.concatenate(
             ([0], np.cumsum([len(c.hw_threads) for c in cores])[:-1])
@@ -383,6 +424,7 @@ class World:
         process.demand = demand
         self._probed_tick = None
         pid = process.pid
+        self._dirty.add(pid)
         runnable = demand > 1e-6 and pid in self._running
         if runnable != (pid in self._runnable):
             if runnable:
@@ -457,11 +499,9 @@ class World:
         A tick is evaluated afresh and not remembered when the scheduler
         has no placement signature (EAS), a placed model reports a work
         horizon (phased models), or a placed process finishes on it (its
-        exact ``finish_time_s`` comes from the fresh evaluation).  Both
-        memories are cleared whenever a process exits or is killed.  A
-        fresh evaluation re-evaluates only the processes a state change
-        touched (:meth:`_evaluate_tick`), and the governor answers a
-        repeated utilization from its last choice (``select_all``).
+        exact ``finish_time_s`` comes from the fresh evaluation).  A
+        fresh evaluation rebuilds only what a state change touched
+        (:meth:`_evaluate_tick`).
 
         The event engine's busy-leap probe evaluates its tick the same
         way; when it does not leap, this step applies what the probe
@@ -537,224 +577,253 @@ class World:
         of the slice to its queue mates.  A slot's speed is the core
         type's per-thread speed at the core's frequency and busy-sibling
         count, scaled by the share.  Each placed process's ``perf()``
-        response, in ascending pid order, becomes its ledger adds — work
-        (none if it finishes), CPU time per slot, instructions — and the
-        per-slot busy fractions feed the power kernel, which appends the
-        per-type and attribution adds.  A fresh response reporting
-        negative ``ips`` raises ``ValueError``.
+        response becomes its :class:`_Fragment`: its ledger adds — work
+        (none if it finishes), CPU time per slot, instructions — its
+        per-slot busy fractions and its per-core mix, which the power
+        kernel turns into the per-type and attribution adds.  A fresh
+        response reporting negative ``ips`` raises ``ValueError``.
 
-        A state change re-evaluates only the processes it touched.  Each
-        slot-pure process (no work horizon, see
-        ``ApplicationModel.steady_work_horizon``) keeps the
-        :class:`_Fragment` of its last evaluation in ``_perf_memo``: its
-        slots, ``AppPerf``, the ledger adds of a tick it does not finish,
-        its busy contributions and ``ran`` entries.  Against the inputs
-        of the last fresh evaluation (``_last_eval``) a process is
-        *dirty* when one of its threads moved, a hardware thread it runs
-        on changed its total demand, one of its cores changed its
-        busy-sibling count or frequency, its own demand,
-        ``threads_revision`` or knobs changed, it reports a work horizon,
-        or its fragment did not come from that evaluation.  A clean
-        process that does not finish on the tick reuses its fragment
-        without building slots.  Any other process builds its slots and
-        a new fragment, and reuses its last ``perf()`` response while
-        the slots, demand, revision and knobs equal the fragment's, so
-        ``perf()`` runs exactly when they change.  Contributions are
-        summed in pid order, so every float add keeps its order.  Only
-        these memories are mutated.  Returns the pattern and its
-        ``sim.pattern_cache`` handle index; see :meth:`step` for the
-        pattern layout and for which ticks are not remembered.
+        The evaluation updates the :class:`_Assembly` of the last one
+        where something changed.  A process is *dirty* when one of its
+        threads moved, joined or left (found on the hw threads whose
+        thread list changed), a hw thread it runs on changed its total
+        demand, one of its cores changed its busy-sibling count or
+        frequency, its demand or thread list was written, its knobs
+        differ from its fragment's, it reports a work horizon, its
+        fragment is not from the last evaluation, or it finishes on this
+        tick (:meth:`_finishing`).  Only dirty processes build a new
+        fragment, reusing their last ``perf()`` response while the slots,
+        demand, revision and knobs repeat.  Only the hw threads and cores
+        whose threads moved or whose busy fractions a new fragment
+        changed are re-summed, each in pid order, and the kernel takes
+        them in order of first use, as a pass over all processes in pid
+        order would: every float add keeps its order.  Returns the
+        pattern and its ``sim.pattern_cache`` handle index (see
+        :meth:`step`).
         """
         dt = self.tick_s
-        processes = self.processes
-        hw_core = self._hw_core
-        threads_on_hw: dict[int, list[ThreadId]] = {}
-        for tid, hw_id in placement.items():
-            threads_on_hw.setdefault(hw_id, []).append(tid)
-        load: dict[int, float] = {}
-        siblings: dict[int, int] = {}
-        for hw_id, tids in threads_on_hw.items():
-            load[hw_id] = sum([processes[tid.pid].demand for tid in tids])
-            core_id = hw_core[hw_id]
-            siblings[core_id] = siblings.get(core_id, 0) + 1
+        processes, hw_core, core_hws = self.processes, self._hw_core, self._core_hws
+        asm, memo = self._asm, self._perf_memo
+        on_hw, load, siblings = asm.on_hw, asm.load, asm.siblings
+        used, frags = asm.used, asm.frags
+        marked, self._dirty = self._dirty, set()
+        dirty = set(marked)
 
-        # The dirty set: processes whose slot inputs moved since the last
-        # fresh evaluation.
-        last_placement, last_load, last_siblings, last_freqs, last_pids = (
-            self._last_eval
-        )
-        dirty: set[int] = set()
-        if placement is not last_placement:
+        def on_cores(cores) -> list[int]:
+            return [t.pid for c in cores for h in core_hws[c] for t in on_hw.get(h, ())]
+
+        # The hw threads whose thread list changed, and whose threads moved.
+        moved: set[int] = set()
+        last = asm.placement
+        if placement is not last:
+            new_on_hw: dict[int, list[ThreadId]] = {}
             for tid, hw_id in placement.items():
-                if last_placement.get(tid) != hw_id:
-                    dirty.add(tid.pid)
-            for tid in last_placement:
-                if tid not in placement:
-                    dirty.add(tid.pid)
-        freqs_moved = freqs is not last_freqs
-        for hw_id, tids in threads_on_hw.items():
-            core_id = hw_core[hw_id]
-            if (
-                load[hw_id] != last_load.get(hw_id)
-                or siblings[core_id] != last_siblings.get(core_id)
-                or freqs_moved
-                and freqs.get(core_id) != last_freqs.get(core_id)
-            ):
-                for tid in tids:
-                    dirty.add(tid.pid)
+                new_on_hw.setdefault(hw_id, []).append(tid)
+            moved = {
+                h for h in new_on_hw.keys() | on_hw.keys()
+                if new_on_hw.get(h) != on_hw.get(h)
+            }
+            for hw_id in moved:
+                dirty.update([
+                    t.pid for t in new_on_hw.get(hw_id, ()) if last.get(t) != hw_id
+                ])
+                for tid in on_hw.get(hw_id, ()):
+                    if tid not in placement:
+                        dirty.add(tid.pid)
+                        used.pop(tid, None)
+            asm.on_hw = on_hw = new_on_hw
+            if placement.keys() != last.keys():
+                from repro.apps.base import ApplicationModel  # import cycle
+                asm.placed = {
+                    pid: processes[pid]
+                    for pid in sorted({tid.pid for tid in placement})
+                }
+                asm.horizons = {
+                    pid for pid, p in asm.placed.items()
+                    if type(p.model).steady_work_horizon
+                    is not ApplicationModel.steady_work_horizon
+                }
+            asm.placement = placement
+        placed, horizons = asm.placed, asm.horizons
+        # Total demand per hw thread, busy siblings per core, frequencies.
+        resum = set(moved)
+        for pid in marked & placed.keys():
+            resum.update([
+                placement[t.tid] for t in placed[pid].threads if t.tid in placement
+            ])
+        for hw_id in resum:
+            tids = on_hw.get(hw_id)
+            if tids is None:
+                load.pop(hw_id, None)
+                continue
+            total = sum([processes[tid.pid].demand for tid in tids])
+            if total != load.get(hw_id):
+                load[hw_id] = total
+                dirty.update([tid.pid for tid in tids])
+        for core_id in {hw_core[h] for h in moved}:
+            count = len([h for h in core_hws[core_id] if h in on_hw])
+            if count != siblings.get(core_id, 0):
+                siblings[core_id] = count
+                dirty.update(on_cores((core_id,)))
+        if freqs is not asm.freqs:
+            dirty.update(on_cores([
+                c for c in siblings if freqs.get(c) != asm.freqs.get(c)
+            ]))
+            asm.freqs = freqs
+        # The clean processes, unless they finish on this tick.  Knob
+        # writes and work horizons reach no event: the same pass checks
+        # them.
+        reuse = {
+            pid: frag for pid, p in placed.items()
+            if pid not in dirty and (frag := memo.get(pid)) is not None
+            and frag is frags.get(pid) and frag.key is not None
+            and frag.knobs == p.knobs
+            and (pid not in horizons or p.model.steady_work_horizon(p) is None)
+        }
+        for process in self._finishing([frag.key for frag in reuse.values()]):
+            del reuse[process.pid]
 
-        busy_fraction: dict[int, float] = {}
-        app_busy_on_core: dict[int, dict[int, float]] = {}
-        procs: list[tuple] = []
-        ran: list[tuple[SimThread, float]] = []
-        idx: list[int] = []
-        inc: list[float] = []
-        # Only a placement held by the placement memory can key a pattern.
-        keys: list[tuple] | None = (
-            [] if placement is self._placement_cache else None
-        )
-        perf_memo = self._perf_memo
-        acc = self._acc  # perf() spawns nothing, so the ledger stays put
+        hws, cores = set(moved), {hw_core[h] for h in moved}
+        cacheable = placement is self._placement_cache
         cpu_offset = self._cpu_offset
-        fresh_pids: set[int] = set()
-        for pid in sorted({tid.pid for tid in placement}):
-            process = processes[pid]
-            model = process.model
-            demand = process.demand
+        for pid in sorted(placed.keys() - reuse.keys()):
+            process = placed[pid]
+            model, demand = process.model, process.demand
             horizon = model.steady_work_horizon(process)
-            frag = perf_memo.get(pid)
-            if (
-                pid not in dirty
-                and pid in last_pids
-                and frag is not None
-                and horizon is None
-                and frag.demand == demand
-                and frag.revision == process.threads_revision
-                and frag.knobs == process.knobs
-                and not (
-                    frag.perf.rate > 0
-                    and frag.proc[1] >= max(
-                        0.0, model.total_work - acc.item(process._base)
-                    )
-                )
-            ):
-                # Clean, and not finishing: the fragment is this tick's part.
-                fresh_pids.add(pid)
-                for hw_id, used in frag.busy:
-                    busy_fraction[hw_id] = busy_fraction.get(hw_id, 0.0) + used
-            else:
-                # Dirty, or finishing: build the fragment afresh.
-                slots: list[ThreadSlot] = []
-                slot_threads: list[SimThread] = []
-                for thread in process.active_threads:
-                    hw_id = placement.get(thread.tid)
-                    if hw_id is None:
-                        continue
-                    hw = self._hw_by_id[hw_id]
-                    total = load[hw_id]
-                    if total <= 1.0:
-                        share = demand if demand > 0 else 0.0
-                    else:
-                        share = demand / total
-                    speed = hw.core_type.thread_speed(
-                        siblings[hw.core_id], freqs.get(hw.core_id)
-                    ) * share
-                    slots.append(
-                        ThreadSlot(hw_id, hw.core_id, hw.core_type.name, speed, share)
-                    )
-                    slot_threads.append(thread)
-                if not slots:
+            frag = memo.get(pid)
+            slots: list[ThreadSlot] = []
+            slot_threads: list[SimThread] = []
+            for thread in process.active_threads:
+                hw_id = placement.get(thread.tid)
+                if hw_id is None:
                     continue
-                slots_key = tuple(slots)
-                revision = process.threads_revision
-                if horizon is not None:
-                    knobs = None
-                    perf = model.perf(slots, process)
-                elif (
-                    # Slot-pure: perf() repeats while its slots, demand
-                    # (shares alone can collide), threads and knobs repeat.
-                    frag is not None
-                    and frag.slots == slots_key
-                    and frag.demand == demand
-                    and frag.revision == revision
-                    and frag.knobs == process.knobs
-                ):
-                    knobs, perf = frag.knobs, frag.perf
+                hw = self._hw_by_id[hw_id]
+                total = load[hw_id]
+                if total <= 1.0:
+                    share = demand if demand > 0 else 0.0
                 else:
-                    knobs = process.knobs
-                    knobs = copy.deepcopy(knobs) if knobs else _NO_KNOBS
-                    perf = model.perf(slots, process)
-                if perf.ips < 0:
-                    raise ValueError(f"negative instruction rate for pid {pid}")
-                # The ledger adds: work (none on a finishing tick), CPU
-                # time per slot, instructions; a finishing tick scales the
-                # slots' busy time and the instructions by its fraction.
-                base = process._base
-                rate_dt = perf.rate * dt
-                remaining = process.remaining_work()
-                if perf.rate > 0 and rate_dt >= remaining:
-                    finish_frac = remaining / rate_dt if remaining > 0 else 0.0
-                    frac, f_idx, f_inc, key = finish_frac, [], [], None
-                else:
-                    finish_frac = None
-                    frac, f_idx, f_inc = 1.0, [base], [rate_dt]
-                    key = (
-                        process, demand, revision, knobs,
-                        rate_dt if perf.rate > 0 else None,
-                    )
-                busy: list[tuple[int, float]] = []
-                core_busy: dict[int, float] = {}
-                f_ran: list[tuple[SimThread, float]] = []
-                for slot, thread, activity in zip(
-                    slots, slot_threads, perf.activities
-                ):
-                    act_share = activity * slot.share
-                    used = act_share * frac
-                    hw_id = slot.hw_thread_id
-                    busy.append((hw_id, used))
-                    busy_fraction[hw_id] = busy_fraction.get(hw_id, 0.0) + used
-                    core_busy[slot.core_id] = (
-                        core_busy.get(slot.core_id, 0.0) + used
-                    )
-                    f_idx.append(base + cpu_offset[slot.core_type])
-                    f_inc.append(used * dt)
-                    f_ran.append((thread, act_share))
-                f_idx.append(base + INSTRUCTIONS)
-                f_inc.append(perf.ips * frac * dt)
-                frag = _Fragment(
-                    demand, revision, knobs, slots_key, perf, f_idx, f_inc,
-                    busy, core_busy, f_ran, (process, rate_dt, finish_frac), key,
+                    share = demand / total
+                speed = hw.core_type.thread_speed(
+                    siblings[hw.core_id], freqs.get(hw.core_id)
+                ) * share
+                slots.append(
+                    ThreadSlot(hw_id, hw.core_id, hw.core_type.name, speed, share)
                 )
-                if horizon is None:
-                    perf_memo[pid] = frag
-                    if finish_frac is None:
-                        fresh_pids.add(pid)
-                else:
-                    keys = None
-            idx += frag.idx
-            inc += frag.inc
-            for core_id, used in frag.core_busy.items():
-                core_mix = app_busy_on_core.get(core_id)
-                if core_mix is None:
-                    app_busy_on_core[core_id] = {pid: used}
-                else:
-                    core_mix[pid] = used
-            ran += frag.ran
-            procs.append(frag.proc)
-            if keys is not None:
-                if frag.key is None:
-                    keys = None  # a completion
-                else:
-                    keys.append(frag.key)
-        self._last_eval = (placement, load, siblings, freqs, fresh_pids)
+                slot_threads.append(thread)
+            slots_key = tuple(slots)
+            revision = process.threads_revision
+            if horizon is not None:
+                knobs = None
+                perf = model.perf(slots, process)
+            elif (
+                # Slot-pure: perf() repeats while its slots, demand
+                # (shares alone can collide), threads and knobs repeat.
+                frag is not None
+                and frag.slots == slots_key
+                and frag.demand == demand
+                and frag.revision == revision
+                and frag.knobs == process.knobs
+            ):
+                knobs, perf = frag.knobs, frag.perf
+            else:
+                knobs = process.knobs
+                knobs = copy.deepcopy(knobs) if knobs else _NO_KNOBS
+                perf = model.perf(slots, process)
+            if perf.ips < 0:
+                raise ValueError(f"negative instruction rate for pid {pid}")
+            # The ledger adds: work (none on a finishing tick), CPU
+            # time per slot, instructions; a finishing tick scales the
+            # slots' busy time and the instructions by its fraction.
+            base = process._base
+            rate_dt = perf.rate * dt
+            remaining = process.remaining_work()
+            if perf.rate > 0 and rate_dt >= remaining:
+                finish_frac = remaining / rate_dt if remaining > 0 else 0.0
+                frac, f_idx, f_inc, key = finish_frac, [], [], None
+            else:
+                finish_frac = None
+                frac, f_idx, f_inc = 1.0, [base], [rate_dt]
+                key = None if horizon is not None else (
+                    process, demand, revision, knobs,
+                    rate_dt if perf.rate > 0 else None,
+                )
+            busy: list[tuple[int, float]] = []
+            core_busy: dict[int, float] = {}
+            f_ran: list[tuple[SimThread, float]] = []
+            for slot, thread, activity in zip(
+                slots, slot_threads, perf.activities
+            ):
+                act_share = activity * slot.share
+                used[thread.tid] = u = act_share * frac
+                busy.append((slot.hw_thread_id, u))
+                core_busy[slot.core_id] = core_busy.get(slot.core_id, 0.0) + u
+                f_idx.append(base + cpu_offset[slot.core_type])
+                f_inc.append(u * dt)
+                f_ran.append((thread, act_share))
+            f_idx.append(base + INSTRUCTIONS)
+            f_inc.append(perf.ips * frac * dt)
+            # A hw thread or core whose threads did not move changes its
+            # sums only where this fragment's busy fractions changed.
+            old = frags.get(pid)
+            if old is None or old.busy != busy:
+                hws.update([hw_id for hw_id, _ in busy])
+            if old is None or old.core_busy != core_busy:
+                cores.update(core_busy)
+            reuse[pid] = frag = _Fragment(
+                demand, revision, knobs, slots_key, perf, f_idx, f_inc, busy,
+                core_busy, f_ran, (process, rate_dt, finish_frac), key,
+            )
+            if horizon is None:
+                memo[pid] = frag
+            cacheable = cacheable and key is not None
+        asm.frags = frags = {pid: reuse[pid] for pid in placed}
+
+        # Re-sum the touched hw threads' busy fractions and cores' mixes.
+        busy_of, first, arr = asm.busy, asm.first, asm.busy_arr
+        for hw_id in hws:
+            tids = on_hw.get(hw_id)
+            if tids is None:
+                del busy_of[hw_id], first[hw_id]
+                arr[self._hw_pos[hw_id]] = 0.0
+                continue
+            tids = sorted(tids)
+            total = 0.0
+            for tid in tids:
+                total += used[tid]
+            busy_of[hw_id], first[hw_id] = total, tids[0]
+            arr[self._hw_pos[hw_id]] = total if total < 1.0 else 1.0
+        for core_id in cores:
+            tids = [t for h in core_hws[core_id] for t in on_hw.get(h, ())]
+            if not tids:
+                del asm.terms[core_id], asm.core_first[core_id]
+                asm.intensity[self._core_row[core_id]] = 1.0
+                continue
+            pids = sorted({t.pid for t in tids})
+            asm.core_first[core_id] = min(tids)
+            asm.terms[core_id] = term = self._mix_term(
+                core_id, [placed[pid] for pid in pids],
+                [frags[pid].core_busy[core_id] for pid in pids],
+            )
+            asm.intensity[term[0]] = term[4]
+        if moved:
+            asm.hw_order = sorted(busy_of, key=first.__getitem__)
+            asm.core_order = sorted(asm.terms, key=asm.core_first.__getitem__)
+
+        fragments = frags.values()
+        procs = [frag.proc for frag in fragments]
+        ran = [entry for frag in fragments for entry in frag.ran]
+        idx = [i for frag in fragments for i in frag.idx]
+        inc = [x for frag in fragments for x in frag.inc]
         package_power, core_util = self._power_tick(
-            busy_fraction, app_busy_on_core, freqs, idx, inc
+            arr, sum([busy_of[h] for h in asm.hw_order]), asm.intensity,
+            [asm.terms[c] for c in asm.core_order], freqs, idx, inc,
         )
         plan = (np.array(idx, dtype=np.intp), np.array(inc, dtype=float))
-        burns = [p for p, _, _ in procs if p.model.burns_backlog]
+        burns = [p for p in placed.values() if p.model.burns_backlog]
         pattern = (procs, ran, plan, package_power, core_util, burns)
-        if keys is None:
+        if not cacheable:
             return pattern, _PATTERN_UNCACHEABLE
+        keys = [frag.key for frag in fragments]
         entry = (placement, freqs, keys, pattern)
         self._patterns = [entry] + self._patterns[:_PATTERN_ENTRIES - 1]
         return pattern, _PATTERN_MISS
@@ -774,23 +843,31 @@ class World:
                 e_freqs is not freqs and e_freqs != freqs
             ):
                 continue
-            for process, demand, revision, knobs, work_step in keys:
+            for process, demand, revision, knobs, _ in keys:
                 if (
                     process.demand != demand
                     or process.threads_revision != revision
                     or process.knobs != knobs
                 ):
                     break
-                if process.model.steady_work_horizon(process) is not None or (
-                    work_step is not None
-                    and work_step >= process.remaining_work()
-                ):
+                if process.model.steady_work_horizon(process) is not None:
                     return None
             else:
+                if self._finishing(keys):
+                    return None
                 if i:
                     patterns.insert(0, patterns.pop(i))
                 return pattern
         return None
+
+    def _finishing(self, keys: list[tuple]) -> list[SimProcess]:
+        """Processes of these pattern-key entries whose work step reaches
+        their remaining work (the one completion test of remembered work)."""
+        item = self._acc.item
+        return [
+            key[0] for key in keys if key[4] is not None
+            and key[4] >= key[0].model.total_work - item(key[0]._base)
+        ]
 
     def _add_ticks(self, plan: tuple[np.ndarray, np.ndarray], n: int) -> None:
         """Apply ``n`` ticks of ``plan`` to the ledger, in tick order.
@@ -923,87 +1000,73 @@ class World:
         self._placement_sig = sig
         self._placement_cache = placement
 
+    def _mix_term(
+        self, core_id: int, owners: list[SimProcess], used: list[float]
+    ) -> tuple:
+        """``(row, ledger indices, weights, total weight, intensity)`` of a
+        core whose ``owners`` ran ``used`` on it: weight = used × intensity."""
+        weights = [u * p.model.power_intensity for p, u in zip(owners, used)]
+        total_weight = sum(weights)
+        total_busy = sum(used)
+        return (
+            self._core_row[core_id],
+            [p._base + ENERGY_TRUE_J for p in owners],
+            weights,
+            total_weight,
+            total_weight / total_busy if total_busy > 0 else 1.0,
+        )
+
     def _power_tick(
         self,
-        busy_fraction: dict[int, float],
-        app_busy_on_core: dict[int, dict[int, float]],
+        busy: np.ndarray,
+        total_busy: float,
+        intensity: np.ndarray,
+        mixes: list[tuple],
         freqs: dict[int, float],
         idx: list[int],
         inc: list[float],
     ) -> tuple[float, dict[int, float]]:
         """One tick of package power and energy, without mutating the world.
 
-        The one power kernel of the simulator.  Appends the tick's ledger
-        adds to ``idx`` (ledger index) and ``inc`` (increment): busy
-        seconds and energy per core type, then each process's
-        ground-truth energy share, in the order the adds must happen for
-        bit-identical accumulators.  :meth:`step` applies them once as
-        part of the tick's plan, and the event engine's leaps once per
-        leapt tick (an idle leap those of a call with nothing busy).
-        Returns ``(package_power, core_util)``.
+        The one power kernel of the simulator.  ``busy`` holds each hw
+        thread's busy fraction in ``_hw_grouped`` order, clamped at 1,
+        and ``total_busy`` their unclamped sum in order of first use;
+        ``mixes`` holds the :meth:`_mix_term` of each core that ran
+        application work, in order of first use, and ``intensity`` their
+        intensities per core (1 elsewhere).  Appends the tick's ledger
+        adds to ``idx`` and ``inc``: busy seconds and energy per core
+        type, then each process's ground-truth energy share, in the order
+        bit-identical accumulators need.  Returns ``(package_power,
+        core_util)``.
 
         The formulas are those of :meth:`CorePowerModel.power_fractional`
-        over arrays of cores: per-core busy fractions reduce to segment
-        max/sum, and the cubic DVFS scale and the SMT increment apply
-        elementwise, and the DVFS scale is kept for the frequencies dict
-        it was computed from (the governor hands out one dict while its
-        choice repeats).  Per-type sums come from one ``bincount`` each.
-        The sparse instruction-mix and energy-attribution corrections stay
-        dict-driven and touch only the cores that ran application work:
-        one pass over ``app_busy_on_core`` computes each process's
-        weight, which sets the core's intensity and later splits its
-        dynamic energy.
-        Package-level superlinearity: VRM losses and current-dependent
-        leakage make per-core active power rise slightly with total load,
-        so package power is not a purely linear function of the
-        allocation.
+        over arrays of cores: segment max/sum per core, the cubic DVFS
+        scale (kept, with the active and SMT powers it scales, for the
+        frequencies dict it came from) and the SMT increment elementwise,
+        one ``bincount`` per per-type sum.  A core's intensity scales its
+        active power, and its mix term splits its dynamic energy.  VRM
+        losses and current-dependent leakage make active power rise
+        slightly with total load (the superlinear factor).
         """
         dt = self.tick_s
-        load_ratio = (
-            sum(busy_fraction.values()) / self._n_hw_threads
-            if busy_fraction
-            else 0.0
-        )
-        superlinear = 0.92 + 0.16 * load_ratio
-        busy = np.zeros(len(self._hw_grouped))
-        if busy_fraction:
-            for pos, hw_id in enumerate(self._hw_grouped):
-                frac = busy_fraction.get(hw_id)
-                if frac is not None:
-                    busy[pos] = frac if frac < 1.0 else 1.0
+        superlinear = 0.92 + 0.16 * (total_busy / self._n_hw_threads)
         fsum = np.add.reduceat(busy, self._group_starts)
         fmax = np.maximum.reduceat(busy, self._group_starts)
         remembered = self._freq_scale
-        if remembered is not None and remembered[0] is freqs:
-            scale = remembered[1]
-        else:
+        if remembered is None or remembered[0] is not freqs:
             freq = np.array([freqs[cid] for cid in self._core_ids], dtype=float)
             ratio = freq / self._core_max_freq
             scale = STATIC_FRACTION + (1.0 - STATIC_FRACTION) * ratio**3
-            self._freq_scale = (freqs, scale)
+            remembered = self._freq_scale = (
+                freqs, self._core_active_w * scale, self._core_smt_w * scale
+            )
         power = (
             self._core_idle_w
-            + self._core_active_w * scale * fmax
-            + self._core_smt_w * scale * (fsum - fmax)
+            + remembered[1] * fmax
+            + remembered[2] * (fsum - fmax)
         )
         # Instruction-mix effect: scale the active (above-idle) power by
         # the weighted power intensity of the applications on each core.
-        # The same weights split each core's dynamic energy below.
-        intensity = np.ones(len(self._core_ids))
-        mixes: list[tuple[int, list[SimProcess], list[float], float]] = []
-        processes = self.processes
-        for core_id, mix in app_busy_on_core.items():
-            row = self._core_row[core_id]
-            owners = [processes[pid] for pid in mix]
-            weights = [
-                used * p.model.power_intensity
-                for p, used in zip(owners, mix.values())
-            ]
-            total_weight = sum(weights)
-            total_busy = sum(mix.values())
-            if total_busy > 0:
-                intensity[row] = total_weight / total_busy
-            mixes.append((row, owners, weights, total_weight))
         power = (
             self._core_idle_w
             + (power - self._core_idle_w) * intensity * superlinear
@@ -1027,12 +1090,11 @@ class World:
         # attribution of Eq. 3 cannot observe.
         if mixes:
             dynamic = (power - self._core_idle_w).tolist()
-            for row, owners, weights, total_weight in mixes:
+            for row, bases, weights, total_weight, _ in mixes:
                 if dynamic[row] > 0 and total_weight > 0:
                     dynamic_dt = dynamic[row] * dt
-                    for process, weight in zip(owners, weights):
-                        idx.append(process._base + ENERGY_TRUE_J)
-                        inc.append(dynamic_dt * weight / total_weight)
+                    idx += bases
+                    inc += [dynamic_dt * w / total_weight for w in weights]
         return package_power, core_util
 
     def _validate_placement(self, placement: dict[ThreadId, int]) -> None:

@@ -150,7 +150,9 @@ class SimProcess:
         # The ledger's owner and this process's block offset in it, where
         # work done comes first: a private one-block ledger without core
         # types until a world's ``spawn`` re-points both.
-        self._owner = SimpleNamespace(_acc=np.zeros(CPU_TIME), _type_names=())
+        self._owner = SimpleNamespace(
+            _acc=np.zeros(CPU_TIME), _type_names=(), _dirty=set()
+        )
         self._base = 0
 
     @property
@@ -194,12 +196,15 @@ class SimProcess:
             self._sync_threads()
             # The owning world's runnable pairs name the old threads.
             self._owner._runnable_pairs = None
+            self._owner._dirty.add(self.pid)
 
     def set_affinity(self, hw_threads: frozenset[int] | None) -> None:
         """Restrict the process to a set of hardware threads."""
         if hw_threads is not None and not hw_threads:
             raise ValueError("affinity set must be non-empty or None")
         self.affinity = hw_threads
+        # The owning world's runnable pairs key the schedulers' signatures.
+        self._owner._runnable_pairs = None
 
     def _sync_threads(self) -> None:
         if len(self.threads) != self.nthreads:

@@ -19,6 +19,8 @@ class Scheduler(ABC):
     """
 
     name: str = "scheduler"
+    #: ``(pairs list, signature)`` of :meth:`_remembered_signature`.
+    _signature: tuple | None = None
 
     @abstractmethod
     def place(self, world: "World") -> dict[ThreadId, int]:
@@ -35,6 +37,17 @@ class Scheduler(ABC):
         ``None`` to opt out of caching.
         """
         return None
+
+    def _remembered_signature(self, world: "World", entry) -> tuple:
+        """``entry(process, thread)`` over the runnable pairs, as a tuple,
+        rebuilt only with the pairs list: the world rebuilds that at every
+        change of the runnable set, a thread list (which alone sets
+        ``itd_class``) or an affinity mask."""
+        pairs, remembered = self.runnable(world), self._signature
+        if remembered is None or remembered[0] is not pairs:
+            signature = tuple([entry(p, t) for p, t in pairs])
+            remembered = self._signature = (pairs, signature)
+        return remembered[1]
 
     def next_preemption_tick(self, world: "World") -> int | None:
         """Earliest future tick at which the placement may move on its own.

@@ -54,9 +54,8 @@ class CfsScheduler(Scheduler):
     def placement_signature(self, world: "World") -> tuple:
         # The placement is a pure function of the runnable thread set (in
         # order) and each process's affinity mask.
-        return tuple(
-            (thread.tid, process.affinity)
-            for process, thread in self.runnable(world)
+        return self._remembered_signature(
+            world, lambda process, thread: (thread.tid, process.affinity)
         )
 
     def next_preemption_tick(self, world: "World") -> int | None:

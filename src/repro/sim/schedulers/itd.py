@@ -33,9 +33,10 @@ class ItdScheduler(Scheduler):
     def placement_signature(self, world: "World") -> tuple:
         # Placement depends on the runnable set, affinities, and each
         # thread's ITD class (phase extensions may reclassify threads).
-        return tuple(
-            (thread.tid, process.affinity, thread.itd_class)
-            for process, thread in self.runnable(world)
+        return self._remembered_signature(
+            world, lambda process, thread: (
+                thread.tid, process.affinity, thread.itd_class
+            ),
         )
 
     def next_preemption_tick(self, world: "World") -> int | None:

@@ -17,12 +17,19 @@ checks the published state against its sources: the runnable pairs
 equal a poll of the live processes' demands, and each live RM daemon's
 demand equals the one its backlog gives.
 
-Run as a script, the sweep replays the committed ledger of sequences
-(``tests/fixtures/state_sweep_ledger.jsonl``) and checks each replay's
-digest against it; it exits 1 on any mismatch::
+A second, dense profile (:class:`_DenseSequence`, ``--dense``) starts
+from 20-40 processes sharing hardware threads, so completions land in
+the middle of the pid order and demand writes take SMT siblings busy
+and idle: the cases the engine's incremental tick assembly must see.
 
-    PYTHONPATH=src python tests/state_sweep.py [--first N]
+Run as a script, the sweep replays the committed ledger of sequences
+(``tests/fixtures/state_sweep_ledger.jsonl``, or with ``--dense``
+``tests/fixtures/state_sweep_dense_ledger.jsonl``) and checks each
+replay's digest against it; it exits 1 on any mismatch::
+
+    PYTHONPATH=src python tests/state_sweep.py [--dense] [--first N]
     PYTHONPATH=src python tests/state_sweep.py --write 1000
+    PYTHONPATH=src python tests/state_sweep.py --dense --write 50
 
 ``--write N`` replays seeds ``0 .. N-1`` and rewrites the ledger; a
 change that is meant to alter simulated behaviour rewrites it.
@@ -55,7 +62,9 @@ from repro.sim import (
 from test_eventsim import _fingerprint
 from test_tick_pattern import _polled_pairs, _run
 
-LEDGER = Path(__file__).resolve().parent / "fixtures" / "state_sweep_ledger.jsonl"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+LEDGER = FIXTURES / "state_sweep_ledger.jsonl"
+DENSE_LEDGER = FIXTURES / "state_sweep_dense_ledger.jsonl"
 
 #: Odroid (8 hardware threads) oversubscribes with a few processes, so
 #: it is drawn twice as often as the 32-thread Intel part.
@@ -123,9 +132,12 @@ class _Sequence:
 
     # -- the actions ---------------------------------------------------------------
 
+    #: Bounds of a plain spawn's drawn work.
+    WORK = (0.2, 2.0)
+
     def spawn_plain(self) -> None:
         model = replace(resolve_model(self._pick(_APPS)))
-        model.total_work = float(self.rng.uniform(0.2, 2.0))
+        model.total_work = float(self.rng.uniform(*self.WORK))
         nthreads = int(self.rng.integers(1, 5))
         affinity = self._affinity() if self.rng.random() < 0.3 else None
         self.world.spawn(
@@ -233,6 +245,42 @@ class _Sequence:
         }
 
 
+class _DenseSequence(_Sequence):
+    """A dense world: 20-40 processes of 1-4 threads sharing hardware
+    threads from the start, no manager, and actions weighted toward what
+    the incremental assembly must see — completions anywhere in the pid
+    order (drawn work sizes), kills, and demand writes that take SMT
+    siblings and queue mates busy and idle."""
+
+    def __init__(self, seed: int, engine: str) -> None:
+        rng = self.rng = np.random.default_rng(seed)
+        platform = make_platform(_PLATFORMS[rng.integers(len(_PLATFORMS))])
+        governor = CappedGovernor(make_governor(
+            _GOVERNORS[rng.integers(len(_GOVERNORS))], platform
+        ))
+        scheduler = (CfsScheduler, ItdScheduler, PinnedScheduler)[
+            rng.integers(3)
+        ]()
+        world = self.world = make_world(
+            platform, scheduler, engine=engine, governor=governor, seed=seed
+        )
+        self.exit_order: list[int] = []
+        world.on_process_exit.append(lambda p: self.exit_order.append(p.pid))
+        self.manager = None
+        self.decisions: list[tuple] = []
+        world.on_event.append(check_published)
+        for _ in range(int(rng.integers(20, 41))):
+            self.spawn_plain()
+
+    WORK = (0.005, 0.15)
+    ACTIONS = (
+        (_Sequence.run_ticks, 0.3), (_Sequence.write_demand, 0.3),
+        (_Sequence.kill, 0.1), (_Sequence.spawn_plain, 0.1),
+        (_Sequence.set_nthreads, 0.1), (_Sequence.set_affinity, 0.05),
+        (_Sequence.cap, 0.05),
+    )
+
+
 def check_published(world: World) -> None:
     """The published state equals what its sources give, from scratch."""
     if world.runnable_pairs() != _polled_pairs(world):
@@ -248,18 +296,22 @@ def check_published(world: World) -> None:
             )
 
 
-def run_sequence(seed: int, engine: str) -> dict:
-    """Replay sequence ``seed`` on ``engine``; its comparable outcome."""
-    return _Sequence(seed, engine).run()
+def run_sequence(seed: int, engine: str, dense: bool = False) -> dict:
+    """Replay sequence ``seed`` (of the dense profile if ``dense``) on
+    ``engine``; its comparable outcome."""
+    return (_DenseSequence if dense else _Sequence)(seed, engine).run()
 
 
-def replay(seed: int) -> tuple[dict, dict, dict]:
+def replay(seed: int, dense: bool = False) -> tuple[dict, dict, dict]:
     """``(oracle, tick, event)`` outcomes of sequence ``seed``."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         oracle, _ = _run(
-            monkeypatch, lambda: run_sequence(seed, "tick"), cache=False
+            monkeypatch, lambda: run_sequence(seed, "tick", dense), cache=False
         )
-    return oracle, run_sequence(seed, "tick"), run_sequence(seed, "event")
+    return (
+        oracle, run_sequence(seed, "tick", dense),
+        run_sequence(seed, "event", dense),
+    )
 
 
 def digest(outcome: dict) -> str:
@@ -267,9 +319,9 @@ def digest(outcome: dict) -> str:
     return hashlib.sha256(repr(outcome).encode()).hexdigest()[:16]
 
 
-def ledger_entry(seed: int) -> dict:
+def ledger_entry(seed: int, dense: bool = False) -> dict:
     """Replay ``seed`` three ways; its ledger line (raises on mismatch)."""
-    oracle, tick, event = replay(seed)
+    oracle, tick, event = replay(seed, dense)
     differ = [
         f"{name}:{key}"
         for name, other in (("tick", tick), ("event", event))
@@ -298,18 +350,26 @@ def main(argv: list[str] | None = None) -> int:
         "--write", type=int, default=None, metavar="N",
         help="replay seeds 0..N-1 and rewrite the ledger",
     )
+    parser.add_argument(
+        "--dense", action="store_true",
+        help="the dense profile and its ledger",
+    )
     args = parser.parse_args(argv)
+    ledger = DENSE_LEDGER if args.dense else LEDGER
     if args.write is not None:
-        lines = [json.dumps(ledger_entry(seed)) for seed in range(args.write)]
-        LEDGER.write_text("\n".join(lines) + "\n")
-        print(f"wrote {len(lines)} sequences to {LEDGER}")
+        lines = [
+            json.dumps(ledger_entry(seed, args.dense))
+            for seed in range(args.write)
+        ]
+        ledger.write_text("\n".join(lines) + "\n")
+        print(f"wrote {len(lines)} sequences to {ledger}")
         return 0
-    entries = [json.loads(line) for line in LEDGER.read_text().splitlines()]
+    entries = [json.loads(line) for line in ledger.read_text().splitlines()]
     entries = entries[:args.first]
     failures = 0
     for entry in entries:
         try:
-            got = ledger_entry(entry["seed"])
+            got = ledger_entry(entry["seed"], args.dense)
         except AssertionError as exc:
             got = {"error": str(exc)}
         if got != entry:

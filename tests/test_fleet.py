@@ -724,6 +724,39 @@ class TestPartition:
         assert fleet.coordinator.all_finished()
         _assert_no_double_placement(fleet)
 
+    def test_finish_during_partition_reaches_coordinator_after_heal(self):
+        """A finish whose reports are lost to a partition is never
+        acknowledged, so the node keeps listing it; the first report
+        after the heal tells the coordinator, and later reports leave the
+        app out."""
+        fleet = _fleet(apps=_apps(4, work_scale=0.2), node_lease_epochs=10)
+        fleet.run(3)
+        node = fleet.nodes[1]
+        [app_id] = [a for a, n in fleet.coordinator.placements().items() if n == 1]
+        fleet.links[1].partitioned = True
+        while not node.apps[app_id].finished:
+            fleet.run(1)
+        fleet.run(1)  # one more lost report
+        assert fleet.coordinator.apps[app_id].state == "placed"
+        assert not node.apps[app_id].finish_acked
+        fleet.links[1].partitioned = False
+        fleet.run(1)
+        rec = fleet.coordinator.apps[app_id]
+        assert rec.state == "finished"
+        assert rec.last_status == node.app_status(node.apps[app_id])
+        assert node.apps[app_id].finish_acked
+        reports: list = []
+        request = fleet.links[1].request
+        fleet.links[1].request = lambda message, timeout: (
+            reports.append(message) or request(message, timeout)
+        )
+        fleet.run(1)
+        assert reports and all(
+            status["app_id"] != app_id for status in reports[0].apps
+        )
+        fleet.run_until_done(max_epochs=300)
+        assert fleet.coordinator.all_finished()
+
     def test_short_partition_readopts_placements(self):
         """A partition healed before re-admission: the coordinator
         adopts the node's surviving placements back instead of paying

@@ -353,8 +353,24 @@ def test_power_tick_matches_scalar_oracle(make_platform):
         }
         idx: list[int] = []
         inc: list[float] = []
+        # The kernel's inputs: clamped busy fractions in grouped order,
+        # their sum, and one mix term (and intensity) per core.
+        busy = np.zeros(len(world._hw_grouped))
+        for hw_id, frac in busy_fraction.items():
+            busy[world._hw_pos[hw_id]] = frac if frac < 1.0 else 1.0
+        mixes = [
+            world._mix_term(
+                core_id, [world.processes[pid] for pid in mix],
+                list(mix.values()),
+            )
+            for core_id, mix in app_busy_on_core.items()
+        ]
+        intensity = np.ones(len(world._core_ids))
+        for term in mixes:
+            intensity[term[0]] = term[4]
         package, _ = world._power_tick(
-            busy_fraction, app_busy_on_core, freqs, idx, inc
+            busy, sum(busy_fraction.values()), intensity, mixes, freqs,
+            idx, inc,
         )
         acc_energy: dict[str, float] = {}
         acc_true: dict[int, float] = {}

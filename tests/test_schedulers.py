@@ -6,6 +6,7 @@ from repro.apps import npb_model
 from repro.apps.base import ApplicationModel
 from repro.platform.dvfs import make_governor
 from repro.sim.engine import World
+from repro.sim.event import EventWorld
 from repro.sim.schedulers.cfs import CfsScheduler
 from repro.sim.schedulers.eas import EasScheduler
 from repro.sim.schedulers.itd import ItdScheduler
@@ -24,6 +25,31 @@ def _world(platform, scheduler, seed=0):
         governor=make_governor("performance", platform),
         seed=seed, sensor_noise=0.0, perf_noise=0.0,
     )
+
+
+@pytest.mark.parametrize("world_cls", [World, EventWorld])
+@pytest.mark.parametrize("scheduler_cls", [CfsScheduler, ItdScheduler])
+def test_affinity_write_moves_remembered_placement(
+    intel, scheduler_cls, world_cls
+):
+    """The signature is remembered per runnable-pairs list; an affinity
+    write must still reach the next placement on both engines."""
+    world = world_cls(
+        intel, scheduler_cls(), governor=make_governor("performance", intel),
+        seed=0, sensor_noise=0.0, perf_noise=0.0,
+    )
+    process = world.spawn(_app(), nthreads=2)
+    world.spawn(_app("other"), nthreads=2)
+    world.run_for(0.05)
+    sched = world.scheduler
+    assert sched.placement_signature(world) is sched.placement_signature(world)
+    e_hw = [t.thread_id for c in intel.cores_of_type("E") for t in c.hw_threads]
+    assert not set(world._placement_for().values()) & set(e_hw)
+    process.set_affinity(frozenset(e_hw[:2]))
+    world.run_for(0.05)
+    placement = world._placement_for()
+    assert {placement[t.tid] for t in process.threads} <= set(e_hw[:2])
+    assert process.cpu_time_by_type.keys() == {"P", "E"}
 
 
 class TestCfs:

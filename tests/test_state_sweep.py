@@ -3,9 +3,10 @@
 ``tests/state_sweep.py`` draws seeded sequences of state changes and
 replays each three ways: the tick engine with every memory forced off
 (the oracle), the tick engine, and the event engine.  Tier 1 replays the
-committed ledger's first 100 sequences; each must agree three ways, keep
-the published state equal to its sources at every boundary, and
-reproduce its ledger line.  CI replays the first 200 with the script.
+committed ledger's first 100 sequences and the dense ledger's first 20;
+each must agree three ways, keep the published state equal to its
+sources at every boundary, and reproduce its ledger line.  CI replays
+the first 200 and the whole dense ledger with the script.
 
 The two regression cases pin what demand publication must keep: a
 spawned RM daemon sleeps until the manager charges it, and
@@ -22,16 +23,26 @@ import pytest
 from repro.analysis.scenarios import make_platform, resolve_model
 from repro.core.manager import HarpManager, ManagerConfig
 from repro.sim import CfsScheduler, make_world
-from state_sweep import LEDGER, ledger_entry
+from state_sweep import DENSE_LEDGER, LEDGER, ledger_entry
 from test_eventsim import _fingerprint
 from test_tick_pattern import ENGINES, _assert_oracle
 
 _ENTRIES = [json.loads(line) for line in LEDGER.read_text().splitlines()[:100]]
+_DENSE_ENTRIES = [
+    json.loads(line) for line in DENSE_LEDGER.read_text().splitlines()[:20]
+]
 
 
 @pytest.mark.parametrize("entry", _ENTRIES, ids=lambda e: f"seed{e['seed']}")
 def test_ledger_sequence(entry: dict) -> None:
     assert ledger_entry(entry["seed"]) == entry
+
+
+@pytest.mark.parametrize(
+    "entry", _DENSE_ENTRIES, ids=lambda e: f"seed{e['seed']}"
+)
+def test_dense_ledger_sequence(entry: dict) -> None:
+    assert ledger_entry(entry["seed"], dense=True) == entry
 
 
 def _ep(total_work: float):

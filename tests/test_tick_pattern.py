@@ -45,6 +45,8 @@ from repro.platform.dvfs import Governor, make_governor
 from repro.scenario.driver import TraceDriver
 from repro.scenario.generator import SessionPlan
 from repro.sim import CfsScheduler, PinnedScheduler, World, make_world
+import repro.sim.engine as engine_module
+from repro.sim.engine import _Assembly
 from repro.sim.process import SimProcess, ThreadId
 
 from test_eventsim import (
@@ -60,7 +62,9 @@ def _run(monkeypatch, scenario, cache: bool = True):
     Forced to miss, the busy-leap probe also evaluates afresh and hands
     nothing to the step, which evaluates the tick again, every
     evaluation builds every process's slots and calls its ``perf()``
-    (the fragment memory is bypassed), the governor chooses the
+    (the fragment memory is bypassed) and assembles the tick from an
+    empty assembly (every hw thread and core re-summed, every mix term
+    rebuilt), the governor chooses the
     frequencies on every call, and the runnable pairs come from a poll
     of every live process's published demand.  Returns
     ``(result, served)``: ``served`` lists, for every tick served from
@@ -87,6 +91,10 @@ def _run(monkeypatch, scenario, cache: bool = True):
             ))
             m.setattr(World, "_perf_memo", property(
                 lambda self: {}, lambda self, memo: None
+            ), raising=False)
+            m.setattr(World, "_asm", property(
+                lambda self: _Assembly(self._n_hw_threads, len(self._core_ids)),
+                lambda self, asm: None,
             ), raising=False)
             m.setattr(Governor, "_last_choice", property(
                 lambda self: None, lambda self, choice: None
@@ -1069,3 +1077,29 @@ class TestDirtySet:
             return _fingerprint(world, []), model.calls, bystander.calls
 
         assert _dirty_calls(monkeypatch, scenario)[1] == [0, 20]
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 8])
+def test_k_dirty_processes_build_k_fragments(monkeypatch, k: int) -> None:
+    """A fresh evaluation builds exactly its dirty processes' fragments:
+    k demand writes that keep every hardware thread's total demand make
+    k processes dirty, and the other placed processes reuse theirs."""
+    world = _intel_world()
+    processes = [
+        world.spawn(_ep(), nthreads=1, affinity=frozenset({hw}))
+        for hw in _hw_of_type(world, "E")[:8]
+    ]
+    world.run_for(0.05)
+    built: list[SimProcess] = []
+    fragment = engine_module._Fragment
+
+    def counted(*fields):
+        built.append(fields[-2][0])  # the fragment's procs entry
+        return fragment(*fields)
+
+    monkeypatch.setattr(engine_module, "_Fragment", counted)
+    for process in processes[:k]:
+        world.set_demand(process, 1.0)
+    placement = world._placement_for()
+    world._evaluate_tick(placement, world.governor.select_all(world._core_util))
+    assert built == processes[:k]
